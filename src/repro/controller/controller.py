@@ -250,18 +250,14 @@ class MemoryController:
         #: cached decision (or cached "nothing to do") is still valid
         #: without re-running command selection.
         self.mutations = 0
-        #: The struct-of-arrays demand scan applies only when the scheduler
-        #: declares exact equivalence (see SchedulingPolicy.SUPPORTS_FAST_SCAN)
-        #: and the global fast-path switch was on at construction time.
-        self._fast_demand = fastpath.enabled() and getattr(
-            self.scheduler, "SUPPORTS_FAST_SCAN", False
-        )
-        #: Under the fast path, decisions are issued with ``validated=True``:
-        #: every path through _choose_command computes the command's earliest
-        #: legal cycle before deciding, and the event kernel re-validates
-        #: cached decisions (mutation counter + decision_crosses_boundary),
-        #: so the DRAM model's own recheck in issue() is pure overhead.
-        self._fast_issue = fastpath.enabled()
+        #: The fused select/issue closures apply when the global fast-path
+        #: switch was on at construction time.  Decisions are then issued
+        #: with ``validated=True``: every path through _choose_command
+        #: computes the command's earliest legal cycle before deciding, and
+        #: the event kernel re-validates cached decisions (mutation counter
+        #: + decision_crosses_boundary), so the DRAM model's own recheck in
+        #: issue() is pure overhead.
+        self._fast = fastpath.enabled()
         #: Static proof that the row policy never emits close candidates
         #: (the default open-page case), letting the fast scan skip the
         #: close-candidate pass entirely.
@@ -325,9 +321,7 @@ class MemoryController:
         #: pre-bound (fast path only; the generic chain reads ``self``
         #: directly).  Built last: it binds the queues, indexes, caches and
         #: the attached mitigation's hook resolutions.
-        self._fast_select = (
-            self._build_fast_select() if self._fast_demand else None
-        )
+        self._fast_select = self._build_fast_select() if self._fast else None
         #: The fused issue+bookkeeping path (fast path only): one closure
         #: covering ``DRAMSystem.issue`` plus :meth:`_post_issue` for the
         #: per-command kinds (ACT/PRE/RD/WR) with no-op policy hooks
@@ -337,8 +331,7 @@ class MemoryController:
         self._fast_issue_fn = (
             self._build_fast_issue()
             if (
-                self._fast_issue
-                and self._fast_demand
+                self._fast
                 and type(self)._post_issue is MemoryController._post_issue
                 and type(self.dram).issue is DRAMSystem.issue
                 and "issue" not in self.dram.__dict__
@@ -492,7 +485,7 @@ class MemoryController:
         issue_cycle, command, request = decision
         self.mutations += 1
         self.current_cycle = issue_cycle
-        result = self.dram.issue(command, issue_cycle, validated=self._fast_issue)
+        result = self.dram.issue(command, issue_cycle, validated=self._fast)
         self._post_issue(command, request, issue_cycle, result)
         return issue_cycle
 
@@ -545,7 +538,7 @@ class MemoryController:
         self, cycle: int
     ) -> Optional[Tuple[int, Command, Optional[MemoryRequest]]]:
         """Pick the highest-priority issuable command and its issue cycle."""
-        if self._fast_demand:
+        if self._fast:
             # The fused fast select covers the whole priority chain
             # (refresh > RFM > preventive > demand) with cheap pre-bound
             # guards; same decisions, pinned by the identity tests.
@@ -743,22 +736,54 @@ class MemoryController:
         replicate each helper's own "nothing to do" test (a due/owed rank, an
         attached active refresh policy, a non-empty preventive queue) and
         delegate to the existing helper the moment the guard trips — so the
-        rarely-taken stages stay one implementation.  The demand stage is the
-        FR-FCFS scan against the struct-of-arrays timing table: semantically
-        identical to :meth:`_generic_demand_command` with the default
-        scheduler — same bank iteration order, same early-exit hit/conflict
-        scan, same ``(issue_cycle, arrival, scan_key)`` ordering — but it
-        reads the shared :class:`~repro.dram.bank.BankTimingTable` arrays and
-        rank scalars directly and constructs a single
+        rarely-taken stages stay one implementation.
+
+        The demand stage is one scan for every scheduler, against the
+        struct-of-arrays timing table.  It is semantically identical to
+        :meth:`_generic_demand_command` running the scheduler's
+        :meth:`~repro.controller.policies.SchedulingPolicy.bank_candidate` —
+        same bank iteration order, same candidate per bank, same ordering —
+        but it reads the shared :class:`~repro.dram.bank.BankTimingTable`
+        arrays and rank scalars directly and constructs a single
         :class:`~repro.dram.commands.Command` for the winner, instead of
         materializing one per candidate through ``Bank``/``Rank`` method
-        chains.  Equivalence is pinned by ``tests/test_fastpath_identity.py``
-        and the golden traces.
+        chains.  The scheduler enters through two facts resolved here:
+
+        * :attr:`~repro.controller.policies.SchedulingPolicy.HITS_FIRST` —
+          FR-FCFS' early-exit hit/conflict scan under the column cap.  A
+          strict-FCFS scheduler runs the same scan over the bank's oldest
+          request alone, where it reduces to "the row state picks ACT,
+          column command or PRE".
+        * :attr:`~repro.controller.policies.SchedulingPolicy.demoted_cores` —
+          BLISS' blacklist, a live set.  Per-bank lists are in (arrival,
+          request-id) order, so ``min`` over ``(demoted, arrival,
+          request_id)`` is the first non-demoted request, else the first
+          one, taken separately over hits and over conflicts: the same scan
+          over the list with demoted requests moved (stably) to the back,
+          which ``demoted_last`` shortens to the at most four requests such
+          a scan can pick.  Demand candidates then order on ``(issue,
+          demoted, arrival, scan_key)`` instead of ``(issue, arrival,
+          scan_key)``.
+
+        Both resolve per select into one list rewrite (``narrow``), applied
+        only to banks with more than one pending request: for FR-FCFS — and
+        for BLISS while its blacklist is empty — there is none, and the
+        per-bank loop does no scheduler work beyond two ``None`` tests.
+        Close candidates keep the scheduler's ``close_priority``.  The
+        scheduler's ``before_demand_scan`` hook (BLISS' clearing) runs
+        exactly where the generic path first reaches a bank: once, after
+        the Alert Back-Off shift, only when some bank has demand work.
+        Equivalence is pinned by ``tests/test_fastpath_identity.py`` (whole
+        runs per scheduler and a decision-by-decision property) and the
+        golden traces.
 
         Selection runs once per scheduling decision, and on low-parallelism
         shapes (one pending bank) rebinding its ~30 invariant inputs from
         ``self`` dominated its cost — so they are bound once here as closure
-        defaults.  Everything bound is construction-stable: the timing-table
+        defaults.  Positional ones: CPython fills a missing keyword-only
+        default through a dict lookup on every call, a positional one by a
+        copy, and ``select`` is only ever called as ``select(cycle)``.
+        Everything bound is construction-stable: the timing-table
         lists, bus dicts and refresh-due dicts are mutated in place (never
         reassigned — see ``DRAMSystem.restore``/``MemoryController.restore``),
         and the queues/indexes/caches live for the controller's lifetime.
@@ -776,10 +801,41 @@ class MemoryController:
             type(mitigation).act_allowed_cycle
             is not RowHammerMitigation.act_allowed_cycle
         )
+        scheduler = self.scheduler
+        hits_first = scheduler.HITS_FIRST
+        demoted_cores = scheduler.demoted_cores
+
+        def oldest_only(pending, open_row):
+            return pending[:1]
+
+        def demoted_last(pending, open_row):
+            # The requests the hit/conflict scan can pick, demoted ones
+            # behind: the first non-demoted hit and conflict, then the first
+            # demoted hit and conflict, each group in arrival order.  A scan
+            # over this list finds what a scan over the stable partition
+            # (non-demoted first) finds, without building the partition.
+            # A closed bank (open_row None) has one kind: every request
+            # "conflicts", so the first non-demoted one ends the walk.
+            kept = []
+            kept_kinds = []
+            behind = []
+            behind_kinds = []
+            for request in pending:
+                hit = request.address.row == open_row
+                if request.core_id in demoted_cores:
+                    if hit not in behind_kinds and hit not in kept_kinds:
+                        behind_kinds.append(hit)
+                        behind.append(request)
+                elif hit not in kept_kinds:
+                    kept_kinds.append(hit)
+                    kept.append(request)
+                    if open_row is None or len(kept) == 2:
+                        break
+            kept.extend(behind)
+            return kept if hits_first else kept[:1]
 
         def select(
             cycle: int,
-            *,
             self=self,
             refresh_enabled=self.dram_config.refresh_enabled,
             rank_keys=tuple(self._rank_keys),
@@ -790,6 +846,15 @@ class MemoryController:
             preventive_queue=self.preventive_queue,
             preventive_command=self._preventive_command,
             mitigation_blocks=self._mitigation_blocks,
+            before_demand_scan=(
+                scheduler.before_demand_scan
+                if type(scheduler).before_demand_scan
+                is not SchedulingPolicy.before_demand_scan
+                else None
+            ),
+            demoted_cores=demoted_cores,
+            base_narrow=None if hits_first else oldest_only,
+            demoted_last=demoted_last,
             demand_blocked_until=(
                 mitigation.demand_blocked_until
                 if self._mitigation_blocks
@@ -867,6 +932,11 @@ class MemoryController:
             writes_active = bool(write_queue) and (
                 self._draining_writes or not read_queue
             )
+            if before_demand_scan is not None and (reads_active or writes_active):
+                before_demand_scan(cycle)
+            # Per-bank list rewrite for this select: None (FR-FCFS, or BLISS
+            # with nobody demoted) scans the live lists as they are.
+            narrow = demoted_last if demoted_cores else base_narrow
 
             best_order: Optional[tuple] = None
             best_kind: Optional[CommandKind] = None
@@ -917,6 +987,8 @@ class MemoryController:
                 bus = command_bus_free[channel]
                 issue = cycle if cycle > bus else bus
                 row = open_rows[bank_index]
+                if narrow is not None and len(pending) > 1:
+                    pending = narrow(pending, row)
                 if row is None:
                     # Closed bank: the oldest request wins and needs an ACT.
                     request = pending[0]
@@ -1020,7 +1092,15 @@ class MemoryController:
                             issue = rank.blocked_until
                         kind = PRE
 
-                order = (issue, request.arrival_cycle, scan_key)
+                if demoted_cores is None:
+                    order = (issue, request.arrival_cycle, scan_key)
+                else:
+                    order = (
+                        issue,
+                        request.core_id in demoted_cores,
+                        request.arrival_cycle,
+                        scan_key,
+                    )
                 if best_order is None or order < best_order:
                     best_order = order
                     best_kind = kind
@@ -1046,7 +1126,7 @@ class MemoryController:
                     )
                     order = (
                         issue_cycle,
-                        *self.scheduler.close_priority(opened_cycle),
+                        *scheduler.close_priority(opened_cycle),
                         (2, *bank_key),
                     )
                     if best_order is None or order < best_order:
@@ -1091,6 +1171,11 @@ class MemoryController:
     def _generic_demand_command(
         self, cycle: int
     ) -> Optional[Tuple[int, Command, Optional[MemoryRequest]]]:
+        """The fastpath-off demand stage: one ``bank_candidate`` per bank.
+
+        The reference the fused scan in :meth:`_build_fast_select` is
+        tested against (``REPRO_FASTPATH=0`` runs it).
+        """
         self._update_drain_mode()
         reads_active = bool(self.read_queue)
         writes_active = bool(self.write_queue) and (
@@ -1257,13 +1342,15 @@ class MemoryController:
             callback()
 
     def _build_fast_issue(self):
-        """Build the fused issue path for the fast demand scan.
+        """Build the fused issue path that pairs with the fast select.
 
         One closure replays ``DRAMSystem.issue`` + :meth:`_post_issue` for
         the per-bank command kinds (ACT/PRE/RD/WR) with every
-        construction-stable input pre-bound, the no-op policy hooks
-        resolved away (the default FR-FCFS scheduler and open-page row
-        policy observe nothing), and the ACT-event :class:`DRAMAddress`
+        construction-stable input pre-bound (positional defaults, as in
+        :meth:`_build_fast_select`), the no-op policy hooks
+        resolved away (FR-FCFS, FCFS and the open-page row policy observe
+        nothing; BLISS keeps its ``on_issue`` streak tracking), and the
+        ACT-event :class:`DRAMAddress`
         memoized per row — hammering workloads re-activate the same rows by
         construction.  REF and RFM are once-per-tREFI rare and take the
         generic path unchanged.  Semantically this must stay a line-by-line
@@ -1277,7 +1364,6 @@ class MemoryController:
 
         def issue_fused(
             decision,
-            *,
             self=self,
             dram=dram,
             ranks=dram.ranks,

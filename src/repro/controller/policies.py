@@ -183,22 +183,36 @@ class SchedulingPolicy:
     """Decides which pending request a bank serves next.
 
     The controller keeps an incremental per-bank index of pending requests
-    (sorted by arrival) and asks the policy for one candidate per bank; the
-    bank candidates then compete on ``(issue_cycle, *priority, scan_key)``
-    where ``scan_key`` is the controller's deterministic tie-break.  Policies
-    may keep internal state (BLISS' blacklist) — every controller owns its
-    own policy instances.
+    (sorted by arrival) and ranks one candidate per bank; the bank
+    candidates then compete on ``(issue_cycle, *priority, scan_key)`` where
+    ``scan_key`` is the controller's deterministic tie-break.  Policies may
+    keep internal state (BLISS' blacklist) — every controller owns its own
+    policy instances.
+
+    A policy is expressed to the controller's struct-of-arrays demand scan
+    (:meth:`~repro.controller.controller.MemoryController._build_fast_select`)
+    by two facts — :attr:`HITS_FIRST` and :attr:`demoted_cores` — plus the
+    :meth:`before_demand_scan` hook.  :meth:`bank_candidate` states the same
+    semantics per bank; it is the reference the controller runs with the
+    fast path off (``REPRO_FASTPATH=0``), and the two must agree
+    (``tests/test_fastpath_identity.py`` holds a whole-run point per
+    registered scheduler).
     """
 
     name = "base"
     #: Policy parameters accepted by the constructor (spec ``params`` keys).
     PARAMS: Tuple[str, ...] = ()
-    #: True when the controller's struct-of-arrays demand scan
-    #: (:meth:`~repro.controller.controller.MemoryController._build_fast_select`)
-    #: reproduces this policy's :meth:`bank_candidate` semantics exactly.
-    #: Policies that reorder on anything beyond (row state, arrival, issue
-    #: cycle) must leave this False and take the generic per-bank scan.
-    SUPPORTS_FAST_SCAN = False
+    #: True when an open bank serves its oldest row hit before older row
+    #: misses, unless the column cap is reached with a conflict waiting
+    #: (FR-FCFS, BLISS).  False serves each bank's oldest request strictly
+    #: (FCFS): the bank's row state alone picks ACT, column command or PRE.
+    HITS_FIRST = True
+    #: Cores whose requests rank below every other core's — per bank among
+    #: hits and among conflicts, and again across banks at equal issue
+    #: cycle.  A live set the policy mutates in place (BLISS' blacklist), or
+    #: ``None`` when the policy never demotes; a demoting policy's priority
+    #: tuple is ``(demoted, arrival)``, a non-demoting one's ``(arrival,)``.
+    demoted_cores: Optional[set] = None
 
     def bank_candidate(
         self,
@@ -207,13 +221,17 @@ class SchedulingPolicy:
         pending: Sequence["MemoryRequest"],
         cycle: int,
     ) -> Optional[BankCandidate]:
-        """Best command for one bank.
+        """Best command for one bank (the fast-path-off reference).
 
         ``pending`` is the bank's non-empty pending-request list in
         (arrival, request-id) order — the controller's live per-bank index,
         so policies must not mutate it.
         """
         raise NotImplementedError
+
+    def before_demand_scan(self, cycle: int) -> None:
+        """Called once per demand selection that reaches a bank, before any
+        candidate is ranked (BLISS clears its blacklist here when due)."""
 
     def close_priority(self, opened_cycle: int) -> tuple:
         """Priority tuple for a row-policy close (PRE) candidate.
@@ -366,15 +384,14 @@ def _column_command(request: "MemoryRequest") -> Command:
 class FRFCFSScheduler(SchedulingPolicy):
     """FR-FCFS with the column-cap starvation guard (the default).
 
-    The controller's struct-of-arrays demand scan replicates this method's
-    semantics — closed bank → ACT for the oldest request (mitigation
-    throttle applied), open bank → first hit unless the column cap forces
-    the oldest conflict's PRE — against the shared bank-timing table, so the
-    two must change in lockstep (``tests/test_fastpath_identity.py`` and the
-    golden traces pin the equivalence).
+    :meth:`bank_candidate` is the fast-path-off reference: closed bank →
+    ACT for the oldest request (mitigation throttle applied), open bank →
+    first hit unless the column cap forces the oldest conflict's PRE.  The
+    controller's struct-of-arrays demand scan implements the same rule
+    against the shared bank-timing table, so the two must change in
+    lockstep (``tests/test_fastpath_identity.py`` and the golden traces pin
+    the equivalence).
     """
-
-    SUPPORTS_FAST_SCAN = True
 
     def bank_candidate(self, controller, bank, pending, cycle):
         if bank.is_closed():
@@ -419,7 +436,13 @@ class FRFCFSScheduler(SchedulingPolicy):
     "bring no scheduling advantage",
 )
 class FCFSScheduler(SchedulingPolicy):
-    """First-come first-served: the oldest request per bank always wins."""
+    """First-come first-served: the oldest request per bank always wins.
+
+    To the fused demand scan this is ``HITS_FIRST = False``: the scan looks
+    at each bank's oldest request alone.
+    """
+
+    HITS_FIRST = False
 
     def bank_candidate(self, controller, bank, pending, cycle):
         request = pending[0]
@@ -449,6 +472,10 @@ class BLISSScheduler(SchedulingPolicy):
     blacklisted cores lose to everyone else, then row hits and age break
     ties as in FR-FCFS.  This bounds how long one streaming core (or a
     row-hammering attacker) can monopolize a bank.
+
+    To the fused demand scan the blacklist is :attr:`demoted_cores` and the
+    clearing check is :meth:`before_demand_scan`; :meth:`bank_candidate`
+    states the same ranking per bank as the fastpath-off reference.
     """
 
     PARAMS = ("bliss_blacklist_streak", "bliss_clearing_interval")
@@ -475,6 +502,13 @@ class BLISSScheduler(SchedulingPolicy):
             self._streak_core = None
             self._streak = 0
             self._next_clear += self.clearing_interval
+
+    @property
+    def demoted_cores(self) -> set:
+        return self.blacklist
+
+    def before_demand_scan(self, cycle: int) -> None:
+        self._maybe_clear(cycle)
 
     def priority_boundary_crossed(self, start: int, end: int) -> bool:
         # A clearing deadline inside the interval empties the blacklist, so

@@ -17,7 +17,11 @@
   fast-forward between detailed windows (``fidelity="sampled"`` specs).
 """
 
-from repro.sim.engine import EventKernel, SimulationDeadlockError
+from repro.sim.engine import (
+    EventKernel,
+    SimulationDeadlockError,
+    StepBudgetExhaustedError,
+)
 from repro.sim.system import System, SystemConfig, SimulationResult
 from repro.sim.metrics import (
     geometric_mean,
@@ -42,6 +46,7 @@ __all__ = [
     "run_sampled",
     "EventKernel",
     "SimulationDeadlockError",
+    "StepBudgetExhaustedError",
     "System",
     "SystemConfig",
     "SimulationResult",

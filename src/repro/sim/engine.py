@@ -58,6 +58,11 @@ scheduled, e.g. under a test double).  If no retry makes progress the
 simulation is provably wedged and the kernel raises
 :class:`SimulationDeadlockError` instead of spinning time forward one cycle
 at a time like the seed loop did.
+
+``max_steps`` bounds the events one kernel processes.  Running out of it
+with cores unfinished raises :class:`StepBudgetExhaustedError`: returning
+would let the caller drain the queues and report a truncated run as a
+complete result.
 """
 
 from __future__ import annotations
@@ -95,6 +100,25 @@ class SimulationDeadlockError(RuntimeError):
     """The event queue ran dry with unfinished cores and idle controllers."""
 
 
+class StepBudgetExhaustedError(RuntimeError):
+    """The kernel processed ``max_steps`` events with cores unfinished."""
+
+    def __init__(self, steps: int, now: float, cores: Sequence[Core]) -> None:
+        unfinished = [core for core in cores if not core.finished]
+        self.steps = steps
+        self.now = now
+        self.unfinished = [core.core_id for core in unfinished]
+        retired = ", ".join(
+            f"core {core.core_id} {core.stats.retired_instructions}"
+            for core in unfinished
+        )
+        super().__init__(
+            f"step budget exhausted: {steps} events processed by cycle "
+            f"{now:.0f} with cores {self.unfinished} unfinished "
+            f"(instructions retired so far: {retired})"
+        )
+
+
 class EventKernel:
     """Min-heap event queue driving cores, controllers and mitigations.
 
@@ -108,7 +132,8 @@ class EventKernel:
         ``controllers`` sequence) or a single bare controller.
     max_steps:
         Upper bound on processed events (a runaway guard, like the seed's
-        ``SystemConfig.max_steps``).
+        ``SystemConfig.max_steps``); exhausting it with cores unfinished
+        raises :class:`StepBudgetExhaustedError`.
     """
 
     def __init__(
@@ -257,6 +282,7 @@ class EventKernel:
                     callback(self.now)
                 self._schedule_controllers()
             self._flush_dirty_cores()
+        self._check_budget()
         return self.now
 
     def _run_fast(self) -> float:
@@ -475,7 +501,15 @@ class EventKernel:
                 self._flush_dirty_cores()
         self.now = now
         self.steps = steps
+        self._check_budget()
         return now
+
+    def _check_budget(self) -> None:
+        """Raise when the loop ended on ``max_steps`` with cores unfinished."""
+        if self.steps >= self.max_steps and not all(
+            core.finished for core in self.cores
+        ):
+            raise StepBudgetExhaustedError(self.steps, self.now, self.cores)
 
     def _all_done(self) -> bool:
         return all(core.finished for core in self.cores) and not any(

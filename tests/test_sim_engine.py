@@ -4,9 +4,14 @@ import math
 
 import pytest
 
+from repro import fastpath
 from repro.controller.controller import MemoryController
 from repro.cpu.trace import Trace
-from repro.sim.engine import EventKernel, SimulationDeadlockError
+from repro.sim.engine import (
+    EventKernel,
+    SimulationDeadlockError,
+    StepBudgetExhaustedError,
+)
 from repro.sim.system import System, SystemConfig
 
 
@@ -334,12 +339,42 @@ class TestKernelResults:
         assert 0 < result.steps < 10_000
 
     def test_max_steps_stops_the_run(self, tiny_dram_config):
+        """An exhausted step budget fails loudly instead of returning a
+        truncated run that System would drain into a normal-looking result."""
         trace = _linear_trace(n=2000, bubbles=1)
         config = SystemConfig(dram=tiny_dram_config, verify_security=False, max_steps=10)
         system = System([trace], config=config)
-        result = system.run()
-        assert result.steps == 10
+        with pytest.raises(StepBudgetExhaustedError) as excinfo:
+            system.run()
+        error = excinfo.value
+        assert error.steps == 10
+        assert error.unfinished == [0]
+        assert error.now > 0
+        assert "10 events" in str(error) and "[0]" in str(error)
         assert not system.cores[0].finished
+
+    def test_max_steps_raises_on_the_legacy_loop(self, tiny_dram_config):
+        trace = _linear_trace(n=2000, bubbles=1)
+        config = SystemConfig(dram=tiny_dram_config, verify_security=False, max_steps=10)
+        with fastpath.forced(False):
+            system = System([trace], config=config)
+            kernel = EventKernel(system.cores, system.fabric, max_steps=10)
+        assert not kernel._fast
+        with pytest.raises(StepBudgetExhaustedError) as excinfo:
+            kernel.run()
+        assert excinfo.value.steps == 10
+        assert excinfo.value.unfinished == [0]
+
+    def test_budget_spent_exactly_on_completion_is_not_an_error(
+        self, tiny_dram_config
+    ):
+        trace = _linear_trace(n=64)
+        config = SystemConfig(dram=tiny_dram_config, verify_security=False)
+        steps = System([trace], config=config).run().steps
+        exact = SystemConfig(
+            dram=tiny_dram_config, verify_security=False, max_steps=steps
+        )
+        assert System([trace], config=exact).run().steps == steps
 
     def test_cached_controller_decision_matches_recompute(self, tiny_dram_config):
         """The decision cached at schedule time must issue at the cycle the
