@@ -63,6 +63,8 @@ from repro.dram.commands import Command, CommandKind
 from repro.dram.config import DRAMConfig
 from repro.dram.dram_system import DRAMSystem
 
+_WRITE = RequestType.WRITE
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -276,6 +278,11 @@ class MemoryController:
         #: cache for the fast scan: everything about a bank key that never
         #: changes, resolved once instead of per scan.
         self._bank_meta: Dict[Tuple[int, int, int, int], tuple] = {}
+        #: One demand PRE per bank key for the fast select to hand out
+        #: again: a frozen ``Command`` with empty metadata is the same
+        #: value every time that bank is closed for a conflict.  Bounded by
+        #: the bank count; policy-close PREs never enter it.
+        self._pre_commands: Dict[Tuple[int, int, int, int], Command] = {}
 
         self.read_queue: List[MemoryRequest] = []
         self.write_queue: List[MemoryRequest] = []
@@ -391,7 +398,11 @@ class MemoryController:
         pending.add(request, seq)
 
     def _unindex_request(self, request: MemoryRequest) -> None:
-        index = self._bank_writes if request.is_write else self._bank_reads
+        index = (
+            self._bank_writes
+            if request.request_type is _WRITE
+            else self._bank_reads
+        )
         bank_key = request.address.bank_key
         self._merged_cache.pop(bank_key, None)
         pending = index[bank_key]
@@ -744,10 +755,16 @@ class MemoryController:
         :meth:`~repro.controller.policies.SchedulingPolicy.bank_candidate` —
         same bank iteration order, same candidate per bank, same ordering —
         but it reads the shared :class:`~repro.dram.bank.BankTimingTable`
-        arrays and rank scalars directly and constructs a single
-        :class:`~repro.dram.commands.Command` for the winner, instead of
-        materializing one per candidate through ``Bank``/``Rank`` method
-        chains.  The scheduler enters through two facts resolved here:
+        arrays and rank scalars directly and builds a
+        :class:`~repro.dram.commands.Command` for the winner only, instead
+        of materializing one per candidate through ``Bank``/``Rank`` method
+        chains.  A demand PRE winner is not rebuilt: the frozen PRE for
+        its bank comes from ``self._pre_commands``, created on the bank's
+        first conflict and handed out again on every later one, so the
+        table holds at most one command per bank.  ACT and RD/WR winners
+        are built fresh; memoizing them by row or column would grow with
+        the footprint.  The scheduler enters through two facts resolved
+        here:
 
         * :attr:`~repro.controller.policies.SchedulingPolicy.HITS_FIRST` —
           FR-FCFS' early-exit hit/conflict scan under the column cap.  A
@@ -891,10 +908,12 @@ class MemoryController:
             ranks=dram.ranks,
             all_bank_reads=self._bank_reads,
             all_bank_writes=self._bank_writes,
+            pre_commands=self._pre_commands,
             ACT=CommandKind.ACT,
             PRE=CommandKind.PRE,
             RD=CommandKind.RD,
             WR=CommandKind.WR,
+            WRITE=RequestType.WRITE,
         ) -> Optional[Tuple[int, Command, Optional[MemoryRequest]]]:
             # Stage 1: periodic refresh (outranks everything).  The guard is
             # _refresh_command's own per-rank "due or owed" test; the helper
@@ -1045,7 +1064,7 @@ class MemoryController:
                         cap_reached and first_conflict is not None
                     ):
                         request = first_hit
-                        is_write = request.is_write
+                        is_write = request.request_type is WRITE
                         ready = (
                             next_write[bank_index]
                             if is_write
@@ -1148,13 +1167,15 @@ class MemoryController:
                         row=address.row,
                     )
                 elif best_kind is PRE:
-                    best_command = Command(
-                        PRE,
-                        channel=address.channel,
-                        rank=address.rank,
-                        bankgroup=address.bankgroup,
-                        bank=address.bank,
-                    )
+                    best_command = pre_commands.get(address.bank_key)
+                    if best_command is None:
+                        best_command = pre_commands[address.bank_key] = Command(
+                            PRE,
+                            channel=address.channel,
+                            rank=address.rank,
+                            bankgroup=address.bankgroup,
+                            bank=address.bank,
+                        )
                 else:
                     best_command = Command(
                         best_kind,
@@ -1396,6 +1417,8 @@ class MemoryController:
             act_addresses={},
             act_memo_limit=1 << 20,
             PREVENTIVE_REFRESH=RequestType.PREVENTIVE_REFRESH,
+            READ=RequestType.READ,
+            WRITE=RequestType.WRITE,
             ACT=CommandKind.ACT,
             PRE=CommandKind.PRE,
             RD=CommandKind.RD,
@@ -1491,11 +1514,12 @@ class MemoryController:
                 dram_stats.reads += 1
             if request is not None:
                 request.issue_cycle = issue_cycle
-                queue = write_queue if request.is_write else read_queue
+                request_type = request.request_type
+                queue = write_queue if request_type is WRITE else read_queue
                 queue.remove(request)
                 unindex_request(request)
                 request.complete(data_end)
-                if request.is_read and not request.is_mitigation_traffic:
+                if request_type is READ and not request.is_mitigation_traffic:
                     ctl_stats.record_read_completion(request)
                 ctl_stats.row_hits += 1
                 if on_issue_hook is not None:

@@ -1,9 +1,21 @@
 """Tests for the FR-FCFS memory controller."""
 
+import pytest
 
+from repro import fastpath
 from repro.controller.controller import ControllerConfig, MemoryController
+from repro.controller.policies import ControllerPolicySpec
 from repro.controller.request import MemoryRequest, RequestType
+from repro.dram.commands import Command, CommandKind
+from repro.experiment.execute import build_workload_traces
+from repro.experiment.spec import (
+    ExperimentSpec,
+    MitigationSpec,
+    PlatformSpec,
+    WorkloadSpec,
+)
 from repro.mitigations.none import NoMitigation
+from repro.sim.system import System, SystemConfig
 
 
 def make_controller(dram_config, **kwargs):
@@ -39,6 +51,19 @@ def run_until_idle(controller, start=0, limit=50_000):
             break
         cycle = issued
     return cycle
+
+
+def run_decisions(controller, start=0, limit=50_000):
+    """Issue every decision until idle; returns them in issue order."""
+    decisions = []
+    cycle = start
+    for _ in range(limit):
+        decision = controller.next_decision(cycle)
+        if decision is None:
+            break
+        decisions.append(decision)
+        cycle = controller.issue_decision(decision)
+    return decisions
 
 
 class TestEnqueue:
@@ -282,3 +307,112 @@ class TestMitigationWiring:
         final = controller.drain(0)
         assert final > 0
         assert not controller.has_work()
+
+
+class TestDemandPrechargeReuse:
+    """The fused select hands out one frozen demand PRE per bank."""
+
+    def test_demand_pre_decision_is_a_plain_pre(self, tiny_dram_config):
+        with fastpath.forced(True):
+            controller = make_controller(tiny_dram_config)
+        controller.enqueue(read_request(controller, 5), 0)
+        conflict = read_request(controller, 9)
+        controller.enqueue(conflict, 0)
+        decisions = run_decisions(controller)
+        address = conflict.address
+        expected = Command(
+            CommandKind.PRE,
+            channel=address.channel,
+            rank=address.rank,
+            bankgroup=address.bankgroup,
+            bank=address.bank,
+        )
+        demand_pres = [
+            command
+            for _, command, request in decisions
+            if command.kind is CommandKind.PRE and request is conflict
+        ]
+        assert demand_pres == [expected]
+        assert demand_pres[0].metadata == {}
+        assert repr(demand_pres[0]) == repr(expected)
+        assert controller._pre_commands == {address.bank_key: expected}
+
+        # A later conflict on the same bank reuses the same instance.
+        again = read_request(controller, 13)
+        controller.enqueue(again, controller.current_cycle)
+        decision = controller.next_decision(controller.current_cycle)
+        assert decision[2] is again
+        assert decision[1] is demand_pres[0]
+
+    @pytest.mark.parametrize("row_policy", ["closed_page", "adaptive_timeout"])
+    def test_policy_close_pre_keeps_its_tag(self, tiny_dram_config, row_policy):
+        with fastpath.forced(True):
+            controller = make_controller(
+                tiny_dram_config, policy=ControllerPolicySpec(row_policy=row_policy)
+            )
+        controller.enqueue(read_request(controller, 5), 0)
+        conflict = read_request(controller, 9)
+        controller.enqueue(conflict, 0)
+        decisions = run_decisions(controller)
+        bank_key = conflict.address.bank_key
+        shared = controller._pre_commands[bank_key]
+        assert list(controller._pre_commands) == [bank_key]
+        closes = [
+            command
+            for _, command, request in decisions
+            if request is None and command.metadata.get("policy_close")
+        ]
+        assert closes, "the row policy never closed the idle row"
+        for command in closes:
+            assert command.metadata == {"policy_close": True}
+            assert command == shared  # same bank; metadata is not compared
+            assert command is not shared
+        assert shared.metadata == {}
+        assert controller.stats.policy_precharges == len(closes)
+        for _, command, request in decisions:
+            if command is shared:
+                assert request is conflict
+
+    @pytest.mark.parametrize("row_policy", ["open_page", "closed_page"])
+    def test_table_bounded_by_owned_banks_after_mix_run(self, row_policy):
+        spec = ExperimentSpec(
+            workload=WorkloadSpec(
+                name="mix4",
+                mix=tuple(
+                    WorkloadSpec(name=name, num_requests=300)
+                    for name in ("429.mcf", "462.libquantum", "473.astar", "bfs_dblp")
+                ),
+            ),
+            mitigation=MitigationSpec(name="comet", nrh=125),
+            platform=PlatformSpec(
+                channels=2, controller=ControllerPolicySpec(row_policy=row_policy)
+            ),
+        )
+        dram_config = spec.platform.dram_config()
+        with fastpath.forced(True):
+            system = System(
+                build_workload_traces(spec.workload, dram_config),
+                mitigation=spec.mitigation.build_instances(2),
+                config=SystemConfig(
+                    dram=dram_config, policy=spec.platform.controller
+                ),
+            )
+            system.run()
+        org = dram_config.organization
+        banks_per_channel = (
+            org.ranks_per_channel * org.bankgroups_per_rank * org.banks_per_bankgroup
+        )
+        controllers = system.fabric.controllers
+        assert len(controllers) == 2
+        for controller in controllers:
+            table = controller._pre_commands
+            assert table, "no demand conflict on this channel"
+            assert len(table) <= banks_per_channel
+            assert controller.stats.row_conflicts >= len(table)
+            for bank_key, command in table.items():
+                assert bank_key[0] == controller.channel
+                assert command == Command(CommandKind.PRE, *bank_key)
+                assert command.metadata == {}
+                assert not command.is_preventive
+        if row_policy == "closed_page":
+            assert sum(c.stats.policy_precharges for c in controllers) > 0

@@ -1,5 +1,8 @@
 """Tests for the rank/channel-level DRAM device model."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.dram.bank import TimingViolation
@@ -39,6 +42,77 @@ class TestCommandValidation:
     def test_rd_requires_column(self):
         with pytest.raises(ValueError):
             Command(CommandKind.RD)
+
+    def test_wr_requires_column(self):
+        with pytest.raises(ValueError, match="WR command requires a column"):
+            Command(CommandKind.WR, bank=1)
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = Command(CommandKind.WR, 1, 0, 2, 3, None, 7, True, {"x": 1})
+        keyword = Command(
+            CommandKind.WR,
+            channel=1,
+            rank=0,
+            bankgroup=2,
+            bank=3,
+            column=7,
+            is_preventive=True,
+            metadata={"x": 1},
+        )
+        assert positional == keyword
+        assert repr(positional) == repr(keyword)
+
+    def test_fields_are_frozen(self):
+        command = act(row=5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            command.row = 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            command.metadata = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del command.bank
+
+    def test_eq_and_hash_ignore_metadata(self):
+        plain = Command(CommandKind.PRE, bank=1)
+        tagged = Command(CommandKind.PRE, bank=1, metadata={"policy_close": True})
+        assert plain == tagged
+        assert hash(plain) == hash(tagged)
+        assert plain != Command(CommandKind.PRE, bank=2)
+        assert plain != Command(CommandKind.PRE, bank=1, is_preventive=True)
+
+    def test_default_metadata_is_fresh_per_command(self):
+        first = Command(CommandKind.PRE)
+        second = Command(CommandKind.PRE)
+        assert first.metadata == {} and second.metadata == {}
+        assert first.metadata is not second.metadata
+        first.metadata["leak"] = True
+        assert second.metadata == {}
+        assert Command(CommandKind.PRE).metadata == {}
+
+    def test_replace_and_pickle_round_trip(self):
+        command = Command(
+            CommandKind.RFM, channel=1, bankgroup=1, bank=1, metadata={"trfm": 9}
+        )
+        assert dataclasses.replace(command) == command
+        moved = dataclasses.replace(command, kind=CommandKind.ACT, row=4)
+        assert moved == Command(CommandKind.ACT, channel=1, bankgroup=1, bank=1, row=4)
+        with pytest.raises(ValueError):
+            dataclasses.replace(command, kind=CommandKind.RD)
+        restored = pickle.loads(pickle.dumps(command))
+        assert restored == command
+        assert restored.metadata == {"trfm": 9}
+
+    def test_fields_listed_in_order(self):
+        assert [f.name for f in dataclasses.fields(Command)] == [
+            "kind",
+            "channel",
+            "rank",
+            "bankgroup",
+            "bank",
+            "row",
+            "column",
+            "is_preventive",
+            "metadata",
+        ]
 
     def test_describe_mentions_kind(self):
         command = act(row=5)
