@@ -1,28 +1,9 @@
-"""Central, optional numpy import for the vectorized fast paths.
+"""Stub kept only for the benchmark's environment record.
 
-Every module that offers a numpy-backed kernel imports ``np`` from here
-instead of importing numpy directly, so the whole codebase degrades to its
-pure-Python implementations through a single switch:
-
-* numpy genuinely missing from the environment, or
-* ``REPRO_NO_NUMPY=1`` in the environment (the CI no-numpy job, and the
-  local way to exercise the fallback without uninstalling anything).
-
-``np`` is ``None`` when unavailable; callers latch a backend at
-construction time (``if np is not None: ...``) rather than re-checking per
-operation.
+``perfbench/run.py`` records whether a numpy sketch backend was active by
+reading ``np`` from here.  The sketches now have a single pure-Python
+counter backend, so ``np`` is always ``None``; delete this module once the
+benchmark stops reading it.
 """
 
-from __future__ import annotations
-
-import os
-
-if os.environ.get("REPRO_NO_NUMPY") == "1":
-    np = None
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-        np = None
-
-HAVE_NUMPY = np is not None
+np = None

@@ -13,7 +13,6 @@ from typing import List
 
 from repro.core.config import CoMeTConfig
 from repro.sketch.count_min import ConservativeCountMinSketch, SketchConfig
-from repro.sketch.hashes import ShiftMaskHashFamily
 
 
 class CounterTable:
@@ -26,13 +25,11 @@ class CounterTable:
             counters_per_hash=config.counters_per_hash,
             counter_width_bits=config.counter_width_bits,
             seed=config.hash_seed + bank_seed,
-            hash_kind="shift_mask",
         )
-        hash_family = ShiftMaskHashFamily(
-            config.num_hashes, config.counters_per_hash, seed=config.hash_seed + bank_seed
-        )
+        # The sketch's default hash family is CoMeT's shift-mask family,
+        # seeded per bank from ``sketch_config.seed``.
         self._sketch = ConservativeCountMinSketch(
-            sketch_config, hash_family=hash_family, saturation_value=config.npr
+            sketch_config, saturation_value=config.npr
         )
 
     # ------------------------------------------------------------------ #

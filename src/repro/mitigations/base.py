@@ -101,24 +101,6 @@ class RowHammerMitigation(ABC):
     def on_activation(self, cycle: int, address: DRAMAddress, is_preventive: bool) -> None:
         """Observe an ACT command (including preventive ACTs, flagged)."""
 
-    def observe_batch(self, cycles, addresses, flags) -> None:
-        """Deliver a batch of ACT events, in order (SoA columns, equal length).
-
-        The default is the exact serial loop over :meth:`on_activation`, so
-        batch and per-event delivery are behaviorally identical for every
-        mechanism (property-tested in ``tests/test_observer_batch.py``).
-        Feedback mechanisms — anything that schedules preventive refreshes,
-        throttles or raises alerts in response to an ACT — must keep these
-        semantics: the detailed simulation always delivers their events
-        synchronously, because a deferred preventive refresh would change
-        the command stream.  Pure observers may override with a vectorized
-        body (the streaming :class:`~repro.analysis.security.SecurityVerifier`
-        does).
-        """
-        on_activation = self.on_activation
-        for cycle, address, is_preventive in zip(cycles, addresses, flags):
-            on_activation(cycle, address, is_preventive)
-
     def on_refresh(
         self, cycle: int, rank_key: Tuple[int, int], start_row: int, count: int
     ) -> None:

@@ -18,11 +18,6 @@ Counter Table per bank) construct hundreds of families with identical
 parameters, and regenerating the constants — or, for tabulation, 4x256
 random table entries per hash — on every construction dominated tracker
 setup (micro-benchmarked in ``benchmarks/test_micro_address_keys.py``).
-
-When numpy is available (see :mod:`repro._np`) each family also exposes the
-same constants as ready-made vectors through :meth:`HashFamily.hash_matrix`,
-the batch entry point the numpy-backed sketches use; the scalar and vector
-paths read the *same* cached constant tuples, so they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -32,12 +27,9 @@ from abc import ABC, abstractmethod
 from functools import lru_cache
 from typing import List, Sequence
 
-from repro._np import np
-
 _MASK64 = (1 << 64) - 1
 
-# Seed salts, hoisted so the scalar constructors and the cached vector
-# builders derive identical constant streams from one definition.
+# Seed salts of the cached per-family constant builders below.
 _SHIFT_MASK_MULT = 0x9E3779B9
 _SHIFT_MASK_ADD = 0xC0FFEE
 _MULTIPLY_SHIFT_MULT = 0x51ED2701
@@ -109,30 +101,6 @@ class HashFamily(ABC):
         """Return ``[h_0(key), ..., h_{k-1}(key)]``."""
         return [self.hash(i, key) for i in range(self.num_hashes)]
 
-    def hash_matrix(self, keys: Sequence[int]):
-        """Bucket indices for a batch of keys, shape ``(num_hashes, len(keys))``.
-
-        Returns a numpy int64 array when numpy is available and every key
-        fits an unsigned 64-bit word, otherwise a list of per-hash lists.
-        Either way the values are bit-identical to :meth:`hash` (pinned by
-        ``tests/test_sketch_vectorized.py``).
-        """
-        if np is not None:
-            try:
-                keys_u64 = np.asarray(keys, dtype=np.uint64)
-            except (OverflowError, ValueError):
-                keys_u64 = None  # out-of-range key: python ints handle it
-            if keys_u64 is not None:
-                return self._hash_matrix_np(keys_u64)
-        return [[self.hash(i, key) for key in keys] for i in range(self.num_hashes)]
-
-    def _hash_matrix_np(self, keys_u64):
-        """Vectorized bucket indices (overridden per family when numpy is on)."""
-        return np.array(
-            [[self.hash(i, int(key)) for key in keys_u64] for i in range(self.num_hashes)],
-            dtype=np.int64,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"{type(self).__name__}(num_hashes={self.num_hashes}, "
@@ -169,13 +137,6 @@ class ShiftMaskHashFamily(HashFamily):
             for shift, constant in self._pairs
         ]
 
-    def _hash_matrix_np(self, keys_u64):
-        shifts = np.array(self._shifts, dtype=np.uint64)[:, None]
-        constants = np.array(self._constants, dtype=np.uint64)[:, None]
-        folded = keys_u64[None, :] ^ (keys_u64[None, :] >> shifts)
-        mixed = folded * constants  # uint64 arithmetic wraps mod 2**64
-        return ((mixed >> np.uint64(7)) % np.uint64(self.num_buckets)).astype(np.int64)
-
 
 class MultiplyShiftHashFamily(HashFamily):
     """Universal multiply-shift hashing (Dietzfelbinger et al.).
@@ -201,12 +162,6 @@ class MultiplyShiftHashFamily(HashFamily):
         masked = key & _MASK64
         return [((a * masked + b & _MASK64) >> 17) % buckets for a, b in self._pairs]
 
-    def _hash_matrix_np(self, keys_u64):
-        multipliers = np.array(self._multipliers, dtype=np.uint64)[:, None]
-        addends = np.array(self._addends, dtype=np.uint64)[:, None]
-        value = multipliers * keys_u64[None, :] + addends  # wraps mod 2**64
-        return ((value >> np.uint64(17)) % np.uint64(self.num_buckets)).astype(np.int64)
-
 
 class TabulationHashFamily(HashFamily):
     """Simple tabulation hashing over 8-bit characters of a 32-bit key.
@@ -221,9 +176,6 @@ class TabulationHashFamily(HashFamily):
     def __init__(self, num_hashes: int, num_buckets: int, seed: int = 0) -> None:
         super().__init__(num_hashes, num_buckets, seed)
         self._tables = _tabulation_tables(num_hashes, seed)
-        self._np_tables = None
-        if np is not None:
-            self._np_tables = np.array(self._tables, dtype=np.uint64)
 
     def hash(self, index: int, key: int) -> int:
         tables = self._tables[index]
@@ -233,13 +185,6 @@ class TabulationHashFamily(HashFamily):
             value ^= tables[char_index][k & 0xFF]
             k >>= 8
         return value % self.num_buckets
-
-    def _hash_matrix_np(self, keys_u64):
-        value = np.zeros((self.num_hashes, len(keys_u64)), dtype=np.uint64)
-        for char_index in range(self._NUM_CHARS):
-            chars = (keys_u64 >> np.uint64(8 * char_index)) & np.uint64(0xFF)
-            value ^= self._np_tables[:, char_index, :][:, chars.astype(np.int64)]
-        return (value % np.uint64(self.num_buckets)).astype(np.int64)
 
 
 def make_hash_family(

@@ -88,17 +88,6 @@ class MisraGriesSummary:
         else:
             self.spillover += 1
 
-    def update_batch(self, keys, amount: int = 1) -> None:
-        """Sequential updates for every key in ``keys``.
-
-        Misra-Gries is inherently order-sensitive (which entry spills depends
-        on the arrival order), and the table is tiny (``ceil(W/T)`` entries
-        living in a dict), so there is no numpy batch form — this exists so
-        batch consumers have one call site across every sketch type.
-        """
-        for key in keys:
-            self.update(key, amount)
-
     def _find_entry_at_spillover(self) -> Optional[int]:
         for key, count in self._entries.items():
             if count <= self.spillover:

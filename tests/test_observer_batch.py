@@ -3,43 +3,25 @@
 The fast-path DRAM model delivers ACT events to *pure* observers in
 batches — SoA columns handed to ``observe_batch`` at drain points
 (refresh boundaries, snapshots, window end) — instead of one callback per
-ACT.  That is only sound if batch delivery is behaviorally identical to
-per-event delivery, which the protocol guarantees two ways:
-
-* :meth:`repro.mitigations.base.MitigationMechanism.observe_batch`'s
-  default body *is* the serial loop over ``on_activation``, so every
-  mechanism inherits exact equivalence (and feedback mechanisms are never
-  driven through batches by the simulation anyway — their preventive
-  refreshes must land synchronously in the command stream);
-* the streaming :class:`~repro.analysis.security.SecurityVerifier`
-  overrides it with a hoisted/vectorized body that must produce the same
-  verdict bit-for-bit.
-
-These tests pin both claims for arbitrary event streams and arbitrary
-batch partitionings: same final snapshot, same controller side effects,
-same verdict.
+ACT.  The streaming :class:`~repro.analysis.security.SecurityVerifier` is
+the only such observer; mitigation mechanisms feed back into the command
+stream and always observe ACTs synchronously.  That is only sound if the
+verifier's hoisted batch body is behaviorally identical to its per-event
+observer, which these tests pin for arbitrary event streams and arbitrary
+batch partitionings: same final snapshot, same verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.security import SecurityVerifier
-from repro.dram.address import AddressMapper, DRAMAddress
+from repro.dram.address import AddressMapper
 from repro.dram.config import DRAMConfig, small_test_config
 from repro.dram.dram_system import DRAMSystem
-from repro.experiment.registry import mitigation_entries, mitigation_names
 
-#: High enough that every mechanism is feasible (PARA's refresh
-#: probability goes supercritical at low thresholds).
-MECHANISM_NRH = 500
 #: Low enough that the generated event streams actually produce violations.
 VERIFIER_NRH = 6
-SEED = 7
 
 
 def _tiny_config() -> DRAMConfig:
@@ -51,50 +33,6 @@ def _tiny_config() -> DRAMConfig:
         ranks_per_channel=1,
         refresh_window_scale=1.0 / 2048.0,
     )
-
-
-class _RecordingDRAMStats:
-    def __init__(self) -> None:
-        self.counter_updates = 0
-
-
-class _RecordingDRAM:
-    """Captures the row refreshes and stats a mechanism pushes straight to DRAM."""
-
-    def __init__(self) -> None:
-        self.row_refreshes: List[Tuple[int, DRAMAddress]] = []
-        self.stats = _RecordingDRAMStats()
-
-    def notify_row_refresh(self, cycle: int, address: DRAMAddress) -> None:
-        self.row_refreshes.append((cycle, address))
-
-
-@dataclass
-class _RecordingController:
-    """Captures every controller-side effect a mechanism can produce."""
-
-    dram_config: DRAMConfig
-    preventive_refreshes: List[Tuple[DRAMAddress, int]] = field(default_factory=list)
-    rank_refreshes: List[Tuple[int, int, int]] = field(default_factory=list)
-    mitigation_requests: List[Tuple[DRAMAddress, bool, int]] = field(
-        default_factory=list
-    )
-
-    def __post_init__(self) -> None:
-        self.mapper = AddressMapper(self.dram_config)
-        self.dram = _RecordingDRAM()
-
-    def schedule_preventive_refresh(self, address: DRAMAddress, cycle: int) -> None:
-        self.preventive_refreshes.append((address, cycle))
-
-    def schedule_rank_refresh(self, channel: int, rank: int, count: int) -> None:
-        self.rank_refreshes.append((channel, rank, count))
-
-    def enqueue_mitigation_request(
-        self, address: DRAMAddress, is_write: bool, cycle: int
-    ) -> bool:
-        self.mitigation_requests.append((address, is_write, cycle))
-        return True
 
 
 # One raw event: (bank_index in [0, 4), row in [0, 256), preventive flag,
@@ -138,51 +76,6 @@ def _partition(data, n):
         sizes.append(size)
         remaining -= size
     return sizes
-
-
-@pytest.mark.parametrize("name", mitigation_names())
-class TestMechanismBatchEqualsSerial:
-    """Every registered mechanism: observe_batch == on_activation loop."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(raw_events=_events_strategy, data=st.data())
-    def test_batch_matches_serial(self, name, raw_events, data):
-        config = _tiny_config()
-        entry = mitigation_entries()[name]
-        serial = entry.build(MECHANISM_NRH, seed=SEED)
-        batched = entry.build(MECHANISM_NRH, seed=SEED)
-        serial_ctl = _RecordingController(dram_config=config)
-        batched_ctl = _RecordingController(dram_config=config)
-        serial.attach(serial_ctl)
-        batched.attach(batched_ctl)
-
-        cycles, addresses, flags = _materialize(config, raw_events)
-        for cycle, address, flag in zip(cycles, addresses, flags):
-            serial.on_activation(cycle, address, flag)
-        start = 0
-        for size in _partition(data, len(cycles)):
-            batched.observe_batch(
-                cycles[start : start + size],
-                addresses[start : start + size],
-                flags[start : start + size],
-            )
-            start += size
-
-        assert batched.snapshot() == serial.snapshot()
-        assert batched_ctl.preventive_refreshes == serial_ctl.preventive_refreshes
-        assert batched_ctl.rank_refreshes == serial_ctl.rank_refreshes
-        assert batched_ctl.mitigation_requests == serial_ctl.mitigation_requests
-        assert batched_ctl.dram.row_refreshes == serial_ctl.dram.row_refreshes
-        assert (
-            batched_ctl.dram.stats.counter_updates
-            == serial_ctl.dram.stats.counter_updates
-        )
-        # The per-address ACT throttle (BlockHammer) must agree too.
-        probe = addresses[-1]
-        probe_cycle = cycles[-1] + 1
-        assert batched.act_allowed_cycle(probe, probe_cycle) == serial.act_allowed_cycle(
-            probe, probe_cycle
-        )
 
 
 class TestVerifierBatchEqualsSerial:
