@@ -22,17 +22,17 @@ disk.  Benchmarks that want a persistent artifact write JSON explicitly
 Every simulation is described as an
 :class:`~repro.experiment.spec.ExperimentSpec` and executed through
 :func:`repro.experiment.execute.execute_spec`, the same execution core the
-:class:`~repro.experiment.session.Session` facade and the sweep workers
-use, so benchmark runs can share the sweep executor's on-disk result cache
-(keys are the specs' canonical-JSON content hashes).
+:class:`~repro.experiment.session.Session` facade and its workers use, so
+benchmark runs can share a :class:`~repro.campaign.store.ResultStore` with
+sweeps and campaigns (keys are the specs' canonical-JSON content hashes).
 
 Environment knobs:
 
 * ``REPRO_FULL_SUITE=1`` — use the full 61-workload suite instead of the
   5-workload representative subset (much slower).
 * ``REPRO_BENCH_REQUESTS=<n>`` — override the per-workload trace length.
-* ``REPRO_BENCH_DISK_CACHE=<dir>`` — also memoize results on disk (keyed by
-  config hash, see EXPERIMENTS.md), so re-running a figure after an
+* ``REPRO_BENCH_DISK_CACHE=<dir>`` — also memoize results in a result
+  store at ``<dir>`` (see EXPERIMENTS.md), so re-running a figure after an
   unrelated edit reuses every simulation.
 """
 
@@ -42,11 +42,11 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.campaign.store import ResultStore
 from repro.dram.dram_system import DRAMStatistics
 from repro.energy.model import DRAMEnergyModel
 from repro.experiment.execute import execute_spec
 from repro.experiment.spec import ExperimentSpec, MitigationSpec, WorkloadSpec
-from repro.sim.sweep import SweepCache, spec_cache_key
 from repro.sim.system import SimulationResult
 from repro.workloads.suite import workload_names
 
@@ -96,27 +96,26 @@ class SimulationCache:
     :class:`~repro.experiment.spec.ExperimentSpec` and executed through
     :func:`~repro.experiment.execute.execute_spec`, so results are
     interchangeable with (and, when ``REPRO_BENCH_DISK_CACHE`` is set,
-    shared with) the Session/sweep executor's cache.
+    shared with) the Session's result store.
     """
 
     def __init__(self) -> None:
         self.energy_model = DRAMEnergyModel(num_ranks=2)
         self._results: Dict[Tuple, SimulationResult] = {}
         disk_dir = os.environ.get("REPRO_BENCH_DISK_CACHE")
-        self.disk_cache: Optional[SweepCache] = (
-            SweepCache(Path(disk_dir)) if disk_dir else None
+        self.disk_cache: Optional[ResultStore] = (
+            ResultStore(disk_dir) if disk_dir else None
         )
 
     def simulate(self, spec: ExperimentSpec) -> SimulationResult:
-        """Execute one spec through the optional on-disk result cache."""
+        """Execute one spec through the optional on-disk result store."""
         if self.disk_cache is not None:
-            key = spec_cache_key(spec)
-            cached = self.disk_cache.get(key)
+            cached = self.disk_cache.get_result(spec)
             if cached is not None:
                 return cached
         result = execute_spec(spec)
         if self.disk_cache is not None:
-            self.disk_cache.put(key, result)
+            self.disk_cache.put_result(spec, result)
         return result
 
     def _spec(

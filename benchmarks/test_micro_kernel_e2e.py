@@ -198,26 +198,26 @@ def test_campaign_warm_pool():
     Models the audit-campaign steady state: many short cells arriving in
     bursts.  "Cold" tears the shared pool down between bursts (the old
     one-pool-per-``run()`` behaviour); "warm" reuses it the way
-    ``SweepRunner``/``CampaignRunner`` now do.  Cell results are identical
+    ``Session.run_many``/``CampaignRunner`` now do.  Cell results are identical
     either way — workers rebuild the whole system per cell — so only the
     wall clock may differ.
     """
+    from repro.experiment.session import Session
     from repro.sim.pool import shutdown_shared_pool
-    from repro.sim.sweep import SweepRunner
 
-    runner = SweepRunner(max_workers=2, use_cache=False)
-    runner.run(_warm_pool_specs(999))  # warm the per-process trace memo
+    session = Session(max_workers=2, store=None)
+    session.run_many(_warm_pool_specs(999))  # warm the per-process trace memo
 
     cold_seconds = 0.0
     for i in range(WARM_POOL_RUNS):
         shutdown_shared_pool()
         start = time.perf_counter()
-        runner.run(_warm_pool_specs(i))
+        session.run_many(_warm_pool_specs(i))
         cold_seconds += time.perf_counter() - start
     warm_seconds = 0.0
     for i in range(WARM_POOL_RUNS):
         start = time.perf_counter()
-        runner.run(_warm_pool_specs(100 + i))
+        session.run_many(_warm_pool_specs(100 + i))
         warm_seconds += time.perf_counter() - start
     speedup = cold_seconds / warm_seconds
 

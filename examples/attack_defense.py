@@ -52,7 +52,7 @@ def run_attack(session, attack_workload, mechanisms=MECHANISMS, nrh=NRH):
 
 
 def main() -> None:
-    session = Session(use_cache=False)
+    session = Session(store=None)
 
     print(f"RowHammer threshold NRH = {NRH}\n")
 

@@ -10,8 +10,9 @@ The whole grid is expressed declaratively: :func:`repro.expand_grid` expands
 workloads x mitigations x thresholds into :class:`repro.ExperimentSpec`
 objects (plus one threshold-independent baseline per workload) and a
 :class:`repro.Session` executes them — runs fan out across worker processes
-and land in the on-disk result cache, so re-running the example (or any
-other sweep sharing specs with it) is nearly instant.
+and land in the result store (``$REPRO_CAMPAIGN_STORE`` or
+``~/.cache/repro/campaigns``), so re-running the example (or any other sweep
+or campaign sharing specs with it) is nearly instant.
 
 Run with:  python examples/mitigation_comparison.py
 """

@@ -7,8 +7,8 @@ front door for every kind of run:
 1. describe the experiment as an :class:`repro.ExperimentSpec` — a workload
    reference (name + trace length), a mitigation (name + RowHammer
    threshold) and the simulated platform;
-2. execute it through a :class:`repro.Session`, which caches results and
-   returns a :class:`repro.RunRecord` (spec + result + provenance) that
+2. execute it through a :class:`repro.Session`, which can cache results in
+   a result store (this example runs uncached) and returns a :class:`repro.RunRecord` (spec + result + provenance) that
    serializes to JSON;
 3. report normalized IPC, DRAM energy, preventive refresh counts and the
    security verifier's verdict at two thresholds (1K and 125, the extremes
@@ -21,16 +21,21 @@ the comparison/sweep examples and the benchmark harnesses.
 Run with:  python examples/quickstart.py
 """
 
-from repro import ExperimentSpec, ExperimentWorkloadSpec, MitigationSpec, Session
+from repro import (
+    ExperimentSpec,
+    ExperimentWorkloadSpec,
+    MitigationSpec,
+    Session,
+    normalized_ipc,
+)
 from repro.analysis.reporting import format_table
 from repro.area.model import comet_area_report
 from repro.energy.model import DRAMEnergyModel
-from repro.sim.runner import normalized_ipc
 
 
 def main() -> None:
     energy_model = DRAMEnergyModel(num_ranks=2)
-    session = Session(use_cache=False)
+    session = Session(store=None)
 
     # 429.mcf is one of the paper's high-memory-intensity workloads: lots of
     # row misses, skewed row popularity -- the kind of workload whose hot rows
@@ -48,7 +53,7 @@ def main() -> None:
     print(f"workload: {baseline.name}, baseline IPC {baseline.ipc:.3f}  "
           f"(avg read latency {baseline.average_read_latency:.1f} cycles)")
     print(f"spec hash: {baseline_record.provenance['spec_hash'][:12]}  "
-          f"(the sweep-cache key of this exact experiment)")
+          f"(the result-store key of this exact experiment)")
 
     rows = []
     for nrh in (1000, 125):

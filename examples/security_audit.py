@@ -8,7 +8,7 @@ parameterized adversarial patterns (Blacksmith-style fuzzing, sketch-aware
 decoy/aliasing attacks on CoMeT's count-min counters, RowPress-style
 long-open-row streams, refresh-window-straddling waves, coordinated
 multi-channel variants), and the audit runner fans a
-mitigation x pattern x NRH grid through the cached sweep executor with the
+mitigation x pattern x NRH grid through a :class:`repro.Session` with the
 security verifier attached in its cheap streaming mode.
 
 This example audits three mechanisms against four patterns plus the
@@ -37,7 +37,7 @@ PATTERNS = [
 
 
 def main() -> None:
-    session = Session(max_workers=0, use_cache=False)
+    session = Session(max_workers=0, store=None)
     report = session.audit(
         mitigations=MECHANISMS,
         patterns=PATTERNS,

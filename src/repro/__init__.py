@@ -52,12 +52,8 @@ from repro.sim import (
     System,
     SystemConfig,
     SimulationResult,
-    run_single_core,
-    run_multi_core,
-    compare_single_core,
     normalized_ipc,
 )
-from repro.sim.runner import default_experiment_config, build_mitigation
 from repro.experiment import (
     ExperimentSpec,
     MitigationSpec,
@@ -67,6 +63,7 @@ from repro.experiment import (
     expand_grid,
 )
 from repro.experiment.spec import WorkloadSpec as ExperimentWorkloadSpec
+from repro.experiment.spec import default_experiment_config
 from repro.security import SecurityReport, run_audit
 from repro.workloads import (
     WORKLOAD_SUITE,
@@ -93,12 +90,8 @@ __all__ = [
     "System",
     "SystemConfig",
     "SimulationResult",
-    "run_single_core",
-    "run_multi_core",
-    "compare_single_core",
     "normalized_ipc",
     "default_experiment_config",
-    "build_mitigation",
     "ExperimentSpec",
     "ExperimentWorkloadSpec",
     "MitigationSpec",

@@ -1,7 +1,7 @@
 """Distributed, resumable experiment campaigns.
 
-This package scales the one-shot :class:`~repro.sim.sweep.SweepRunner` grid
-into a *campaign*: a persistent, content-addressed results database plus a
+This package scales the one-shot :meth:`~repro.experiment.session.Session.run_many`
+grid into a *campaign*: a persistent, content-addressed results database plus a
 pluggable work queue that any number of workers — in one process, many
 processes or many hosts — can drain cooperatively, with crash recovery at
 every layer.
@@ -9,7 +9,7 @@ every layer.
 * :class:`~repro.campaign.store.ResultStore` — versioned
   :class:`~repro.experiment.session.RunRecord` JSONs indexed by canonical
   spec hash; atomic writes, checksummed reads, corrupt-file quarantine and
-  incremental invalidation on ``SWEEP_CACHE_VERSION`` bumps.
+  incremental invalidation on ``CACHE_VERSION`` bumps.
 * :class:`~repro.campaign.queue.WorkQueue` — the backend interface
   (claim/ack with lease-based reclaim of abandoned work), with three
   registered implementations: in-memory FIFO/priority for local runs, a

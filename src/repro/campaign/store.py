@@ -24,7 +24,7 @@ Guarantees:
   moved to ``quarantine/`` (never raised through to the caller) and the
   cell simply re-simulates.
 * **Incremental invalidation** — records carry the
-  :data:`~repro.sim.sweep.SWEEP_CACHE_VERSION` they were computed under; a
+  :data:`~repro.experiment.session.CACHE_VERSION` they were computed under; a
   version bump turns older records into misses *in place* (no flag day:
   re-running a campaign recomputes only missing/stale cells and overwrites
   as it goes).
@@ -42,9 +42,8 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.core.fsutil import atomic_write_text
-from repro.experiment.session import RunRecord
+from repro.experiment.session import CACHE_VERSION, RunRecord
 from repro.experiment.spec import ExperimentSpec
-from repro.sim.sweep import SWEEP_CACHE_VERSION
 from repro.sim.system import SimulationResult
 
 #: Bump when the store file layout changes incompatibly.
@@ -74,7 +73,7 @@ class ResultStore:
     def __init__(
         self,
         root: Union[str, Path],
-        cache_version: int = SWEEP_CACHE_VERSION,
+        cache_version: int = CACHE_VERSION,
     ) -> None:
         self.root = Path(root)
         self.records_dir = self.root / "records"
@@ -168,7 +167,7 @@ class ResultStore:
             self.misses += 1
             return None
         if payload.get("cache_version") != self.cache_version:
-            # Stale, not corrupt: superseded by a SWEEP_CACHE_VERSION bump
+            # Stale, not corrupt: superseded by a CACHE_VERSION bump
             # (or written by a newer build).  Recomputing overwrites it.
             self.misses += 1
             return None
@@ -195,7 +194,7 @@ class ResultStore:
         return record
 
     def get_result(self, spec: ExperimentSpec) -> Optional[SimulationResult]:
-        """Result-only accessor (the :class:`SweepRunner` delegation hook)."""
+        """Result-only accessor (what :meth:`Session.run_many` caches through)."""
         record = self.get_record(spec)
         return record.result if record is not None else None
 

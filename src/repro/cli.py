@@ -38,7 +38,7 @@ through a :class:`~repro.experiment.session.Session`.
 
 ``python -m repro.cli sweep --workloads 429.mcf --mitigations comet para --nrh 1000 125``
     Fan a mitigation x threshold grid across worker processes through the
-    on-disk result cache and print every point (Figures 6-9 pattern).
+    result store and print every point (Figures 6-9 pattern).
     ``--scheduler/--row-policy/--refresh-policy`` accept several values and
     become controller-policy sweep axes (every workload x mitigation x NRH
     cell repeated per policy triple, each normalized to a baseline running
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_arguments(attack_parser)
 
     sweep_parser = subparsers.add_parser(
-        "sweep", help="run a mitigation x threshold grid through the sweep executor"
+        "sweep", help="run a mitigation x threshold grid across worker processes"
     )
     sweep_parser.add_argument(
         "--workloads", nargs="+", default=["429.mcf"], help="workload names"
@@ -317,10 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: one per CPU; 0 runs inline)",
     )
     sweep_parser.add_argument(
-        "--cache-dir", default=None, help="result cache directory (see EXPERIMENTS.md)"
+        "--cache-dir", default=None,
+        help="result store directory (default: $REPRO_CAMPAIGN_STORE or "
+        "~/.cache/repro/campaigns; see EXPERIMENTS.md)",
     )
     sweep_parser.add_argument(
-        "--no-cache", action="store_true", help="bypass the on-disk result cache"
+        "--no-cache", action="store_true", help="bypass the result store"
     )
 
     audit_parser = subparsers.add_parser(
@@ -363,10 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: one per CPU; 0 runs inline)",
     )
     audit_parser.add_argument(
-        "--cache-dir", default=None, help="result cache directory (see EXPERIMENTS.md)"
+        "--cache-dir", default=None,
+        help="result store directory (default: $REPRO_CAMPAIGN_STORE or "
+        "~/.cache/repro/campaigns; see EXPERIMENTS.md)",
     )
     audit_parser.add_argument(
-        "--no-cache", action="store_true", help="bypass the on-disk result cache"
+        "--no-cache", action="store_true", help="bypass the result store"
     )
 
     campaign_parser = subparsers.add_parser(
@@ -502,13 +506,12 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _session(args: Optional[argparse.Namespace] = None) -> Session:
     """A Session honouring the sweep flags (other commands run uncached)."""
-    if args is not None and hasattr(args, "workers"):
-        return Session(
-            max_workers=args.workers,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-        )
-    return Session(max_workers=0, use_cache=False)
+    if args is None or not hasattr(args, "workers"):
+        return Session(max_workers=0, store=None)
+    from repro.campaign.store import default_store_dir
+
+    store = None if args.no_cache else (args.cache_dir or default_store_dir())
+    return Session(max_workers=args.workers, store=store)
 
 
 def _command_list(_args: argparse.Namespace) -> str:

@@ -101,7 +101,7 @@ class ChannelFabric:
                 raise ValueError(
                     f"a {num_channels}-channel fabric needs one mitigation "
                     f"instance per channel (got a single instance); build the "
-                    f"list with repro.sim.runner.build_mitigations"
+                    f"list with MitigationSpec.build_instances"
                 )
             return [mitigations]
         instances = list(mitigations)

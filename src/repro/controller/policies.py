@@ -949,7 +949,7 @@ def normalize_policy(
 
     A platform carrying an explicit default policy describes the same
     experiment as one carrying no policy at all; normalizing keeps their
-    canonical JSON — and therefore their sweep-cache keys — identical.
+    canonical JSON — and therefore their result-store keys — identical.
     """
     if policy is not None and policy.is_default:
         return None

@@ -1,7 +1,7 @@
 """Crash-safe filesystem primitives shared by the on-disk caches and stores.
 
-Every byte the sweep cache (:mod:`repro.sim.sweep`) or the campaign result
-store (:mod:`repro.campaign.store`) persists goes through
+Every byte the result store (:mod:`repro.campaign.store`) or the
+``directory`` queue backend persists goes through
 :func:`atomic_write_bytes`: the payload lands in a same-directory temporary
 file first and is published with :func:`os.replace`, which POSIX guarantees
 to be atomic.  A reader therefore only ever sees a complete file or no file

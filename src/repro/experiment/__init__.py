@@ -1,7 +1,7 @@
 """repro.experiment: the declarative experiment API.
 
 One typed front door for running simulations, shared by the CLI, the
-examples, the benchmark harnesses and the sweep executor:
+examples, the benchmark harnesses and the campaign runner:
 
 * :mod:`repro.experiment.spec` — frozen, hashable, JSON-round-trippable
   spec dataclasses (:class:`ExperimentSpec` = :class:`WorkloadSpec` x
@@ -10,10 +10,11 @@ examples, the benchmark harnesses and the sweep executor:
   mechanisms (``@register_mitigation``) and workloads
   (``@register_workload`` / the synthetic suite) register themselves.
 * :mod:`repro.experiment.session` — the :class:`Session` facade executing
-  one spec, a list or a grid through the cached, parallel sweep machinery,
-  returning versioned :class:`RunRecord` objects.
+  one spec, a list or a grid through the result store and the shared
+  worker pool, returning versioned :class:`RunRecord` objects.
 * :mod:`repro.experiment.execute` — the execution core every entry point
-  shares (what makes spec-driven runs bit-identical to the legacy helpers).
+  shares (what makes a spec-driven run bit-identical to the same system
+  assembled by hand).
 
 Submodules are imported lazily: mechanism modules import
 ``repro.experiment.registry`` at class-definition time, and a heavy eager

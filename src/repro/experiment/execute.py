@@ -2,9 +2,9 @@
 
 :func:`run_system` is the single place a simulation is assembled from parts
 (traces + mitigation name + DRAM/core config): the :class:`Session` facade,
-the sweep executor's worker processes and the legacy ``runner`` shims all
-call it, which is what makes spec-driven runs bit-identical to the old
-helper functions.  :func:`execute_spec` materializes an
+its worker processes, the campaign runner and the trace-level tests all
+call it, so a spec-driven run and a hand-assembled one with the same parts
+are bit-identical.  :func:`execute_spec` materializes an
 :class:`~repro.experiment.spec.ExperimentSpec` (platform -> configs,
 workload -> traces, mitigation -> per-channel instances) and runs it.
 """
@@ -71,9 +71,7 @@ def run_system(
 
 #: Per-process memo of built traces: rebuilding the same multi-thousand-entry
 #: synthetic trace for every mitigation x NRH cell of a sweep is pure wasted
-#: RNG/address-mapping work (traces are read-only during simulation).  This
-#: is the single trace memo — the legacy sweep executor resolves its points
-#: through it too.
+#: RNG/address-mapping work (traces are read-only during simulation).
 _TRACE_CACHE: Dict[Tuple[str, str], List[Trace]] = {}
 _TRACE_CACHE_MAX = 64
 
@@ -100,8 +98,8 @@ def execute_spec(spec: ExperimentSpec) -> SimulationResult:
     dram_config = spec.platform.dram_config()
     traces = build_workload_traces(spec.workload, dram_config)
     if spec.name is None and len(traces) == 1:
-        # Single-core runs keep the trace's own name (the legacy
-        # ``run_single_core`` contract, pinned by the golden tests).
+        # Single-core runs keep the trace's own name (pinned by the golden
+        # tests).
         name: Optional[str] = traces[0].name
     else:
         name = spec.run_name()

@@ -7,8 +7,8 @@ carries a ``@register_mitigation("comet")`` decorator, a trace builder a
 and the synthetic suite registers each of its :class:`WorkloadSpec` entries
 when :mod:`repro.workloads.suite` is imported.  Everything that needs to
 resolve a name — the CLI, the :class:`~repro.experiment.session.Session`
-facade, the sweep executor, the legacy ``build_mitigation`` helpers — looks
-it up here, so there is exactly one table of record.
+facade, :meth:`~repro.experiment.spec.MitigationSpec.build_instances` —
+looks it up here, so there is exactly one table of record.
 
 Registry entries carry construction metadata so call sites need no
 special-casing:

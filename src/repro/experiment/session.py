@@ -1,11 +1,12 @@
-"""The Session facade: execute experiment specs through the sweep machinery.
+"""The Session facade: execute experiment specs through the result store.
 
 A :class:`Session` turns :class:`~repro.experiment.spec.ExperimentSpec`
 objects into :class:`RunRecord` results.  One spec, a list of specs or a
-whole grid expansion all go through the same path — the
-:class:`~repro.sim.sweep.SweepRunner` — so every run is memoized on disk
-(keyed by the spec's canonical-JSON content hash) and lists fan out across
-worker processes exactly like the figure sweeps do.
+whole grid expansion all go through :meth:`Session.run_many`, so every run
+is memoized in one :class:`~repro.campaign.store.ResultStore` (keyed by the
+spec's canonical-JSON content hash — the same database campaigns write)
+and lists fan out across the shared warm worker pool
+(:mod:`repro.sim.pool`).
 
     from repro.experiment import ExperimentSpec, MitigationSpec, Session, WorkloadSpec
 
@@ -21,11 +22,14 @@ worker processes exactly like the figure sweeps do.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING, Union
 
 from repro.experiment.codec import decode_value, encode_value
+from repro.experiment.execute import execute_spec
 from repro.experiment.spec import (
     CampaignSpec,
     ExperimentSpec,
@@ -35,14 +39,33 @@ from repro.experiment.spec import (
     WorkloadSpec,
     expand_grid,
 )
-from repro.sim.sweep import SWEEP_CACHE_VERSION, SweepRunner
+from repro.sim.pool import shared_pool
 from repro.sim.system import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (audit imports spec)
+    from repro.campaign.store import ResultStore
     from repro.security.audit import SecurityReport
 
 #: Bump when the RunRecord schema changes incompatibly.
 RECORD_VERSION = 1
+
+#: Bump when simulation semantics change in a way that invalidates stored
+#: results (scheduler behaviour, trace generation, statistics definitions);
+#: :class:`~repro.campaign.store.ResultStore` records carry it and treat any
+#: other value as a miss.
+#: v2: channel-partitioned fabric.
+#: v3: the declarative experiment API — results keyed by the sha256 of the
+#: canonical spec JSON.
+#: v4: the security-audit subsystem — :class:`SimulationResult` grew
+#: ``security_violations``/``first_violation_cycle``.
+#: v5: the pluggable controller-policy layer — the canonical spec JSON grew
+#: ``platform.controller`` (old keys would alias new configurations).
+#: v6: sampled-fidelity execution — the canonical spec JSON grew
+#: ``fidelity``/``sampled`` (emitted only when non-default, so full-fidelity
+#: hashes are unchanged).
+CACHE_VERSION = 6
+
+_DEFAULT_STORE = object()
 
 
 @dataclass(frozen=True)
@@ -92,41 +115,35 @@ class RunRecord:
 
 
 class Session:
-    """Executes experiment specs with caching and parallel fan-out.
+    """Executes experiment specs through one result store, in parallel.
 
     Parameters
     ----------
     max_workers:
         Worker processes for lists/grids (``0``/``1`` runs inline;
         ``None`` uses ``os.cpu_count()``).
-    cache_dir:
-        On-disk result cache directory (``None``: ``$REPRO_SWEEP_CACHE`` or
-        ``~/.cache/repro/sweeps``); ``use_cache=False`` disables caching.
     store:
-        Optional campaign :class:`~repro.campaign.store.ResultStore` (or a
-        path to open one at).  When given, spec runs cache through the
-        store's versioned RunRecord JSONs instead of the pickle cache, so
+        The :class:`~repro.campaign.store.ResultStore` every run caches
+        through, a path to open one at, or ``None`` to run uncached.  The
+        default opens :func:`~repro.campaign.store.default_store_dir`
+        (``$REPRO_CAMPAIGN_STORE`` or ``~/.cache/repro/campaigns``), so
         interactive runs, sweeps and campaigns all share one database.
     """
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
-        cache_dir: Optional[Union[str, Path]] = None,
-        use_cache: bool = True,
-        store: Optional[Any] = None,
+        store: Union["ResultStore", str, Path, None] = _DEFAULT_STORE,
     ) -> None:
-        if isinstance(store, (str, Path)):
-            from repro.campaign.store import ResultStore
+        # Imported here: repro.campaign.store imports this module.
+        from repro.campaign.store import ResultStore, default_store_dir
 
+        if store is _DEFAULT_STORE:
+            store = default_store_dir()
+        if isinstance(store, (str, Path)):
             store = ResultStore(store)
         self._store = store
-        self._runner = SweepRunner(
-            max_workers=max_workers,
-            cache_dir=Path(cache_dir) if cache_dir is not None else None,
-            use_cache=use_cache,
-            store=store,
-        )
+        self.max_workers = (os.cpu_count() or 1) if max_workers is None else max_workers
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -136,27 +153,42 @@ class Session:
         return self.run_many([spec])[0]
 
     def run_many(self, specs: Sequence[ExperimentSpec]) -> List[RunRecord]:
-        """Execute a list of specs; results come back in input order.
+        """Execute a list of specs; records come back in input order.
 
-        Cache misses fan out across worker processes; each completed run is
-        written to the cache the moment it lands, so interrupting a long
-        batch keeps the finished points.
+        Store misses run inline when ``max_workers <= 1`` or only one spec
+        misses, otherwise on the shared warm pool; each computed result is
+        stored the moment it lands, so interrupting a long batch keeps the
+        finished runs.
         """
         specs = list(specs)
-        cached_flags: Dict[int, bool] = {}
+        records: List[Optional[RunRecord]] = [None] * len(specs)
+        pending: List[int] = []
+        for index, spec in enumerate(specs):
+            cached = self._store.get_result(spec) if self._store is not None else None
+            if cached is not None:
+                records[index] = self._record(spec, cached, from_cache=True)
+            else:
+                pending.append(index)
 
-        def progress(spec, result, from_cache):
-            cached_flags[id(spec)] = from_cache
+        def finish(index: int, result: SimulationResult) -> None:
+            if self._store is not None:
+                self._store.put_result(specs[index], result)
+            records[index] = self._record(specs[index], result, from_cache=False)
 
-        results = self._runner.run(specs, progress=progress)
-        return [
-            RunRecord(
-                spec=spec,
-                result=result,
-                provenance=self._provenance(spec, cached_flags.get(id(spec), False)),
-            )
-            for spec, result in zip(specs, results)
-        ]
+        if self.max_workers <= 1 or len(pending) == 1:
+            for index in pending:
+                finish(index, execute_spec(specs[index]))
+        elif pending:
+            # The shared warm pool outlives this call on purpose:
+            # consecutive batches reuse hot workers instead of paying spawn
+            # plus simulator import per call.
+            pool = shared_pool(min(self.max_workers, len(pending)))
+            futures = {
+                pool.submit(execute_spec, specs[index]): index for index in pending
+            }
+            for future in as_completed(futures):
+                finish(futures[future], future.result())
+        return list(records)  # type: ignore[arg-type]
 
     def run_grid(
         self,
@@ -251,7 +283,7 @@ class Session:
             campaign,
             store=store,
             queue=backend,
-            max_workers=self._runner.max_workers,
+            max_workers=self.max_workers,
             lease=lease,
             budget=budget,
             **runner_kwargs,
@@ -262,33 +294,30 @@ class Session:
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def store(self) -> Optional[Any]:
-        """The campaign result store spec runs cache through (or ``None``)."""
+    def store(self) -> Optional["ResultStore"]:
+        """The result store spec runs cache through (``None``: uncached)."""
         return self._store
 
     @property
     def cache_hits(self) -> int:
-        hits = self._runner.cache.hits if self._runner.cache is not None else 0
-        if self._store is not None:
-            hits += self._store.hits
-        return hits
+        return self._store.hits if self._store is not None else 0
 
     @property
     def cache_misses(self) -> int:
-        misses = self._runner.cache.misses if self._runner.cache is not None else 0
-        if self._store is not None:
-            misses += self._store.misses
-        return misses
+        return self._store.misses if self._store is not None else 0
 
-    def _provenance(self, spec: ExperimentSpec, from_cache: bool) -> Dict[str, Any]:
+    def _record(
+        self, spec: ExperimentSpec, result: SimulationResult, from_cache: bool
+    ) -> RunRecord:
         from repro import __version__
 
-        return {
+        provenance = {
             "repro_version": __version__,
-            "cache_version": SWEEP_CACHE_VERSION,
+            "cache_version": CACHE_VERSION,
             "spec_hash": spec.content_hash(),
             "from_cache": from_cache,
         }
+        return RunRecord(spec=spec, result=result, provenance=provenance)
 
     #: Grid expansion without execution (alias of :func:`expand_grid`).
     grid = staticmethod(expand_grid)

@@ -2,8 +2,8 @@
 
 An :class:`ExperimentSpec` is the one typed description of a simulator run
 that every entry point shares — the :class:`~repro.experiment.session.Session`
-facade, the CLI (``repro run --spec``), the sweep executor and the benchmark
-harnesses.  It composes three sub-specs:
+facade, the CLI (``repro run --spec``), the campaign runner and the
+benchmark harnesses.  It composes three sub-specs:
 
 * :class:`WorkloadSpec` — *what runs*: a registered workload name (benign
   suite entry or attack generator) plus trace length, core count, seed and
@@ -19,13 +19,14 @@ harnesses.  It composes three sub-specs:
 
 Specs are frozen, hashable and JSON-round-trippable; ``canonical_json()``
 (sorted keys, compact separators) is the content-hash material used as the
-sweep-cache key, so two specs describe the same experiment if and only if
+result-store key, so two specs describe the same experiment if and only if
 their hashes match.  Unknown workload/mitigation names are rejected at
 construction time with an error listing every registered name.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -34,7 +35,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.controller.policies import ControllerPolicySpec, normalize_policy
 from repro.cpu.core import CoreConfig
 from repro.dram.config import DRAMConfig, small_test_config
-from repro.experiment.codec import decode_value, encode_value
+from repro.experiment.codec import SpecCodecError, decode_value, encode_value
 from repro.experiment.registry import mitigation_entry, workload_entry
 
 #: Bump when the spec schema changes incompatibly.
@@ -67,6 +68,20 @@ def _pairs_to_dict(pairs: _Pairs) -> Dict[str, Any]:
     return {key: value for key, value in pairs}
 
 
+def _mapping(data: Any, what: str) -> Mapping[str, Any]:
+    """``data`` when it is a JSON object; a :class:`SpecCodecError` otherwise.
+
+    Every store read decodes a spec through here, so a decoded JSON object
+    (a ``dict``) passes on one type test, and the ABC check — not
+    ``typing.Mapping``'s much slower Python-level one — covers the rest.
+    """
+    if type(data) is not dict and not isinstance(data, collections.abc.Mapping):
+        raise SpecCodecError(
+            f"{what} must be a JSON object, got {type(data).__name__}"
+        )
+    return data
+
+
 # --------------------------------------------------------------------------- #
 # Mitigation
 # --------------------------------------------------------------------------- #
@@ -94,8 +109,7 @@ class MitigationSpec:
 
         Channel ``c > 0`` of a seedable mechanism gets ``seed=c`` so channels
         draw independent random streams; channel 0 keeps the default seed,
-        preserving 1-channel bit-identity (same convention as the legacy
-        ``build_mitigations`` helper).
+        preserving 1-channel bit-identity.
         """
         entry = mitigation_entry(self.name)
         overrides = self.overrides_dict()
@@ -113,12 +127,12 @@ class MitigationSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MitigationSpec":
+        data = _mapping(data, "mitigation")
+        overrides = _mapping(data.get("overrides", {}), "mitigation.overrides")
         return cls(
             name=data["name"],
             nrh=data.get("nrh", 125),
-            overrides={
-                k: decode_value(v) for k, v in data.get("overrides", {}).items()
-            },
+            overrides={k: decode_value(v) for k, v in overrides.items()},
         )
 
 
@@ -204,12 +218,14 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
+        data = _mapping(data, "workload")
+        params = _mapping(data.get("params", {}), "workload.params")
         return cls(
             name=data.get("name", ""),
             num_requests=data.get("num_requests", 8000),
             num_cores=data.get("num_cores", 1),
             seed=data.get("seed", 0),
-            params={k: decode_value(v) for k, v in data.get("params", {}).items()},
+            params={k: decode_value(v) for k, v in params.items()},
             mix=tuple(cls.from_dict(member) for member in data.get("mix", ())),
         )
 
@@ -222,7 +238,7 @@ class PlatformSpec:
     """The simulated machine: scaled DRAM geometry, channels, core model.
 
     The scalar knobs mirror the scaled experiment configuration every
-    entry point has always used (see ``default_experiment_config``); a full
+    entry point has always used (see :func:`default_experiment_config`); a full
     :class:`~repro.dram.config.DRAMConfig` in ``dram`` overrides them.
     ``channels`` defaults to *inherit* (``None``): the channel count of
     ``dram`` when one is given, otherwise 1.  An explicit ``channels``
@@ -293,19 +309,44 @@ class PlatformSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PlatformSpec":
+        data = _mapping(data, "platform")
         controller = data.get("controller")
         return cls(
             rows_per_bank=data.get("rows_per_bank", 4096),
             refresh_window_scale=data.get("refresh_window_scale", 1.0 / 256.0),
             channels=data.get("channels"),
             controller=(
-                ControllerPolicySpec.from_dict(controller)
+                ControllerPolicySpec.from_dict(
+                    _mapping(controller, "platform.controller")
+                )
                 if controller is not None
                 else None
             ),
             dram=decode_value(data["dram"]) if data.get("dram") is not None else None,
             core=decode_value(data["core"]) if data.get("core") is not None else None,
         )
+
+
+def default_experiment_config(
+    rows_per_bank: int = 4096,
+    refresh_window_scale: float = 1.0 / 256.0,
+    channels: int = 1,
+) -> DRAMConfig:
+    """The scaled DRAM configuration used by examples and benches.
+
+    Two ranks with four banks each, 4K rows per bank, and a refresh window of
+    ~300K DRAM cycles.  The scale is chosen so that, for the synthetic
+    workload suite, the number of activations a hot row receives per
+    counter-reset period relative to the preventive-refresh thresholds is in
+    the same regime as the paper's full-length simulations (hot rows cross
+    NPR at NRH=125 but not at NRH=1K); see EXPERIMENTS.md.  This is exactly
+    what :meth:`PlatformSpec.dram_config` builds.
+    """
+    return PlatformSpec(
+        rows_per_bank=rows_per_bank,
+        refresh_window_scale=refresh_window_scale,
+        channels=channels,
+    ).dram_config()
 
 
 # --------------------------------------------------------------------------- #
@@ -356,6 +397,7 @@ class SampledConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SampledConfig":
+        data = _mapping(data, "sampled")
         return cls(
             interval=data.get("interval", 2000),
             detailed_window=data.get("detailed_window", 200),
@@ -380,7 +422,7 @@ class ExperimentSpec:
     code; ``"sampled"`` fast-forwards between detailed windows under the
     :class:`SampledConfig` knobs (see EXPERIMENTS.md for the error bounds).
     A full-fidelity spec serializes without the fidelity keys, so its
-    canonical JSON — and therefore its content hash and sweep-cache key —
+    canonical JSON — and therefore its content hash and result-store key —
     is unchanged from earlier spec versions.
     """
 
@@ -437,6 +479,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
+        data = _mapping(data, "experiment spec")
         version = data.get("spec_version", SPEC_VERSION)
         if version > SPEC_VERSION:
             raise ValueError(
@@ -634,6 +677,7 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
+        data = _mapping(data, "campaign spec")
         version = data.get("spec_version", SPEC_VERSION)
         if version > SPEC_VERSION:
             raise ValueError(
@@ -651,7 +695,8 @@ class CampaignSpec:
             include_baseline=data.get("include_baseline", True),
             priority=data.get("priority", 0),
             priorities={
-                k: decode_value(v) for k, v in data.get("priorities", {}).items()
+                k: decode_value(v)
+                for k, v in _mapping(data.get("priorities", {}), "priorities").items()
             },
             budget=data.get("budget"),
             audit=data.get("audit", False),

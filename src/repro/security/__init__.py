@@ -12,11 +12,11 @@ frontier and security verification into a campaign:
   RowPress-style long-open-row sequences, refresh-window-straddling waves
   and multi-channel coordinated variants.  Every pattern registers itself as
   a workload (``synth_*``), so it composes with
-  :class:`~repro.experiment.spec.WorkloadSpec` and the sweep machinery like
+  :class:`~repro.experiment.spec.WorkloadSpec` and grid expansion like
   any suite entry.
 * :mod:`repro.security.audit` — the campaign runner: fan a
-  mitigation x pattern x NRH grid through the cached, parallel
-  :class:`~repro.sim.sweep.SweepRunner` with the
+  mitigation x pattern x NRH grid through a cached, parallel
+  :class:`~repro.experiment.session.Session` with the
   :class:`~repro.analysis.security.SecurityVerifier` attached in its cheap
   streaming mode, and reduce the per-run verdicts into a
   :class:`~repro.security.audit.SecurityReport` (max disturbance / NRH

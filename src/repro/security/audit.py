@@ -1,9 +1,8 @@
 """Spec-driven security-audit campaigns.
 
 An audit fans a mitigation x pattern x NRH (x controller-policy) grid
-through the cached,
-parallel :class:`~repro.sim.sweep.SweepRunner` (via a
-:class:`~repro.experiment.session.Session`) with the
+through a cached, parallel :class:`~repro.experiment.session.Session` with
+the
 :class:`~repro.analysis.security.SecurityVerifier` attached in its cheap
 streaming max-margin mode, then reduces the per-run verdict stream into one
 :class:`SecurityReport`:
@@ -583,7 +582,7 @@ def run_audit(
     if session is None:
         from repro.experiment.session import Session
 
-        session = Session(max_workers=0, use_cache=False)
+        session = Session(max_workers=0, store=None)
     records = session.run_many(specs)
     from repro import __version__
 

@@ -42,6 +42,16 @@ def normalized_values(values: Sequence[float], baseline: Sequence[float]) -> Lis
     return result
 
 
+def normalized_ipc(result, baseline) -> float:
+    """IPC of a mitigated run normalized to the unprotected baseline run.
+
+    Both arguments are :class:`~repro.sim.system.SimulationResult` objects.
+    """
+    if baseline.ipc == 0:
+        return 0.0
+    return result.ipc / baseline.ipc
+
+
 def weighted_speedup(shared_ipcs: Sequence[float], alone_ipcs: Sequence[float]) -> float:
     """Weighted speedup: sum_i IPC_shared_i / IPC_alone_i  (Snavely & Tullsen)."""
     if len(shared_ipcs) != len(alone_ipcs):

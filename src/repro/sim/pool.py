@@ -1,7 +1,7 @@
 """Shared warm worker pool for campaign and sweep fan-out.
 
-Both fan-out layers — :class:`repro.sim.sweep.SweepRunner` and
-:class:`repro.campaign.runner.CampaignRunner` — execute cells in a
+Both fan-out layers — :meth:`repro.experiment.session.Session.run_many`
+and :class:`repro.campaign.runner.CampaignRunner` — execute cells in a
 ``ProcessPoolExecutor``.  Each used to build (and tear down) its own pool
 per ``run()`` call, so every campaign paid worker spawn plus a cold import
 of the whole simulator stack in every worker before the first cell could
@@ -13,7 +13,7 @@ campaigns and sweeps reuse hot workers.
 
 Worker reuse is safe because both worker entry points
 (:func:`repro.campaign.runner._execute_payload`,
-:func:`repro.sim.sweep._worker_run`) construct the entire simulated system
+:func:`repro.experiment.execute.execute_spec`) construct the entire simulated system
 per cell from a plain-data spec; the only state that persists across cells
 is deliberately cacheable (imported modules, memoized trace synthesis —
 deterministic functions of the spec).

@@ -231,7 +231,7 @@ class TestSessionIntegration:
     def test_session_campaign_and_store_sharing(self, tmp_path):
         """Session.campaign() drains the grid; subsequent Session.run() of a
         member cell is answered from the shared store, not re-simulated."""
-        session = Session(max_workers=0, store=tmp_path / "store", use_cache=False)
+        session = Session(max_workers=0, store=tmp_path / "store")
         status = session.campaign(SMALL)
         assert status.finished
 
@@ -243,7 +243,7 @@ class TestSessionIntegration:
 
     def test_session_campaign_requires_a_store(self):
         with pytest.raises(ValueError, match="needs a result store"):
-            Session(max_workers=0, use_cache=False).campaign(SMALL)
+            Session(max_workers=0, store=None).campaign(SMALL)
 
 
 class TestStatus:

@@ -10,10 +10,15 @@ import json
 import pytest
 
 from repro.campaign.store import ResultStore, default_store_dir
+from repro.core.config import CoMeTConfig
 from repro.experiment.execute import execute_spec
-from repro.experiment.session import RunRecord
-from repro.experiment.spec import ExperimentSpec, MitigationSpec, WorkloadSpec
-from repro.sim.sweep import SWEEP_CACHE_VERSION
+from repro.experiment.session import CACHE_VERSION, RunRecord
+from repro.experiment.spec import (
+    ExperimentSpec,
+    MitigationSpec,
+    PlatformSpec,
+    WorkloadSpec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,28 @@ class TestRoundTrip:
         got = store.get_result(spec)
         assert got is not None and got.ipc == result.ipc
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "benign_comet",
+            "attack_unprotected",
+            "multicore_multichannel_para",
+            "comet_config_override",
+            "streaming_verification",
+            "sampled_fidelity",
+        ],
+    )
+    def test_result_round_trip_is_field_identical(self, tmp_path, case):
+        """Every SimulationResult field — violations, energy, per-channel
+        stats — survives the JSON record, not just the headline IPC."""
+        spec = _round_trip_specs()[case]
+        expected = execute_spec(spec)
+        ResultStore(tmp_path / "store").put_result(spec, expected)
+        got = ResultStore(tmp_path / "store").get_result(spec)
+        assert got.__dict__ == expected.__dict__
+        if case == "attack_unprotected":
+            assert expected.security_violations > 0
+
     def test_lookup_by_hash_or_spec(self, store, spec, result):
         store.put_result(spec, result)
         by_hash = store.get_record(spec.content_hash())
@@ -73,6 +100,49 @@ class TestRoundTrip:
         assert len(store) == 1
         assert list(store.iter_spec_hashes()) == [spec.content_hash()]
         assert [r.spec for r in store.iter_records()] == [spec]
+
+
+def _round_trip_specs():
+    def spec(workload, mitigation, **kwargs):
+        return ExperimentSpec(workload=workload, mitigation=mitigation, **kwargs)
+
+    return {
+        "benign_comet": spec(
+            WorkloadSpec(name="429.mcf", num_requests=600),
+            MitigationSpec(name="comet", nrh=125),
+        ),
+        "attack_unprotected": spec(
+            WorkloadSpec(
+                name="attack_traditional",
+                num_requests=3000,
+                params={"aggressor_rows_per_bank": 2},
+            ),
+            MitigationSpec(name="none", nrh=125),
+        ),
+        "multicore_multichannel_para": spec(
+            WorkloadSpec(name="mc_stream", num_requests=400, num_cores=2),
+            MitigationSpec(name="para", nrh=250),
+            platform=PlatformSpec(channels=2),
+        ),
+        "comet_config_override": spec(
+            WorkloadSpec(name="502.gcc", num_requests=600),
+            MitigationSpec(
+                name="comet",
+                nrh=125,
+                overrides={"config": CoMeTConfig(nrh=125, rat_entries=64)},
+            ),
+        ),
+        "streaming_verification": spec(
+            WorkloadSpec(name="synth_uniform", num_requests=600),
+            MitigationSpec(name="comet", nrh=200),
+            verify_security="streaming",
+        ),
+        "sampled_fidelity": spec(
+            WorkloadSpec(name="synth_uniform", num_requests=3000),
+            MitigationSpec(name="comet", nrh=500),
+            fidelity="sampled",
+        ),
+    }
 
 
 class TestDeterminism:
@@ -142,7 +212,7 @@ class TestIntegrity:
 
 class TestInvalidation:
     def test_stale_cache_version_is_a_miss_in_place(self, tmp_path, spec, result):
-        old = ResultStore(tmp_path / "store", cache_version=SWEEP_CACHE_VERSION - 1)
+        old = ResultStore(tmp_path / "store", cache_version=CACHE_VERSION - 1)
         path = old.put_result(spec, result)
 
         current = ResultStore(tmp_path / "store")
@@ -154,7 +224,7 @@ class TestInvalidation:
         assert current.misses == 1
 
     def test_recompute_overwrites_stale_record(self, tmp_path, spec, result):
-        old = ResultStore(tmp_path / "store", cache_version=SWEEP_CACHE_VERSION - 1)
+        old = ResultStore(tmp_path / "store", cache_version=CACHE_VERSION - 1)
         old.put_result(spec, result)
         current = ResultStore(tmp_path / "store")
         current.put_result(spec, result)

@@ -23,13 +23,9 @@ from repro.dram.address import AddressMapper, DRAMAddress
 from repro.dram.config import small_test_config
 from repro.mitigations.fabric import MitigationFabric
 from repro.mitigations.para import PARA
-from repro.sim.runner import (
-    MITIGATION_REGISTRY,
-    build_mitigations,
-    default_experiment_config,
-    run_multi_core,
-    run_single_core,
-)
+from repro.experiment.execute import run_system
+from repro.experiment.registry import mitigation_names
+from repro.experiment.spec import MitigationSpec, default_experiment_config
 from repro.sim.system import System, SystemConfig
 from repro.workloads.attacks import traditional_rowhammer_attack
 from repro.workloads.suite import (
@@ -79,10 +75,10 @@ class TestGoldenEquivalence:
     def benign_trace(self, dram_config):
         return build_trace("450.soplex", num_requests=2000, dram_config=dram_config)
 
-    @pytest.mark.parametrize("mitigation", sorted(MITIGATION_REGISTRY))
+    @pytest.mark.parametrize("mitigation", mitigation_names())
     def test_benign_run_matches_golden(self, golden, dram_config, benign_trace, mitigation):
-        result = run_single_core(
-            benign_trace,
+        result = run_system(
+            [benign_trace],
             mitigation,
             nrh=250,
             dram_config=dram_config,
@@ -94,14 +90,14 @@ class TestGoldenEquivalence:
         attack = traditional_rowhammer_attack(
             num_requests=3000, dram_config=dram_config, aggressor_rows_per_bank=2
         )
-        result = run_single_core(attack, "comet", nrh=125, dram_config=dram_config)
+        result = run_system([attack], "comet", nrh=125, dram_config=dram_config)
         assert _fingerprint(result) == golden["attack/comet"]
 
     def test_multicore_run_matches_golden(self, golden, dram_config):
         mix = build_multicore_traces(
             "429.mcf", num_cores=2, num_requests=1200, dram_config=dram_config
         )
-        result = run_multi_core(mix, "comet", nrh=250, dram_config=dram_config, name="mix")
+        result = run_system(mix, "comet", nrh=250, dram_config=dram_config, name="mix")
         assert _fingerprint(result) == golden["multicore/comet"]
 
 
@@ -216,7 +212,7 @@ class TestPerChannelIsolation:
             aggressor_rows_per_bank=2,
             channel=0,
         )
-        mitigations = build_mitigations(mitigation, 125, channels=2)
+        mitigations = MitigationSpec(name=mitigation, nrh=125).build_instances(2)
         system = System(
             [attack],
             mitigation=mitigations,
@@ -244,7 +240,7 @@ class TestPerChannelIsolation:
             )
             for channel in (0, 1)
         ]
-        result = run_multi_core(
+        result = run_system(
             traces, "comet", nrh=125, dram_config=dram_config, name="dual_attack"
         )
         assert result.security_ok
@@ -257,8 +253,8 @@ class TestMultiChannelRuns:
         for channels in (1, 2):
             dram_config = default_experiment_config(channels=channels)
             trace = build_trace("mc_stream", num_requests=3000, dram_config=dram_config)
-            results[channels] = run_single_core(
-                trace, "none", nrh=1, dram_config=dram_config, verify_security=False
+            results[channels] = run_system(
+                [trace], "none", nrh=1, dram_config=dram_config, verify_security=False
             )
         # Same work over two independent channels finishes sooner.
         assert results[2].cycles < results[1].cycles

@@ -141,6 +141,20 @@ class TestCommands:
         with pytest.raises(SystemExit, match="spec file not found"):
             main(["run", "--spec", str(tmp_path / "missing.json")])
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"workload": [1], "mitigation": {"name": "comet"}},
+            {"workload": {"name": "502.gcc"}, "mitigation": "comet"},
+        ],
+    )
+    def test_run_rejects_non_object_spec_parts(self, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit, match="invalid experiment spec .*JSON object"):
+            main(["run", "--spec", str(bad)])
+
     def test_compare_lists_all_mitigations(self, capsys):
         exit_code = main(
             ["compare", "--workload", "502.gcc", "--nrh", "1000", "--requests", "300"]
@@ -253,6 +267,14 @@ class TestCampaignCommands:
                   "--store", str(tmp_path / "store")])
         with pytest.raises(SystemExit, match="campaign file not found"):
             main(["campaign", "run", "--campaign-file", str(tmp_path / "no.json"),
+                  "--store", str(tmp_path / "store")])
+
+    @pytest.mark.parametrize("payload", [[], [1, 2], "grid"])
+    def test_campaign_run_rejects_non_object_json(self, tmp_path, payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit, match="invalid campaign spec .*JSON object"):
+            main(["campaign", "run", "--campaign-file", str(bad),
                   "--store", str(tmp_path / "store")])
 
     def test_campaign_status_empty_store(self, capsys, tmp_path):

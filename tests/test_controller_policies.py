@@ -33,7 +33,6 @@ from repro.experiment.spec import (
     PlatformSpec,
     WorkloadSpec,
 )
-from repro.sim.sweep import SweepPoint, SweepRunner
 
 
 def make_controller(dram_config, **kwargs):
@@ -165,27 +164,6 @@ class TestPolicySpec:
             base, platform=PlatformSpec(controller=policy(scheduler="fcfs"))
         )
         assert base.content_hash() != swapped.content_hash()
-
-
-class TestSweepPointAxes:
-    def test_policy_spec_normalizes_default(self):
-        assert SweepPoint("429.mcf", "comet", 125).policy_spec() is None
-        point = SweepPoint("429.mcf", "comet", 125, scheduler="bliss")
-        assert point.policy_spec() == policy(scheduler="bliss")
-        assert "bliss" in point.label()
-
-    def test_grid_crosses_policy_axes(self):
-        points = SweepRunner.grid(
-            workloads=["429.mcf"],
-            mitigations=["comet"],
-            nrhs=[125],
-            schedulers=["fr_fcfs", "fcfs", "bliss"],
-            row_policies=["open_page", "closed_page"],
-        )
-        # (1 baseline + 1 comet point) per policy triple.
-        assert len(points) == 2 * 3 * 2
-        triples = {(p.scheduler, p.row_policy, p.refresh_policy) for p in points}
-        assert len(triples) == 6
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,11 @@
 """Tests for the declarative experiment API (repro.experiment)."""
 
 import json
-import warnings
 
 import pytest
 
+from repro.campaign.store import ResultStore
+from repro.controller.policies import ControllerPolicySpec, normalize_policy
 from repro.core.config import CoMeTConfig
 from repro.cpu.core import CoreConfig
 from repro.dram.config import small_test_config
@@ -20,9 +21,11 @@ from repro.experiment.registry import (
 )
 from repro.experiment.session import RunRecord, Session
 from repro.experiment.spec import (
+    CampaignSpec,
     ExperimentSpec,
     MitigationSpec,
     PlatformSpec,
+    SampledConfig,
     WorkloadSpec,
     expand_grid,
 )
@@ -228,7 +231,7 @@ class TestSpecSerialization:
     def test_canonical_hash_pinned(self):
         """The canonical serialization is a cache-key contract: changing it
         silently invalidates every cached result.  Regenerate deliberately
-        (and bump SWEEP_CACHE_VERSION) when the schema changes."""
+        (and bump CACHE_VERSION) when the schema changes."""
         spec = ExperimentSpec(
             workload=WorkloadSpec(name="429.mcf", num_requests=1000),
             mitigation=MitigationSpec(name="comet", nrh=125),
@@ -258,6 +261,41 @@ class TestSpecSerialization:
         value = {"config": CoMeTConfig(nrh=500), "flags": (1, 2, 3), "label": "x"}
         assert decode_value(encode_value(value)) == value
 
+    @pytest.mark.parametrize(
+        "cls,data,what",
+        [
+            (ExperimentSpec, [1, 2], "experiment spec"),
+            (ExperimentSpec, "comet", "experiment spec"),
+            (
+                ExperimentSpec,
+                {"workload": [1], "mitigation": {"name": "comet"}},
+                "workload",
+            ),
+            (
+                ExperimentSpec,
+                {"workload": {"name": "429.mcf"}, "mitigation": "comet"},
+                "mitigation",
+            ),
+            (
+                ExperimentSpec,
+                {
+                    "workload": {"name": "429.mcf"},
+                    "mitigation": {"name": "comet"},
+                    "platform": [],
+                },
+                "platform",
+            ),
+            (WorkloadSpec, {"name": "429.mcf", "params": [1]}, "workload.params"),
+            (MitigationSpec, {"name": "comet", "overrides": "x"}, "mitigation.overrides"),
+            (PlatformSpec, {"controller": "bliss"}, "platform.controller"),
+            (SampledConfig, 2000, "sampled"),
+            (CampaignSpec, [], "campaign spec"),
+        ],
+    )
+    def test_non_object_rejected_with_codec_error(self, cls, data, what):
+        with pytest.raises(SpecCodecError, match=f"^{what} must be a JSON object"):
+            cls.from_dict(data)
+
 
 # --------------------------------------------------------------------------- #
 # Grid expansion
@@ -282,6 +320,27 @@ class TestExpandGrid:
         )
         assert all(s.platform.channels == 2 for s in specs)
 
+    def test_grid_skips_explicit_none(self):
+        specs = expand_grid(
+            workloads=["429.mcf"], mitigations=["none", "comet"], nrhs=[125]
+        )
+        assert sum(1 for s in specs if s.mitigation.name == "none") == 1
+
+    def test_grid_crosses_policy_axes(self):
+        policies = [
+            normalize_policy(ControllerPolicySpec(scheduler=s, row_policy=r))
+            for s in ("fr_fcfs", "fcfs", "bliss")
+            for r in ("open_page", "closed_page")
+        ]
+        specs = expand_grid(
+            workloads=["429.mcf"], mitigations=["comet"], nrhs=[125], policies=policies
+        )
+        # (1 baseline + 1 comet spec) per policy triple; the default triple
+        # normalizes to ``None``.
+        assert len(specs) == 2 * 3 * 2
+        assert len({s.platform.controller for s in specs}) == 6
+        assert sum(s.platform.controller is None for s in specs) == 2
+
     def test_overrides_attached_to_every_mitigated_spec(self):
         config = CoMeTConfig(nrh=125, num_hashes=2)
         specs = expand_grid(
@@ -300,7 +359,7 @@ class TestExpandGrid:
 class TestSession:
     def test_run_returns_record_with_provenance(self):
         spec = simple_spec()
-        record = Session(use_cache=False, max_workers=0).run(spec)
+        record = Session(store=None, max_workers=0).run(spec)
         assert record.spec == spec
         assert record.result.per_core_ipc
         assert record.provenance["spec_hash"] == spec.content_hash()
@@ -308,15 +367,71 @@ class TestSession:
 
     def test_disk_cache_round_trip(self, tmp_path):
         spec = simple_spec()
-        first = Session(cache_dir=tmp_path, max_workers=0).run(spec)
-        session = Session(cache_dir=tmp_path, max_workers=0)
+        first = Session(store=tmp_path, max_workers=0).run(spec)
+        session = Session(store=tmp_path, max_workers=0)
         second = session.run(spec)
         assert session.cache_hits == 1
         assert second.provenance["from_cache"] is True
         assert second.result == first.result
 
+    def test_default_store_honours_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CAMPAIGN_STORE", str(tmp_path / "env-store"))
+        session = Session(max_workers=0)
+        assert isinstance(session.store, ResultStore)
+        assert session.store.root == tmp_path / "env-store"
+
+    def test_uncached_session_counts_nothing(self):
+        session = Session(store=None, max_workers=0)
+        session.run(simple_spec())
+        assert session.store is None
+        assert (session.cache_hits, session.cache_misses) == (0, 0)
+
+    def test_results_in_input_order(self, tmp_path):
+        specs = _batch()
+        records = Session(store=tmp_path, max_workers=0).run_many(specs)
+        assert [r.spec for r in records] == specs
+        for spec, record in zip(specs, records):
+            assert record.result.mitigation_name == spec.mitigation.name
+
+    def test_repeat_run_comes_entirely_from_the_store(self, tmp_path):
+        specs = _batch()
+        first = Session(store=tmp_path, max_workers=0).run_many(specs)
+        session = Session(store=tmp_path, max_workers=0)
+        second = session.run_many(specs)
+        assert session.cache_hits == len(specs)
+        assert session.cache_misses == 0
+        assert [r.result for r in first] == [r.result for r in second]
+
+    def test_from_cache_provenance_reports_store_state(self, tmp_path):
+        specs = _batch()[:2]
+        session = Session(store=tmp_path, max_workers=0)
+        first = session.run_many(specs)
+        assert [r.provenance["from_cache"] for r in first] == [False, False]
+        second = session.run_many(specs)
+        assert [r.provenance["from_cache"] for r in second] == [True, True]
+
+    def test_failing_spec_keeps_earlier_results_stored(self, tmp_path):
+        good = simple_spec()
+        bad = simple_spec(
+            workload=WorkloadSpec(name="502.gcc", num_requests=300, params={"bogus": 1})
+        )
+        with pytest.raises(TypeError, match="takes no extra parameters"):
+            Session(store=tmp_path, max_workers=0).run_many([good, bad])
+        rerun = Session(store=tmp_path, max_workers=0)
+        assert rerun.run(good).provenance["from_cache"] is True
+        assert rerun.cache_hits == 1
+
+    @pytest.mark.slow
+    def test_parallel_workers_match_serial_bit_for_bit(self):
+        specs = _batch()
+        serial = Session(store=None, max_workers=0).run_many(specs)
+        parallel = Session(store=None, max_workers=2).run_many(specs)
+        assert [r.result.__dict__ for r in serial] == [
+            r.result.__dict__ for r in parallel
+        ]
+
     def test_compare_includes_baseline(self):
-        records = Session(use_cache=False, max_workers=0).compare(
+        records = Session(store=None, max_workers=0).compare(
             WorkloadSpec(name="502.gcc", num_requests=300), ["comet"], nrh=500
         )
         assert set(records) == {"none", "comet"}
@@ -327,43 +442,28 @@ class TestSession:
 
     def test_compare_baseline_shared_across_thresholds(self, tmp_path):
         workload = WorkloadSpec(name="502.gcc", num_requests=300)
-        session = Session(cache_dir=tmp_path, max_workers=0)
+        session = Session(store=tmp_path, max_workers=0)
         session.compare(workload, ["comet"], nrh=500)
         session.compare(workload, ["comet"], nrh=250)
         # Second compare: the baseline comes back from the cache.
         assert session.cache_hits >= 1
 
     def test_run_record_json_round_trip(self):
-        record = Session(use_cache=False, max_workers=0).run(simple_spec())
+        record = Session(store=None, max_workers=0).run(simple_spec())
         restored = RunRecord.from_json(record.to_json())
         assert restored.spec == record.spec
         assert restored.result == record.result
         assert restored.provenance == record.provenance
 
 
-# --------------------------------------------------------------------------- #
-# Deprecated shims
-# --------------------------------------------------------------------------- #
-class TestDeprecatedShims:
-    def test_run_single_core_warns_exactly_once(self):
-        from repro.sim import runner
-        from repro.sim.runner import default_experiment_config, run_single_core
-        from repro.workloads.suite import build_trace
-
-        runner._DEPRECATION_WARNED.discard("run_single_core")
-        dram_config = default_experiment_config()
-        trace = build_trace("502.gcc", num_requests=200, dram_config=dram_config)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_single_core(trace, "none", nrh=1000, dram_config=dram_config)
-            run_single_core(trace, "none", nrh=1000, dram_config=dram_config)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "run_single_core is deprecated" in str(deprecations[0].message)
+def _batch():
+    """1 baseline + 2 mitigations x 2 thresholds on one short workload."""
+    return expand_grid(
+        workloads=["502.gcc"], mitigations=["comet", "para"], nrhs=[1000, 125],
+        num_requests=300,
+    )
 
 
 # Regenerated for the controller-policy layer: PlatformSpec grew the
-# ``controller`` key (SWEEP_CACHE_VERSION 5).
+# ``controller`` key (CACHE_VERSION 5).
 PINNED_HASH = "daea0a0692f62f8b73ffc20872a3df9a72edb751d8a1da08f38aa2e2e592e0bd"

@@ -1,10 +1,10 @@
-"""Golden equivalence: spec-driven runs are bit-identical to the legacy shims.
+"""Golden equivalence: spec-driven runs are bit-identical to hand-assembled ones.
 
-The deprecated ``repro.sim.runner`` helpers are kept precisely because their
-outputs are pinned by the channel-fabric golden file; this suite pins the
-other side of the contract: for **every** mitigation in the registry, running
-the same experiment through ``run_single_core`` and through an equivalent
-:class:`~repro.experiment.spec.ExperimentSpec` executed by a
+Trace-level runs through :func:`repro.experiment.execute.run_system` are
+pinned by the channel-fabric golden file; this suite pins the other side of
+the contract: for **every** mitigation in the registry, running the same
+experiment from hand-built traces through ``run_system`` and through an
+equivalent :class:`~repro.experiment.spec.ExperimentSpec` executed by a
 :class:`~repro.experiment.session.Session` must produce *identical*
 :class:`~repro.sim.system.SimulationResult` objects — every cycle count,
 energy figure and mitigation statistic, not just headline IPC.  The same is
@@ -12,10 +12,9 @@ checked for a multi-core mix and for an attack trace with generator
 parameters.
 """
 
-import warnings
-
 import pytest
 
+from repro.experiment.execute import run_system
 from repro.experiment.registry import mitigation_names
 from repro.experiment.session import Session
 from repro.experiment.spec import (
@@ -23,6 +22,7 @@ from repro.experiment.spec import (
     MitigationSpec,
     PlatformSpec,
     WorkloadSpec,
+    default_experiment_config,
 )
 from repro.workloads.attacks import traditional_rowhammer_attack
 from repro.workloads.suite import build_multicore_traces, build_trace
@@ -33,34 +33,24 @@ NUM_REQUESTS = 800
 
 @pytest.fixture(scope="module")
 def session():
-    return Session(use_cache=False, max_workers=0)
+    return Session(store=None, max_workers=0)
 
 
 @pytest.fixture(scope="module")
 def dram_config():
-    from repro.sim.runner import default_experiment_config
-
     return default_experiment_config()
 
 
-def run_legacy(*args, **kwargs):
-    from repro.sim.runner import run_single_core
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run_single_core(*args, **kwargs)
-
-
-def assert_identical(legacy, spec_driven):
+def assert_identical(by_hand, spec_driven):
     """Field-by-field equality of two SimulationResult dataclasses."""
-    assert legacy.__dict__ == spec_driven.__dict__
+    assert by_hand.__dict__ == spec_driven.__dict__
 
 
 @pytest.mark.parametrize("mitigation", mitigation_names())
 def test_single_core_matches_shim(mitigation, session, dram_config):
     trace = build_trace("450.soplex", num_requests=NUM_REQUESTS, dram_config=dram_config)
-    legacy = run_legacy(
-        trace,
+    by_hand = run_system(
+        [trace],
         mitigation,
         nrh=NRH,
         dram_config=dram_config,
@@ -73,34 +63,30 @@ def test_single_core_matches_shim(mitigation, session, dram_config):
             verify_security=mitigation != "none",
         )
     )
-    assert_identical(legacy, record.result)
+    assert_identical(by_hand, record.result)
 
 
 def test_multicore_matches_shim(session, dram_config):
-    from repro.sim.runner import run_multi_core
-
     mix = build_multicore_traces(
         "429.mcf", num_cores=2, num_requests=600, dram_config=dram_config
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = run_multi_core(
-            mix, "comet", nrh=NRH, dram_config=dram_config, name="429.mcf_x2"
-        )
+    by_hand = run_system(
+        mix, "comet", nrh=NRH, dram_config=dram_config, name="429.mcf_x2"
+    )
     record = session.run(
         ExperimentSpec(
             workload=WorkloadSpec(name="429.mcf", num_requests=600, num_cores=2),
             mitigation=MitigationSpec(name="comet", nrh=NRH),
         )
     )
-    assert_identical(legacy, record.result)
+    assert_identical(by_hand, record.result)
 
 
 def test_attack_with_params_matches_shim(session, dram_config):
     attack = traditional_rowhammer_attack(
         num_requests=1000, dram_config=dram_config, aggressor_rows_per_bank=2
     )
-    legacy = run_legacy(attack, "comet", nrh=125, dram_config=dram_config)
+    by_hand = run_system([attack], "comet", nrh=125, dram_config=dram_config)
     record = session.run(
         ExperimentSpec(
             workload=WorkloadSpec(
@@ -111,17 +97,15 @@ def test_attack_with_params_matches_shim(session, dram_config):
             mitigation=MitigationSpec(name="comet", nrh=125),
         )
     )
-    assert_identical(legacy, record.result)
+    assert_identical(by_hand, record.result)
 
 
 def test_multichannel_matches_shim(session):
     """2-channel fabric: per-channel mitigation construction (incl. the
     seedable per-channel seeding) must agree between both paths."""
-    from repro.sim.runner import default_experiment_config
-
     dram_config = default_experiment_config(channels=2)
     trace = build_trace("mc_stream", num_requests=800, dram_config=dram_config)
-    legacy = run_legacy(trace, "para", nrh=NRH, dram_config=dram_config)
+    by_hand = run_system([trace], "para", nrh=NRH, dram_config=dram_config)
     record = session.run(
         ExperimentSpec(
             workload=WorkloadSpec(name="mc_stream", num_requests=800),
@@ -129,7 +113,7 @@ def test_multichannel_matches_shim(session):
             platform=PlatformSpec(channels=2),
         )
     )
-    assert_identical(legacy, record.result)
+    assert_identical(by_hand, record.result)
 
 
 def test_overrides_match_shim(session, dram_config):
@@ -137,8 +121,8 @@ def test_overrides_match_shim(session, dram_config):
 
     config = CoMeTConfig(nrh=NRH, num_hashes=2, rat_entries=64)
     trace = build_trace("502.gcc", num_requests=600, dram_config=dram_config)
-    legacy = run_legacy(
-        trace,
+    by_hand = run_system(
+        [trace],
         "comet",
         nrh=NRH,
         dram_config=dram_config,
@@ -152,4 +136,4 @@ def test_overrides_match_shim(session, dram_config):
             ),
         )
     )
-    assert_identical(legacy, record.result)
+    assert_identical(by_hand, record.result)

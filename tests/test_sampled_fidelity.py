@@ -13,7 +13,7 @@ Three guarantees, in decreasing order of strictness:
   configured tolerance of the full-fidelity run (the calibrated fast-forward
   pace is measured in the detailed windows, so this bounds how representative
   the windows are).
-* **Cache hygiene**: a sampled spec hashes and sweep-caches under a
+* **Cache hygiene**: a sampled spec hashes (and so caches) under a
   different key than its full-fidelity twin, while full-fidelity hashing is
   byte-identical to before the fidelity axis existed.
 """
@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiment.execute import execute_spec
 from repro.experiment.spec import ExperimentSpec, SampledConfig
-from repro.sim.sweep import spec_cache_key
 
 #: Relative IPC tolerance for sampled runs on the workloads below.  The
 #: calibrated pace tracks full fidelity to within a few percent (see
@@ -164,7 +163,6 @@ class TestCacheHygiene:
         full = _spec(BENIGN, "comet", 500)
         sampled = _spec(BENIGN, "comet", 500, fidelity="sampled")
         assert full.content_hash() != sampled.content_hash()
-        assert spec_cache_key(full) != spec_cache_key(sampled)
 
     def test_sampling_knobs_hash_differently(self):
         a = _spec(BENIGN, "comet", 500, fidelity="sampled")
@@ -172,7 +170,6 @@ class TestCacheHygiene:
             BENIGN, "comet", 500, fidelity="sampled", sampled={"interval": 4000}
         )
         assert a.content_hash() != b.content_hash()
-        assert spec_cache_key(a) != spec_cache_key(b)
 
     def test_full_fidelity_serialization_has_no_fidelity_keys(self):
         """Full-fidelity hashing is byte-identical to the pre-fidelity

@@ -153,7 +153,7 @@ class TestScalingVerdictPins:
     def report(self, tmp_path_factory):
         campaign = _mini_study()
         store_dir = tmp_path_factory.mktemp("scaling") / "store"
-        session = Session(max_workers=0, store=store_dir, use_cache=False)
+        session = Session(max_workers=0, store=store_dir)
 
         # Phase 1: stop mid-flight after two cells (the kill).
         partial = session.campaign(campaign, budget=2)
@@ -216,7 +216,7 @@ class TestFullScalingStudy:
     def report(self, tmp_path_factory):
         campaign = scaling_campaign()
         store_dir = tmp_path_factory.mktemp("scaling-full") / "store"
-        session = Session(max_workers=0, store=store_dir, use_cache=False)
+        session = Session(max_workers=0, store=store_dir)
         status = session.campaign(campaign)
         assert status.finished
         return scaling_report(session.store, campaign)

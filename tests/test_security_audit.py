@@ -147,7 +147,7 @@ class TestCampaignExecution:
     def test_session_audit_round_trip_with_cache(self, tmp_path):
         """Session.audit: report, then a second run served from the cache,
         bit-identical."""
-        session = Session(max_workers=0, cache_dir=tmp_path / "cache")
+        session = Session(max_workers=0, store=tmp_path / "store")
         kwargs = dict(
             mitigations=["comet"],
             patterns=["synth_uniform", "synth_sketch_aliasing"],
@@ -176,7 +176,7 @@ class TestCampaignExecution:
             num_requests=600,
             platform=TINY,
             policies=[None, ControllerPolicySpec(scheduler="fcfs")],
-            session=Session(max_workers=0, use_cache=False),
+            session=Session(max_workers=0, store=None),
         )
         assert len(report.findings) == 2
         assert {f.policy for f in report.findings} == {
@@ -210,10 +210,10 @@ class TestCampaignExecution:
             seed=3,
         )
         inline = run_audit(
-            session=Session(max_workers=1, use_cache=False), **kwargs
+            session=Session(max_workers=1, store=None), **kwargs
         )
         fanned = run_audit(
-            session=Session(max_workers=4, use_cache=False), **kwargs
+            session=Session(max_workers=4, store=None), **kwargs
         )
         assert inline.to_dict() == fanned.to_dict()
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro.dram.address import AddressMapper
 from repro.experiment.registry import registered_workload_names, workload_entry
-from repro.experiment.spec import WorkloadSpec
+from repro.experiment.spec import WorkloadSpec, default_experiment_config
 from repro.security.synth import (
     comet_counter_groups,
     find_aliasing_decoys,
@@ -29,7 +29,6 @@ from repro.security.synth import (
     synth_sketch_aliasing,
     synth_uniform,
 )
-from repro.sim.runner import default_experiment_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "synth"
 GOLDEN_REQUESTS = 240

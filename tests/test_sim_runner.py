@@ -1,8 +1,11 @@
-"""Tests for the experiment-runner helpers."""
+"""Tests for building mitigations by registry name and the scaled experiment
+DRAM configuration every entry point runs on."""
 
 import pytest
 
 from repro.core.comet import CoMeT
+from repro.experiment.registry import mitigation_entry, mitigation_names
+from repro.experiment.spec import default_experiment_config
 from repro.mitigations.base import RowHammerMitigation
 from repro.mitigations.blockhammer import BlockHammer
 from repro.mitigations.graphene import Graphene
@@ -10,16 +13,11 @@ from repro.mitigations.hydra import Hydra
 from repro.mitigations.none import NoMitigation
 from repro.mitigations.para import PARA
 from repro.mitigations.rega import REGA
-from repro.sim.runner import (
-    MITIGATION_FACTORIES,
-    build_mitigation,
-    default_experiment_config,
-)
 
 
 class TestMitigationFactories:
     def test_all_paper_mechanisms_present(self):
-        assert set(MITIGATION_FACTORIES) == {
+        assert set(mitigation_names()) == {
             "none",
             "comet",
             "graphene",
@@ -43,26 +41,26 @@ class TestMitigationFactories:
         ],
     )
     def test_factory_builds_right_type(self, name, cls):
-        mitigation = build_mitigation(name, nrh=500)
+        mitigation = mitigation_entry(name).build(500)
         assert isinstance(mitigation, cls)
         assert isinstance(mitigation, RowHammerMitigation)
 
     def test_threshold_propagated(self):
-        assert build_mitigation("comet", nrh=250).nrh == 250
-        assert build_mitigation("graphene", nrh=125).nrh == 125
+        assert mitigation_entry("comet").build(250).nrh == 250
+        assert mitigation_entry("graphene").build(125).nrh == 125
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown mitigation"):
-            build_mitigation("trr", nrh=1000)
+            mitigation_entry("trr").build(1000)
 
     def test_overrides_forwarded(self):
         from repro.core.config import CoMeTConfig
 
-        comet = build_mitigation("comet", nrh=1000, config=CoMeTConfig(nrh=1000, num_hashes=2))
+        comet = mitigation_entry("comet").build(1000, config=CoMeTConfig(nrh=1000, num_hashes=2))
         assert comet.config.num_hashes == 2
 
     def test_none_ignores_overrides(self):
-        assert isinstance(build_mitigation("none", nrh=1000, blast_radius=2), NoMitigation)
+        assert isinstance(mitigation_entry("none").build(1000, blast_radius=2), NoMitigation)
 
 
 class TestDefaultExperimentConfig:

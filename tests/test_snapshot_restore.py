@@ -25,12 +25,11 @@ from hypothesis import given, settings, strategies as st
 from repro.dram.address import AddressMapper, DRAMAddress
 from repro.dram.config import small_test_config
 from repro.dram.dram_system import DRAMSystem
-from repro.experiment import mitigation_names
+from repro.experiment import mitigation_entry, mitigation_names
 from repro.sim.engine import EventKernel
-from repro.sim.runner import build_mitigation, default_experiment_config
 from repro.sim.sampled import _run_detailed
 from repro.experiment.execute import build_workload_traces
-from repro.experiment.spec import WorkloadSpec
+from repro.experiment.spec import WorkloadSpec, default_experiment_config
 from repro.sim.system import System, SystemConfig
 
 MITIGATIONS = mitigation_names()
@@ -73,7 +72,7 @@ def _attached(name: str):
     # PARA refuses a derived p at nrh=16 (supercritical preventive
     # cascade); an explicit probability keeps it in the round-trip suite.
     kwargs = {"probability": 0.3} if name == "para" else {}
-    mitigation = build_mitigation(name, nrh=16, **kwargs)
+    mitigation = mitigation_entry(name).build(16, **kwargs)
     mitigation.attach(_StubController())
     return mitigation
 
@@ -161,7 +160,7 @@ def trace(dram_config):
 def _build_system(trace, dram_config, name: str) -> System:
     return System(
         [trace],
-        mitigation=build_mitigation(name, nrh=250),
+        mitigation=mitigation_entry(name).build(250),
         config=SystemConfig(dram=dram_config, nrh_for_verification=250),
     )
 
@@ -262,7 +261,7 @@ class TestRFMPolicyPauseResume:
         def build() -> System:
             return System(
                 [trace],
-                mitigation=build_mitigation("none", nrh=250),
+                mitigation=mitigation_entry("none").build(250),
                 config=SystemConfig(
                     dram=dram_config, policy=policy, nrh_for_verification=250
                 ),

@@ -14,12 +14,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.sim.runner import (
-    MITIGATION_REGISTRY,
-    default_experiment_config,
-    run_multi_core,
-    run_single_core,
-)
+from repro.experiment.execute import run_system
+from repro.experiment.registry import mitigation_names
+from repro.experiment.spec import default_experiment_config
 from repro.workloads.attacks import traditional_rowhammer_attack
 from repro.workloads.suite import build_multicore_traces, build_trace
 
@@ -59,17 +56,17 @@ def generate() -> dict:
     )
 
     golden: dict = {}
-    for name in sorted(MITIGATION_REGISTRY):
-        result = run_single_core(
-            benign, name, nrh=250, dram_config=dram_config,
+    for name in mitigation_names():
+        result = run_system(
+            [benign], name, nrh=250, dram_config=dram_config,
             verify_security=name != "none",
         )
         golden[f"benign/{name}"] = result_fingerprint(result)
     golden["attack/comet"] = result_fingerprint(
-        run_single_core(attack, "comet", nrh=125, dram_config=dram_config)
+        run_system([attack], "comet", nrh=125, dram_config=dram_config)
     )
     golden["multicore/comet"] = result_fingerprint(
-        run_multi_core(mix, "comet", nrh=250, dram_config=dram_config, name="mix")
+        run_system(mix, "comet", nrh=250, dram_config=dram_config, name="mix")
     )
     return golden
 

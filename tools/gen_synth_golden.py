@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.experiment.spec import WorkloadSpec
+from repro.experiment.spec import WorkloadSpec, default_experiment_config
 from repro.security.synth import synth_pattern_names
-from repro.sim.runner import default_experiment_config
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden" / "synth"
 
