@@ -1394,6 +1394,7 @@ class MemoryController:
             data_bus_free=dram._data_bus_free,
             deliver_activation=dram.deliver_activation,
             notify_row_refresh=dram.notify_row_refresh,
+            command_observers=dram._command_observers,
             on_act_hook=(
                 row_policy.on_act
                 if type(row_policy).on_act is not RowPolicy.on_act
@@ -1435,6 +1436,9 @@ class MemoryController:
                 result = dram.issue(command, issue_cycle, validated=True)
                 self._post_issue(command, request, issue_cycle, result)
                 return issue_cycle
+            if command_observers:
+                for observer in command_observers:
+                    observer(issue_cycle, command)
             channel = command.channel
             rank_id = command.rank
             bankgroup = command.bankgroup

@@ -30,6 +30,7 @@ from repro.dram.config import DRAMConfig
 ActivationObserver = Callable[[int, DRAMAddress, bool], None]
 RefreshObserver = Callable[[int, Tuple[int, int], int, int], None]
 RowRefreshObserver = Callable[[int, DRAMAddress], None]
+CommandObserver = Callable[[int, Command], None]
 
 #: Batched activation observers receive SoA columns of buffered ACT events:
 #: ``observer(cycles, addresses, flags)`` with three equal-length sequences.
@@ -348,6 +349,9 @@ class DRAMSystem:
         self._batch_cycles: List[int] = []
         self._batch_addresses: List[DRAMAddress] = []
         self._batch_flags: List[bool] = []
+        #: Called with every issued command; the controller's fused issue
+        #: binds this list at build time, so it is only ever appended to.
+        self._command_observers: List[CommandObserver] = []
         # Latch the fastpath switch: controllers constructed under the fast
         # path pre-validate their scheduling decisions and ask issue() to
         # skip the redundant earliest-cycle recheck.
@@ -364,6 +368,17 @@ class DRAMSystem:
     def add_refresh_observer(self, observer: RefreshObserver) -> None:
         """Observer called as ``observer(cycle, (channel, rank), start_row, count)`` on each REF."""
         self._refresh_observers.append(observer)
+
+    def add_command_observer(self, observer: CommandObserver) -> None:
+        """Observer called as ``observer(cycle, Command)`` for every issued command.
+
+        Fired once per command, in issue order, before the command is
+        applied — from :meth:`issue` and from the memory controller's fused
+        issue path alike.  For checkers and recorders of the command stream
+        (the test suite's JEDEC timing oracle); an observer must not feed
+        back into the device or the controller.
+        """
+        self._command_observers.append(observer)
 
     def add_row_refresh_observer(self, observer: RowRefreshObserver) -> None:
         """Observer called as ``observer(cycle, DRAMAddress)`` whenever a single row is refreshed.
@@ -512,6 +527,9 @@ class DRAMSystem:
                     f"{command.describe()} issued at cycle {cycle}, "
                     f"earliest legal cycle is {earliest}"
                 )
+        if self._command_observers:
+            for observer in self._command_observers:
+                observer(cycle, command)
         self.current_cycle = max(self.current_cycle, cycle)
         rank = self.ranks[(command.channel, command.rank)]
         self._command_bus_free[command.channel] = cycle + 1

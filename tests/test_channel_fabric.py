@@ -4,7 +4,8 @@ Covers the refactor's three contracts:
 
 * **Golden equivalence** — a 1-channel fabric reproduces the pre-fabric
   monolithic controller bit-for-bit across the whole mitigation registry
-  (``tests/golden/channels1.json``, regenerated by ``tools/gen_golden.py``).
+  (``tests/golden/channels1.json``, regenerated by ``tools/gen_golden.py``),
+  down to the hash of the whole DRAM command stream.
 * **Address mapping** — encode/decode round-trips at 2 and 4 channels, and
   non-power-of-two geometries are rejected before they can alias.
 * **Isolation** — an attack confined to channel 0 never perturbs channel 1's
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_commands import checked_runs
 from repro.controller.fabric import ChannelFabric
 from repro.dram.address import AddressMapper, DRAMAddress
 from repro.dram.config import small_test_config
@@ -60,6 +62,13 @@ def _fingerprint(result) -> dict:
     }
 
 
+def assert_matches_golden(result, run, entry):
+    """Every fingerprint field and the command-stream hash of one run."""
+    expected = {k: v for k, v in entry.items() if k not in ("command_stream", "spec")}
+    assert _fingerprint(result) == expected
+    assert run.hexdigest() == entry["command_stream"]
+
+
 class TestGoldenEquivalence:
     """channels=1 must be bit-identical to the pre-fabric monolithic code."""
 
@@ -77,28 +86,31 @@ class TestGoldenEquivalence:
 
     @pytest.mark.parametrize("mitigation", mitigation_names())
     def test_benign_run_matches_golden(self, golden, dram_config, benign_trace, mitigation):
-        result = run_system(
-            [benign_trace],
-            mitigation,
-            nrh=250,
-            dram_config=dram_config,
-            verify_security=mitigation != "none",
-        )
-        assert _fingerprint(result) == golden[f"benign/{mitigation}"]
+        with checked_runs() as runs:
+            result = run_system(
+                [benign_trace],
+                mitigation,
+                nrh=250,
+                dram_config=dram_config,
+                verify_security=mitigation != "none",
+            )
+        assert_matches_golden(result, runs[0], golden[f"benign/{mitigation}"])
 
     def test_attack_run_matches_golden(self, golden, dram_config):
         attack = traditional_rowhammer_attack(
             num_requests=3000, dram_config=dram_config, aggressor_rows_per_bank=2
         )
-        result = run_system([attack], "comet", nrh=125, dram_config=dram_config)
-        assert _fingerprint(result) == golden["attack/comet"]
+        with checked_runs() as runs:
+            result = run_system([attack], "comet", nrh=125, dram_config=dram_config)
+        assert_matches_golden(result, runs[0], golden["attack/comet"])
 
     def test_multicore_run_matches_golden(self, golden, dram_config):
         mix = build_multicore_traces(
             "429.mcf", num_cores=2, num_requests=1200, dram_config=dram_config
         )
-        result = run_system(mix, "comet", nrh=250, dram_config=dram_config, name="mix")
-        assert _fingerprint(result) == golden["multicore/comet"]
+        with checked_runs() as runs:
+            result = run_system(mix, "comet", nrh=250, dram_config=dram_config, name="mix")
+        assert_matches_golden(result, runs[0], golden["multicore/comet"])
 
 
 class TestAddressMappingMultiChannel:

@@ -22,9 +22,13 @@ Two levels pin that claim:
   request, and BLISS' blacklist state.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from oracle_commands import checked_runs
 from repro import fastpath
 from repro.controller.controller import ControllerConfig, MemoryController
 from repro.controller.policies import ControllerPolicySpec, scheduler_names
@@ -98,14 +102,21 @@ SPECS = {
 }
 
 
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "channels1.json").read_text())
+
+
 @pytest.mark.parametrize("label", sorted(SPECS))
 def test_fast_path_is_bit_identical(label):
     spec = SPECS[label]
-    with fastpath.forced(False):
-        legacy = execute_spec(spec)
-    with fastpath.forced(True):
-        fast = execute_spec(spec)
+    with checked_runs() as runs:
+        with fastpath.forced(False):
+            legacy = execute_spec(spec)
+        with fastpath.forced(True):
+            fast = execute_spec(spec)
     assert fast.__dict__ == legacy.__dict__
+    golden = GOLDEN[f"spec/{label}"]
+    assert ExperimentSpec.from_dict(golden["spec"]) == spec
+    assert [run.hexdigest() for run in runs] == [golden["command_stream"]] * 2
 
 
 def test_forced_restores_the_switch():
