@@ -1082,16 +1082,16 @@ class MemoryController:
                             )
                             if ready > issue:
                                 issue = ready
-                            if rank.last_col_was_write and not is_write:
-                                ready = rank.last_col_data_end + (
-                                    tWTR_L
-                                    if bankgroup == rank.last_col_bankgroup
-                                    else tWTR_S
-                                )
+                            if is_write:
+                                if not rank.last_col_was_write:
+                                    ready = rank.last_col_cycle + tRTW
+                                    if ready > issue:
+                                        issue = ready
+                            else:
+                                ready = rank.write_end + tWTR_S
                                 if ready > issue:
                                     issue = ready
-                            if not rank.last_col_was_write and is_write:
-                                ready = rank.last_col_cycle + tRTW
+                                ready = rank.bankgroup_write_end[bankgroup] + tWTR_L
                                 if ready > issue:
                                     issue = ready
                         data_latency = tCWL if is_write else tCL

@@ -129,7 +129,12 @@ class Rank:
         self.last_col_cycle = -(10**9)
         self.last_col_bankgroup: Optional[int] = None
         self.last_col_was_write = False
-        self.last_col_data_end = -(10**9)
+        #: End of the latest write burst in the rank, and per bank group:
+        #: a read waits tWTR_S after every write and tWTR_L after every
+        #: write to its own bank group, not only after the last column
+        #: command.
+        self.write_end = -(10**9)
+        self.bankgroup_write_end: List[int] = [-(10**9)] * org.bankgroups_per_rank
         # Refresh state.
         self.blocked_until = 0
         self.refresh_row_pointer = 0
@@ -169,15 +174,15 @@ class Rank:
                 else timing.tCCD_S
             )
             earliest = max(earliest, self.last_col_cycle + ccd)
-            if self.last_col_was_write and not is_write:
-                wtr = (
-                    timing.tWTR_L
-                    if bankgroup == self.last_col_bankgroup
-                    else timing.tWTR_S
+            if is_write:
+                if not self.last_col_was_write:
+                    earliest = max(earliest, self.last_col_cycle + timing.tRTW)
+            else:
+                earliest = max(
+                    earliest,
+                    self.write_end + timing.tWTR_S,
+                    self.bankgroup_write_end[bankgroup] + timing.tWTR_L,
                 )
-                earliest = max(earliest, self.last_col_data_end + wtr)
-            if not self.last_col_was_write and is_write:
-                earliest = max(earliest, self.last_col_cycle + timing.tRTW)
         return earliest
 
     def earliest_refresh(self, cycle: int) -> int:
@@ -220,7 +225,9 @@ class Rank:
         self.last_col_cycle = cycle
         self.last_col_bankgroup = bankgroup
         self.last_col_was_write = is_write
-        self.last_col_data_end = data_end
+        if is_write:
+            self.write_end = data_end
+            self.bankgroup_write_end[bankgroup] = data_end
         return data_end
 
     # ------------------------------------------------------------------ #
@@ -235,7 +242,8 @@ class Rank:
             "last_col_cycle": self.last_col_cycle,
             "last_col_bankgroup": self.last_col_bankgroup,
             "last_col_was_write": self.last_col_was_write,
-            "last_col_data_end": self.last_col_data_end,
+            "write_end": self.write_end,
+            "bankgroup_write_end": list(self.bankgroup_write_end),
             "blocked_until": self.blocked_until,
             "refresh_row_pointer": self.refresh_row_pointer,
             "banks": {key: bank.snapshot() for key, bank in self.banks.items()},
@@ -250,7 +258,8 @@ class Rank:
         self.last_col_cycle = state["last_col_cycle"]
         self.last_col_bankgroup = state["last_col_bankgroup"]
         self.last_col_was_write = state["last_col_was_write"]
-        self.last_col_data_end = state["last_col_data_end"]
+        self.write_end = state["write_end"]
+        self.bankgroup_write_end[:] = state["bankgroup_write_end"]
         self.blocked_until = state["blocked_until"]
         self.refresh_row_pointer = state["refresh_row_pointer"]
         for key, bank_state in state["banks"].items():

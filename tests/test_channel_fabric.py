@@ -63,7 +63,9 @@ def _fingerprint(result) -> dict:
 
 
 def assert_matches_golden(result, run, entry):
-    """Every fingerprint field and the command-stream hash of one run."""
+    """Every fingerprint field and the command-stream hash of one run, whose
+    command stream must also pass the JEDEC oracle."""
+    run.assert_clean()
     expected = {k: v for k, v in entry.items() if k not in ("command_stream", "spec")}
     assert _fingerprint(result) == expected
     assert run.hexdigest() == entry["command_stream"]

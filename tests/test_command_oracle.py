@@ -11,13 +11,32 @@ Two halves:
   ``tests/test_fastpath_identity.py``).
 """
 
+import itertools
 from dataclasses import replace
 
 import pytest
 
-from oracle_commands import CommandStreamChecker, CommandRecorder, command_line
+from oracle_commands import (
+    CommandRecorder,
+    CommandStreamChecker,
+    checked_runs,
+    command_line,
+)
+from repro.controller.policies import (
+    ControllerPolicySpec,
+    row_policy_names,
+    scheduler_names,
+)
 from repro.dram.commands import Command, CommandKind
 from repro.dram.config import small_test_config
+from repro.experiment.execute import execute_spec
+from repro.experiment.registry import mitigation_names
+from repro.experiment.spec import (
+    ExperimentSpec,
+    MitigationSpec,
+    PlatformSpec,
+    WorkloadSpec,
+)
 
 ACT, PRE, RD, WR, REF, RFM = (
     CommandKind.ACT,
@@ -222,3 +241,69 @@ def test_recorder_hash_covers_every_field():
     assert command_line(7, Command(PRE, metadata={"policy_close": True})) == (
         "7 PRE ch0 ra0 bg0 ba0 policy_close=True"
     )
+
+
+# --------------------------------------------------------------------------- #
+# The simulator under the oracle
+# --------------------------------------------------------------------------- #
+_MIX = ("429.mcf", "462.libquantum", "473.astar", "bfs_dblp")
+
+
+def _mix_spec(mitigation, channels=1, requests=80, **policy):
+    return ExperimentSpec(
+        workload=WorkloadSpec(
+            name="mix4",
+            mix=tuple(WorkloadSpec(name=m, num_requests=requests) for m in _MIX),
+        ),
+        mitigation=MitigationSpec(name=mitigation, nrh=125),
+        platform=PlatformSpec(
+            channels=channels, controller=ControllerPolicySpec(**policy)
+        ),
+        verify_security="streaming",
+    )
+
+
+def _run_checked(spec):
+    with checked_runs(keep=True) as runs:
+        execute_spec(spec)
+    assert len(runs) == 1
+    run = runs[0]
+    run.assert_clean()
+    return run
+
+
+@pytest.mark.parametrize("mitigation", mitigation_names())
+@pytest.mark.parametrize(
+    "scheduler, row_policy",
+    list(itertools.product(scheduler_names(), row_policy_names())),
+)
+def test_every_policy_pair_issues_a_legal_stream(mitigation, scheduler, row_policy):
+    run = _run_checked(
+        _mix_spec(mitigation, scheduler=scheduler, row_policy=row_policy)
+    )
+    assert run.recorder.count > 0
+
+
+@pytest.mark.parametrize(
+    "mitigation, refresh_policy, params",
+    [
+        ("comet", "fine_granularity", {"refresh_granularity": 4}),
+        ("para", "fine_granularity", {"refresh_granularity": 2}),
+        ("none", "rfm", {"raaimt": 8, "raammt": 16, "trfm": 120}),
+        ("prac", "rfm", {"raaimt": 8, "raammt": 16}),
+    ],
+)
+def test_refresh_policies_issue_a_legal_stream(mitigation, refresh_policy, params):
+    run = _run_checked(
+        _mix_spec(
+            mitigation,
+            channels=2,
+            requests=150,
+            refresh_policy=refresh_policy,
+            params=params,
+        )
+    )
+    # Each point exercises its policy's own command: the shortened REF
+    # interval of fine-granularity refresh, or bank-scoped RFMs.
+    expected = REF if refresh_policy == "fine_granularity" else RFM
+    assert any(command.kind is expected for _, command in run.recorder.records)

@@ -116,6 +116,8 @@ def test_fast_path_is_bit_identical(label):
     assert fast.__dict__ == legacy.__dict__
     golden = GOLDEN[f"spec/{label}"]
     assert ExperimentSpec.from_dict(golden["spec"]) == spec
+    for run in runs:
+        run.assert_clean()
     assert [run.hexdigest() for run in runs] == [golden["command_stream"]] * 2
 
 

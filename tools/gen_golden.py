@@ -163,6 +163,9 @@ def generate() -> dict:
             entry = _entry(execute_spec(spec), runs[-1])
             entry["spec"] = spec.to_dict()
             golden[f"spec/{label}"] = entry
+    # A golden must never pin an illegal command stream.
+    for run in runs:
+        run.assert_clean()
     return golden
 
 
