@@ -9,10 +9,12 @@ policy-driven controller instead maintains an incremental per-bank index
 retire) and the FR-FCFS policy stops scanning a bank the moment its answer
 is determined, so a selection on a deep queue touches only bank heads.
 
-This harness pits the shipped ``_demand_command`` against a faithful inline
-replica of the pre-refactor algorithm (`_legacy_demand_command`, the old
-``_demand_command``/``_bank_candidate`` pair) on identical controller
-state, across queue depths.  Shallow queues must not regress badly; the
+This harness pits the shipped select (``MemoryController.next_decision``,
+the fused select every run executes) against a faithful inline replica of
+the pre-refactor algorithm (`_legacy_demand_command`, the old
+rebucket-and-sort demand selection) on identical controller
+state, across queue depths.  Refresh is disabled, so every selection is a
+demand decision like the replica's.  Shallow queues must not regress badly; the
 deep multi-core-style queues the attack/figure workloads produce must win.
 Results land in ``benchmarks/results/BENCH_controller.json`` — the artifact
 the CI micro-benchmark job uploads, so the perf trajectory of the hot path
@@ -21,6 +23,7 @@ is recorded per commit.
 
 import json
 import timeit
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from _bench_utils import RESULTS_DIR
@@ -45,12 +48,15 @@ SCENARIOS = [
 
 def _populated_controller(num_reads: int, num_writes: int) -> MemoryController:
     """A controller with a deterministic mixed hit/conflict queue load."""
-    dram_config = small_test_config(
-        rows_per_bank=1024,
-        banks_per_bankgroup=2,
-        bankgroups_per_rank=2,
-        ranks_per_channel=2,
-        refresh_window_scale=1.0 / 1024.0,
+    dram_config = replace(
+        small_test_config(
+            rows_per_bank=1024,
+            banks_per_bankgroup=2,
+            bankgroups_per_rank=2,
+            ranks_per_channel=2,
+            refresh_window_scale=1.0 / 1024.0,
+        ),
+        refresh_enabled=False,
     )
     controller = MemoryController(dram_config)
     num_banks = dram_config.organization.total_banks
@@ -83,7 +89,7 @@ def _populated_controller(num_reads: int, num_writes: int) -> MemoryController:
 # --------------------------------------------------------------------------- #
 # The pre-refactor algorithm, verbatim (rebucket + sort per call)
 # --------------------------------------------------------------------------- #
-def _legacy_bank_candidate(
+def _legacy_bank_pick(
     controller: MemoryController,
     bank_key: Tuple[int, int, int, int],
     requests: List[MemoryRequest],
@@ -152,7 +158,7 @@ def _legacy_demand_command(controller: MemoryController, cycle: int):
 
     best = None
     for bank_key, requests in by_bank.items():
-        candidate = _legacy_bank_candidate(controller, bank_key, requests, cycle)
+        candidate = _legacy_bank_pick(controller, bank_key, requests, cycle)
         if candidate is None:
             continue
         issue_cycle, command, request = candidate
@@ -175,11 +181,11 @@ def test_micro_ready_queue_selection(benchmark):
         cycle = controller.current_cycle + 1
         # Same state, same answer: the refactor must agree with the legacy
         # algorithm before its timing means anything.
-        new = controller._demand_command(cycle)
+        new = controller.next_decision(cycle)
         old = _legacy_demand_command(controller, cycle)
         assert (new[0], new[1], new[2]) == (old[0], old[1], old[2])
 
-        incremental_s = _measure(lambda: controller._demand_command(cycle))
+        incremental_s = _measure(lambda: controller.next_decision(cycle))
         legacy_s = _measure(lambda: _legacy_demand_command(controller, cycle))
         speedup = legacy_s / incremental_s
         artifact["scenarios"][label] = {
@@ -189,7 +195,7 @@ def test_micro_ready_queue_selection(benchmark):
             "speedup_x": speedup,
         }
 
-    benchmark(_populated_controller(64, 0)._demand_command, 1)
+    benchmark(_populated_controller(64, 0).next_decision, 1)
 
     # JSON is the single artifact now (the old bench_controller.txt twin was
     # dropped): one machine-readable file per harness, uploaded by CI.

@@ -1,41 +1,21 @@
-"""End-to-end benchmark: the whole-run hot path, legacy vs fast, in-process.
+"""Whole-run benchmarks with a floor: sampled fidelity and the warm pool.
 
-The SoA bank-timing fast path (:mod:`repro.dram.bank`'s shared
-:class:`BankTimingTable` plus the controller's fused fast select
-scan) and the kernel's untouched-channel event skip
-(:meth:`repro.sim.engine.EventKernel._schedule_controller`) are both
-latched from :mod:`repro.fastpath` at component construction time.  That
-makes a same-process A/B possible: build and run the identical experiment
-once inside ``fastpath.forced(False)`` (every fast path off — the legacy
-per-event recompute) and once inside ``fastpath.forced(True)``, time the
-whole runs, and demand bit-identical :class:`SimulationResult` contents
-before the timings mean anything.
+Two scenarios, both written to ``benchmarks/results/BENCH_kernel.json``:
 
-Three whole-run scenarios cover the simulator's load profiles:
+* ``sampled_vs_full`` gates the sampled-fidelity executor
+  (:mod:`repro.sim.sampled`): a long benign run must be >= 3x faster in
+  sampled mode with IPC and max_disturbance inside the documented error
+  bounds.  (The floor was 5x before the fused select/issue closures cut
+  the *full* run's time — the ratio's denominator — nearly in half.)
+* ``campaign_warm_pool`` gates the shared warm worker pool
+  (:mod:`repro.sim.pool`): a burst of consecutive short sweeps through the
+  shared pool must never lose to the old per-run pool construction it
+  replaced (and wins ~1.2x on fork platforms; much more where workers are
+  spawned).
 
-* ``single_core_attack`` — the traditional RowHammer attack under CoMeT
-  with full violation-recording verification (the ``repro attack`` shape);
-* ``multicore_benign_4c2ch`` — a 4-core 429.mcf mix on a 2-channel fabric
-  (the figure-13 shape, and the headline gate: the fast path must win
-  >= 1.5x here);
-* ``audit_streaming`` — an adversarial synth pattern with the cheap
-  streaming verifier (the audit campaigns' shape).
-
-A fourth scenario, ``sampled_vs_full``, gates the sampled-fidelity executor
-(:mod:`repro.sim.sampled`): a long benign run must be >= 3x faster in
-sampled mode with IPC and max_disturbance inside the documented error
-bounds.  (The floor was 5x before the fused fast path cut the *full* run's
-time — the ratio's denominator — nearly in half.)
-
-A fifth scenario, ``campaign_warm_pool``, gates the shared warm worker
-pool (:mod:`repro.sim.pool`): a burst of consecutive short sweeps through
-the shared pool must never lose to the old per-run pool construction it
-replaced (and wins ~1.2x on fork platforms; much more where workers are
-spawned).
-
-Results land in ``benchmarks/results/BENCH_kernel.json``; the committed
-copy is the CI baseline (the micro-benchmark job re-measures and fails if
-the headline scenario regresses more than 20% against it).
+Whole-run wall time of the simulator itself is gated against the base
+commit by ``tools/bench_gate.py`` (perfbench's four workloads, alternating
+base/head pairs on the same runner).
 """
 
 import json
@@ -43,13 +23,11 @@ import time
 
 import pytest
 
-from _bench_utils import RESULTS_DIR, run_once
-from repro import fastpath
+from _bench_utils import RESULTS_DIR
 from repro.experiment.execute import execute_spec
 from repro.experiment.spec import (
     ExperimentSpec,
     MitigationSpec,
-    PlatformSpec,
     SampledConfig,
     WorkloadSpec,
 )
@@ -60,53 +38,12 @@ ARTIFACT = RESULTS_DIR / "BENCH_kernel.json"
 #: trace memo, so trace synthesis never lands in one mode's timing only.
 REPEATS = 2
 
-#: (label, spec, speedup floor).  The multi-core benign mix is the point of
-#: the fast path (~2x measured on an idle machine); the attack run must
-#: still win clearly.  The streaming-audit run has the least skippable idle
-#: time (one hammered channel, short decision distances), so its win has to
-#: come from per-event cost instead: the fused select
-#: (:meth:`~repro.controller.controller.MemoryController._build_fast_select`),
-#: the fused issue+bookkeeping closure (``_build_fast_issue``) and the
-#: kernel's inlined fast loop (``EventKernel._run_fast``) together measure
-#: ~1.6x on an idle machine, and its floor holds the headline >= 1.5x gate
-#: from the issue on exactly the audit-campaign shape.
-SCENARIOS = [
-    (
-        "single_core_attack",
-        ExperimentSpec(
-            workload=WorkloadSpec(name="attack_traditional", num_requests=6000),
-            mitigation=MitigationSpec(name="comet", nrh=125),
-            verify_security=True,
-        ),
-        1.1,
-    ),
-    (
-        "multicore_benign_4c2ch",
-        ExperimentSpec(
-            workload=WorkloadSpec(name="429.mcf", num_requests=1500, num_cores=4),
-            mitigation=MitigationSpec(name="comet", nrh=250),
-            platform=PlatformSpec(channels=2),
-            verify_security=True,
-        ),
-        1.5,
-    ),
-    (
-        "audit_streaming",
-        ExperimentSpec(
-            workload=WorkloadSpec(name="synth_blacksmith", num_requests=6000),
-            mitigation=MitigationSpec(name="comet", nrh=125),
-            verify_security="streaming",
-        ),
-        1.5,
-    ),
-]
-
 #: The sampled-fidelity gate: a long benign run must be at least this much
 #: faster in sampled mode than in full fidelity while staying within the
 #: error bounds below (the tolerances mirror tests/test_sampled_fidelity.py).
-#: Both modes run with the fast path on, so every detailed-path speedup
-#: *shrinks* this ratio (the fused select/issue work took the full run from
-#: ~5.9x to ~3.6x slower than sampled); the floor tracks the denominator.
+#: Every detailed-path speedup *shrinks* this ratio (the fused select/issue
+#: work took the full run from ~5.9x to ~3.6x slower than sampled); the
+#: floor tracks the denominator.
 SAMPLED_SPEEDUP_FLOOR = 3.0
 SAMPLED_IPC_TOLERANCE = 0.15
 SAMPLED_DISTURBANCE_TOLERANCE = 0.5
@@ -124,46 +61,14 @@ SAMPLED_SPEC = ExperimentSpec(
 )
 
 
-def _timed_run(spec, fast):
+def _timed_run(spec):
     """Best-of-REPEATS wall time of one whole run; returns (seconds, result)."""
     best, result = float("inf"), None
     for _ in range(REPEATS):
-        with fastpath.forced(fast):
-            start = time.perf_counter()
-            result = execute_spec(spec)
-            best = min(best, time.perf_counter() - start)
+        start = time.perf_counter()
+        result = execute_spec(spec)
+        best = min(best, time.perf_counter() - start)
     return best, result
-
-
-def test_e2e_kernel_speedup(benchmark):
-    artifact = {"repeats": REPEATS, "scenarios": {}}
-    floors = {}
-    for label, spec, floor in SCENARIOS:
-        legacy_seconds, legacy = _timed_run(spec, fast=False)
-        fast_seconds, fast = _timed_run(spec, fast=True)
-        # Same experiment, same answer: the fast path is only a fast path if
-        # every field of the result — cycles, per-core IPC, DRAM and
-        # mitigation statistics, verifier verdict — is bit-identical.
-        assert fast.__dict__ == legacy.__dict__, f"{label}: fast path diverged"
-        speedup = legacy_seconds / fast_seconds
-        artifact["scenarios"][label] = {
-            "legacy_seconds": legacy_seconds,
-            "fast_seconds": fast_seconds,
-            "speedup_x": speedup,
-            "cycles": fast.cycles,
-            "steps": fast.steps,
-        }
-        floors[label] = (speedup, floor)
-
-    run_once(benchmark, lambda: execute_spec(SCENARIOS[0][1]))
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    ARTIFACT.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-
-    for label, (speedup, floor) in floors.items():
-        assert speedup > floor, (
-            f"{label}: whole-run speedup {speedup:.2f}x under the {floor}x floor"
-        )
 
 
 #: The warm-pool gate: a burst of short consecutive sweeps reusing the
@@ -249,10 +154,10 @@ def test_sampled_vs_full_speedup():
     beat the full-fidelity run by at least ``SAMPLED_SPEEDUP_FLOOR`` while
     IPC and max_disturbance stay within the documented error bounds and the
     security verdict is unchanged.  The measurement lands in the same
-    BENCH_kernel.json artifact as the fast-path scenarios.
+    BENCH_kernel.json artifact as the warm-pool scenario.
     """
-    full_seconds, full = _timed_run(SAMPLED_FULL_SPEC, fast=True)
-    sampled_seconds, sampled = _timed_run(SAMPLED_SPEC, fast=True)
+    full_seconds, full = _timed_run(SAMPLED_FULL_SPEC)
+    sampled_seconds, sampled = _timed_run(SAMPLED_SPEC)
     speedup = full_seconds / sampled_seconds
     ipc_error = abs(sampled.ipc - full.ipc) / full.ipc
 

@@ -42,7 +42,7 @@ def _component_of(filename: str) -> str:
         return "other"
     remainder = normalized[at + len(marker):]
     if "/" not in remainder:
-        return "repro"  # top-level modules: cli.py, fastpath.py
+        return "repro"  # top-level modules such as cli.py
     return remainder.split("/", 1)[0]
 
 

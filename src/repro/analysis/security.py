@@ -86,16 +86,16 @@ class SecurityVerifier:
         self._first_violation_cycle: Optional[int] = None
         self._max_disturbance = 0
         self.rows_per_bank = dram.config.organization.rows_per_bank
-        # Streaming audits on a fast-path DRAM system receive ACT events in
-        # batches at the model's drain points (refresh boundaries, snapshot,
-        # window end) instead of one callback per ACT; the verdict is
+        # Streaming audits receive ACT events in batches at the model's
+        # drain points (refresh boundaries, snapshot, window end) instead
+        # of one callback per ACT; the verdict is
         # bit-identical because event order is preserved and the model
         # drains the buffer before any refresh notification.  Every public
         # result accessor flushes first, so partial batches are never
         # visible.  Recording audits keep per-event delivery: the
         # violation list is cheap to reason about when it grows in lockstep
         # with the command stream.
-        self._batched = not record_violations and getattr(dram, "_fast", False)
+        self._batched = not record_violations
         if self._batched:
             dram.add_batch_activation_observer(self.observe_batch)
         else:

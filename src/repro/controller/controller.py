@@ -40,6 +40,19 @@ re-sorting the full queues on every call.  The default policy triple is
 bit-identical to the pre-policy controller — decision ties are broken by an
 explicit scan key that reproduces the old queue-scan order exactly — and is
 pinned by the golden traces under ``tests/golden/``.
+
+There is one hot path.  Selection and issue are two closures built once per
+controller with their invariant inputs pre-bound
+(:meth:`MemoryController._build_fast_select` and
+:meth:`MemoryController._build_fast_issue`); the event kernel calls them
+directly, and the public :meth:`~MemoryController.next_decision` /
+:meth:`~MemoryController.issue_decision` delegate to them.  The select
+computes every command's earliest legal cycle itself, so the fused issue
+applies decisions without asking the device model to re-check them.  What
+checks the timing instead is independent of this package: the test suite's
+JEDEC oracle (``tests/oracle_commands.py``) rebuilds the device state from
+the configuration and every issued command
+(:meth:`~repro.dram.dram_system.DRAMSystem.add_command_observer`).
 """
 
 from __future__ import annotations
@@ -49,7 +62,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import fastpath
 from repro.controller.policies import (
     NEVER,
     ControllerPolicySpec,
@@ -252,14 +264,6 @@ class MemoryController:
         #: cached decision (or cached "nothing to do") is still valid
         #: without re-running command selection.
         self.mutations = 0
-        #: The fused select/issue closures apply when the global fast-path
-        #: switch was on at construction time.  Decisions are then issued
-        #: with ``validated=True``: every path through _choose_command
-        #: computes the command's earliest legal cycle before deciding, and
-        #: the event kernel re-validates cached decisions (mutation counter
-        #: + decision_crosses_boundary), so the DRAM model's own recheck in
-        #: issue() is pure overhead.
-        self._fast = fastpath.enabled()
         #: Static proof that the row policy never emits close candidates
         #: (the default open-page case), letting the fast scan skip the
         #: close-candidate pass entirely.
@@ -325,21 +329,18 @@ class MemoryController:
         if self._refresh_policy_rfm:
             self.refresh_policy.attach(self)
         #: The fused command select with every construction-stable input
-        #: pre-bound (fast path only; the generic chain reads ``self``
-        #: directly).  Built last: it binds the queues, indexes, caches and
+        #: pre-bound.  Built last: it binds the queues, indexes, caches and
         #: the attached mitigation's hook resolutions.
-        self._fast_select = self._build_fast_select() if self._fast else None
-        #: The fused issue+bookkeeping path (fast path only): one closure
-        #: covering ``DRAMSystem.issue`` plus :meth:`_post_issue` for the
-        #: per-command kinds (ACT/PRE/RD/WR) with no-op policy hooks
-        #: resolved away.  Guarded against subclass/instance overrides of
-        #: the methods it inlines so specialized models keep the generic
-        #: path; pinned by the same identity tests as the fast select.
+        self._fast_select = self._build_fast_select()
+        #: The fused issue+bookkeeping path: one closure covering
+        #: ``DRAMSystem.issue`` plus :meth:`_post_issue` for the per-command
+        #: kinds (ACT/PRE/RD/WR) with no-op policy hooks resolved away.
+        #: Guarded against subclass/instance overrides of the methods it
+        #: inlines, so specialized models keep the plain pair.
         self._fast_issue_fn = (
             self._build_fast_issue()
             if (
-                self._fast
-                and type(self)._post_issue is MemoryController._post_issue
+                type(self)._post_issue is MemoryController._post_issue
                 and type(self.dram).issue is DRAMSystem.issue
                 and "issue" not in self.dram.__dict__
             )
@@ -468,7 +469,7 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     def next_issue_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle >= ``cycle`` at which some command can issue (None if idle)."""
-        decision = self._choose_command(cycle)
+        decision = self._fast_select(cycle)
         if decision is None:
             return None
         return decision[0]
@@ -484,7 +485,7 @@ class MemoryController:
         priorities shift (BLISS' clearing interval) — check
         :meth:`decision_crosses_boundary` before trusting it.
         """
-        return self._choose_command(cycle)
+        return self._fast_select(cycle)
 
     def issue_decision(
         self, decision: Tuple[int, Command, Optional[MemoryRequest]]
@@ -493,10 +494,12 @@ class MemoryController:
         fused = self._fast_issue_fn
         if fused is not None:
             return fused(decision)
+        # A subclass or instance override of what the fused issue inlines:
+        # the plain pair, with the device model re-checking the timing.
         issue_cycle, command, request = decision
         self.mutations += 1
         self.current_cycle = issue_cycle
-        result = self.dram.issue(command, issue_cycle, validated=self._fast)
+        result = self.dram.issue(command, issue_cycle)
         self._post_issue(command, request, issue_cycle, result)
         return issue_cycle
 
@@ -529,43 +532,12 @@ class MemoryController:
         Returns the cycle at which the command was issued, or None if the
         controller has nothing to do.
         """
-        decision = self._choose_command(cycle)
+        decision = self._fast_select(cycle)
         if decision is None:
             return None
         return self.issue_decision(decision)
 
-    def demand_act_cycle(
-        self, request: MemoryRequest, command: Command, cycle: int
-    ) -> int:
-        """Earliest legal cycle for a demand ACT, mitigation throttle applied."""
-        issue_cycle = self.dram.earliest_issue_cycle(command, cycle)
-        if self.mitigation is None:
-            return issue_cycle
-        allowed = self.mitigation.act_allowed_cycle(request.address, issue_cycle)
-        return max(issue_cycle, allowed)
-
     # -- command selection ------------------------------------------------
-    def _choose_command(
-        self, cycle: int
-    ) -> Optional[Tuple[int, Command, Optional[MemoryRequest]]]:
-        """Pick the highest-priority issuable command and its issue cycle."""
-        if self._fast:
-            # The fused fast select covers the whole priority chain
-            # (refresh > RFM > preventive > demand) with cheap pre-bound
-            # guards; same decisions, pinned by the identity tests.
-            return self._fast_select(cycle)
-        refresh_decision = self._refresh_command(cycle)
-        if refresh_decision is not None:
-            return refresh_decision
-        if self._refresh_policy_rfm:
-            rfm_decision = self._rfm_command(cycle)
-            if rfm_decision is not None:
-                return rfm_decision
-        preventive_decision = self._preventive_command(cycle)
-        if preventive_decision is not None:
-            return preventive_decision
-        return self._demand_command(cycle)
-
     def _refresh_command(
         self, cycle: int
     ) -> Optional[Tuple[int, Command, Optional[MemoryRequest]]]:
@@ -726,35 +698,24 @@ class MemoryController:
             is_preventive=True,
         )
 
-    def _demand_command(
-        self, cycle: int
-    ) -> Optional[Tuple[int, Command, Optional[MemoryRequest]]]:
-        if self._mitigation_blocks:
-            # Alert Back-Off (PRAC): the device asserted ALERT_n, so demand
-            # issue stalls until the alert window closes.  Refresh, RFM and
-            # preventive traffic — the commands that clear the alert — are
-            # selected before this point and are not held back.
-            blocked = self.mitigation.demand_blocked_until(cycle)
-            if blocked > cycle:
-                cycle = blocked
-        return self._generic_demand_command(cycle)
-
     def _build_fast_select(self):
-        """Build the fused fast command select with every invariant pre-bound.
+        """Build the command select with every invariant pre-bound.
 
-        One closure covers :meth:`_choose_command`'s whole priority chain.
-        The refresh, RFM and preventive stages run behind cheap guards that
-        replicate each helper's own "nothing to do" test (a due/owed rank, an
-        attached active refresh policy, a non-empty preventive queue) and
-        delegate to the existing helper the moment the guard trips — so the
-        rarely-taken stages stay one implementation.
+        One closure covers the whole priority chain: refresh > RFM >
+        preventive > demand.  The refresh, RFM and preventive stages run
+        behind cheap guards that replicate each helper's own "nothing to do"
+        test (a due/owed rank, an attached active refresh policy, a
+        non-empty preventive queue) and delegate to
+        :meth:`_refresh_command`, :meth:`_rfm_command` and
+        :meth:`_preventive_command` the moment the guard trips.
 
         The demand stage is one scan for every scheduler, against the
-        struct-of-arrays timing table.  It is semantically identical to
-        :meth:`_generic_demand_command` running the scheduler's
-        :meth:`~repro.controller.policies.SchedulingPolicy.bank_candidate` —
-        same bank iteration order, same candidate per bank, same ordering —
-        but it reads the shared :class:`~repro.dram.bank.BankTimingTable`
+        struct-of-arrays timing table.  Each bank with pending work yields
+        one candidate — ACT for a closed bank, else the scheduler's row hit
+        (column command) or conflict (PRE) — and candidates compete on
+        ``(issue, arrival, scan_key)``, where ``scan_key`` orders banks by
+        their earliest-enqueued pending request, reads before writes.  The
+        scan reads the shared :class:`~repro.dram.bank.BankTimingTable`
         arrays and rank scalars directly and builds a
         :class:`~repro.dram.commands.Command` for the winner only, instead
         of materializing one per candidate through ``Bank``/``Rank`` method
@@ -787,12 +748,11 @@ class MemoryController:
         for BLISS while its blacklist is empty — there is none, and the
         per-bank loop does no scheduler work beyond two ``None`` tests.
         Close candidates keep the scheduler's ``close_priority``.  The
-        scheduler's ``before_demand_scan`` hook (BLISS' clearing) runs
-        exactly where the generic path first reaches a bank: once, after
-        the Alert Back-Off shift, only when some bank has demand work.
-        Equivalence is pinned by ``tests/test_fastpath_identity.py`` (whole
-        runs per scheduler and a decision-by-decision property) and the
-        golden traces.
+        scheduler's ``before_demand_scan`` hook (BLISS' clearing) runs once,
+        after the Alert Back-Off shift, only when some bank has demand work.
+        ``tests/test_fastpath_identity.py`` checks every decision against a
+        brute-force ranker written from the policies' definitions, and the
+        golden traces pin whole runs down to their command streams.
 
         Selection runs once per scheduling decision, and on low-parallelism
         shapes (one pending bank) rebinding its ~30 invariant inputs from
@@ -1189,96 +1149,6 @@ class MemoryController:
 
         return select
 
-    def _generic_demand_command(
-        self, cycle: int
-    ) -> Optional[Tuple[int, Command, Optional[MemoryRequest]]]:
-        """The fastpath-off demand stage: one ``bank_candidate`` per bank.
-
-        The reference the fused scan in :meth:`_build_fast_select` is
-        tested against (``REPRO_FASTPATH=0`` runs it).
-        """
-        self._update_drain_mode()
-        reads_active = bool(self.read_queue)
-        writes_active = bool(self.write_queue) and (
-            self._draining_writes or not self.read_queue
-        )
-
-        best_order: Optional[tuple] = None
-        best_command: Optional[Command] = None
-        best_request: Optional[MemoryRequest] = None
-
-        if reads_active or writes_active:
-            bank_reads = self._bank_reads if reads_active else _NO_PENDING
-            bank_writes = self._bank_writes if writes_active else _NO_PENDING
-            bank_keys: List[Tuple[int, int, int, int]] = list(bank_reads)
-            if bank_writes:
-                bank_keys.extend(
-                    key for key in bank_writes if key not in bank_reads
-                )
-            dram_bank = self.dram.bank
-            bank_candidate = self.scheduler.bank_candidate
-            for bank_key in bank_keys:
-                reads = bank_reads.get(bank_key)
-                writes = bank_writes.get(bank_key)
-                # The scan key reproduces the old full-queue scan's bank
-                # order deterministically: reads before writes, then the
-                # bank's earliest-enqueued pending request (a bank with
-                # reads always keys on them — reads were scanned first).
-                if writes is None:
-                    pending = reads.requests
-                    scan_key = (0, reads.min_seq)
-                elif reads is None:
-                    pending = writes.requests
-                    scan_key = (1, writes.min_seq)
-                else:
-                    pending = self._merged_cache.get(bank_key)
-                    if pending is None:
-                        pending = _merge_pending(reads.requests, writes.requests)
-                        self._merged_cache[bank_key] = pending
-                    scan_key = (0, reads.min_seq)
-                candidate = bank_candidate(
-                    self, dram_bank(*bank_key), pending, cycle
-                )
-                if candidate is None:
-                    continue
-                issue_cycle, priority, command, request = candidate
-                order = (issue_cycle, *priority, scan_key)
-                if best_order is None or order < best_order:
-                    best_order = order
-                    best_command = command
-                    best_request = request
-
-        for bank_key, opened_cycle, not_before in self.row_policy.close_candidates(
-            self, cycle
-        ):
-            bank = self.dram.bank(*bank_key)
-            if bank.is_closed():
-                continue
-            command = Command(
-                CommandKind.PRE,
-                channel=bank_key[0],
-                rank=bank_key[1],
-                bankgroup=bank_key[2],
-                bank=bank_key[3],
-                metadata={"policy_close": True},
-            )
-            issue_cycle = self.dram.earliest_issue_cycle(
-                command, max(cycle, not_before)
-            )
-            order = (
-                issue_cycle,
-                *self.scheduler.close_priority(opened_cycle),
-                (2, *bank_key),
-            )
-            if best_order is None or order < best_order:
-                best_order = order
-                best_command = command
-                best_request = None
-
-        if best_order is None:
-            return None
-        return best_order[0], best_command, best_request
-
     def _update_drain_mode(self) -> None:
         if self._draining_writes:
             if len(self.write_queue) <= self.config.write_drain_low:
@@ -1363,7 +1233,7 @@ class MemoryController:
             callback()
 
     def _build_fast_issue(self):
-        """Build the fused issue path that pairs with the fast select.
+        """Build the fused issue path that pairs with the select.
 
         One closure replays ``DRAMSystem.issue`` + :meth:`_post_issue` for
         the per-bank command kinds (ACT/PRE/RD/WR) with every
@@ -1373,11 +1243,12 @@ class MemoryController:
         nothing; BLISS keeps its ``on_issue`` streak tracking), and the
         ACT-event :class:`DRAMAddress`
         memoized per row — hammering workloads re-activate the same rows by
-        construction.  REF and RFM are once-per-tREFI rare and take the
-        generic path unchanged.  Semantically this must stay a line-by-line
-        transliteration of the two methods it fuses; the whole-run identity
-        tests (``tests/test_fastpath_identity.py``) and the golden traces
-        pin that equivalence.
+        construction.  REF and RFM are once-per-tREFI rare and go through
+        the two methods unchanged.  Semantically this must stay a
+        line-by-line transliteration of the two methods it fuses (they
+        remain the issue path of subclasses that override either); the
+        decision-by-decision property in ``tests/test_fastpath_identity.py``
+        issues through both and compares the statistics.
         """
         dram = self.dram
         scheduler = self.scheduler
@@ -1432,7 +1303,7 @@ class MemoryController:
             kind = command.kind
             if kind is not ACT and kind is not PRE and kind is not RD and kind is not WR:
                 # REF / RFM: rank-scoped, rare, and full of policy plumbing
-                # — the generic path costs nothing at their rate.
+                # — the plain issue pair costs nothing at their rate.
                 result = dram.issue(command, issue_cycle, validated=True)
                 self._post_issue(command, request, issue_cycle, result)
                 return issue_cycle

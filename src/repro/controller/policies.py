@@ -63,19 +63,12 @@ from repro.dram.config import DRAMConfig
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.controller.controller import MemoryController
     from repro.controller.request import MemoryRequest
-    from repro.dram.bank import Bank
 
 #: "No event" cycle sentinel.  An ``int`` (not ``float("inf")``) so that
 #: comparing or ``max``-ing it against cycle counters can never silently
 #: promote integer cycle arithmetic to floats; any real cycle is far below
 #: it.  Test for it with ``cycle >= NEVER``.
 NEVER: int = 2**63
-
-#: A scheduling decision for one bank: ``(issue_cycle, priority, command,
-#: request)``.  ``priority`` is a scheduler-defined tuple compared after the
-#: issue cycle (and before the controller's deterministic scan tie-break);
-#: every candidate of one scheduler instance must use the same tuple shape.
-BankCandidate = Tuple[int, tuple, Command, "MemoryRequest"]
 
 
 # --------------------------------------------------------------------------- #
@@ -185,18 +178,22 @@ class SchedulingPolicy:
     The controller keeps an incremental per-bank index of pending requests
     (sorted by arrival) and ranks one candidate per bank; the bank
     candidates then compete on ``(issue_cycle, *priority, scan_key)`` where
-    ``scan_key`` is the controller's deterministic tie-break.  Policies may
-    keep internal state (BLISS' blacklist) — every controller owns its own
-    policy instances.
+    ``priority`` is ``(arrival,)``, or ``(demoted, arrival)`` for a demoting
+    policy, and ``scan_key`` is the controller's deterministic tie-break.
+    Policies may keep internal state (BLISS' blacklist) — every controller
+    owns its own policy instances.
 
     A policy is expressed to the controller's struct-of-arrays demand scan
     (:meth:`~repro.controller.controller.MemoryController._build_fast_select`)
     by two facts — :attr:`HITS_FIRST` and :attr:`demoted_cores` — plus the
-    :meth:`before_demand_scan` hook.  :meth:`bank_candidate` states the same
-    semantics per bank; it is the reference the controller runs with the
-    fast path off (``REPRO_FASTPATH=0``), and the two must agree
-    (``tests/test_fastpath_identity.py`` holds a whole-run point per
-    registered scheduler).
+    :meth:`before_demand_scan` hook.  The per-bank rule they encode: a
+    closed bank serves its first request (ACT); an open bank serves its
+    first row hit (column command) unless the column cap is reached with a
+    conflict waiting, else its first conflict (PRE); "first" is in
+    ``(demoted, arrival, request_id)`` order.
+    ``tests/test_fastpath_identity.py`` restates that rule as a brute-force
+    ranker and checks the scan against it decision by decision, and the
+    golden file holds a whole-run point per registered scheduler.
     """
 
     name = "base"
@@ -214,21 +211,6 @@ class SchedulingPolicy:
     #: tuple is ``(demoted, arrival)``, a non-demoting one's ``(arrival,)``.
     demoted_cores: Optional[set] = None
 
-    def bank_candidate(
-        self,
-        controller: "MemoryController",
-        bank: "Bank",
-        pending: Sequence["MemoryRequest"],
-        cycle: int,
-    ) -> Optional[BankCandidate]:
-        """Best command for one bank (the fast-path-off reference).
-
-        ``pending`` is the bank's non-empty pending-request list in
-        (arrival, request-id) order — the controller's live per-bank index,
-        so policies must not mutate it.
-        """
-        raise NotImplementedError
-
     def before_demand_scan(self, cycle: int) -> None:
         """Called once per demand selection that reaches a bank, before any
         candidate is ranked (BLISS clears its blacklist here when due)."""
@@ -236,8 +218,8 @@ class SchedulingPolicy:
     def close_priority(self, opened_cycle: int) -> tuple:
         """Priority tuple for a row-policy close (PRE) candidate.
 
-        Must have the same shape as the tuples :meth:`bank_candidate`
-        returns so close candidates compare against demand candidates.
+        Must have the same shape as the policy's demand priority tuples so
+        close candidates compare against demand candidates.
         """
         return (opened_cycle,)
 
@@ -336,44 +318,6 @@ class RefreshPolicy:
 
 
 # --------------------------------------------------------------------------- #
-# Command construction helpers
-# --------------------------------------------------------------------------- #
-def _act_command(request: "MemoryRequest") -> Command:
-    address = request.address
-    return Command(
-        CommandKind.ACT,
-        channel=address.channel,
-        rank=address.rank,
-        bankgroup=address.bankgroup,
-        bank=address.bank,
-        row=address.row,
-    )
-
-
-def _pre_command(request: "MemoryRequest") -> Command:
-    address = request.address
-    return Command(
-        CommandKind.PRE,
-        channel=address.channel,
-        rank=address.rank,
-        bankgroup=address.bankgroup,
-        bank=address.bank,
-    )
-
-
-def _column_command(request: "MemoryRequest") -> Command:
-    address = request.address
-    return Command(
-        CommandKind.WR if request.is_write else CommandKind.RD,
-        channel=address.channel,
-        rank=address.rank,
-        bankgroup=address.bankgroup,
-        bank=address.bank,
-        column=address.column,
-    )
-
-
-# --------------------------------------------------------------------------- #
 # Scheduling policies
 # --------------------------------------------------------------------------- #
 @register_scheduler(
@@ -384,50 +328,11 @@ def _column_command(request: "MemoryRequest") -> Command:
 class FRFCFSScheduler(SchedulingPolicy):
     """FR-FCFS with the column-cap starvation guard (the default).
 
-    :meth:`bank_candidate` is the fast-path-off reference: closed bank →
-    ACT for the oldest request (mitigation throttle applied), open bank →
-    first hit unless the column cap forces the oldest conflict's PRE.  The
-    controller's struct-of-arrays demand scan implements the same rule
-    against the shared bank-timing table, so the two must change in
-    lockstep (``tests/test_fastpath_identity.py`` and the golden traces pin
-    the equivalence).
+    Closed bank → ACT for the oldest request (mitigation throttle applied),
+    open bank → oldest hit unless the column cap forces the oldest
+    conflict's PRE.  The base-class facts (``HITS_FIRST``, no demotion)
+    express exactly this to the controller's demand scan.
     """
-
-    def bank_candidate(self, controller, bank, pending, cycle):
-        if bank.is_closed():
-            # Oldest request wins; it needs an ACT first.
-            request = pending[0]
-            command = _act_command(request)
-            issue_cycle = controller.demand_act_cycle(request, command, cycle)
-            return issue_cycle, (request.arrival_cycle,), command, request
-
-        open_row = bank.open_row
-        cap_reached = bank.open_row_column_accesses >= controller.config.column_cap
-        first_hit: Optional["MemoryRequest"] = None
-        first_conflict: Optional["MemoryRequest"] = None
-        for request in pending:
-            if request.address.row == open_row:
-                if first_hit is None:
-                    first_hit = request
-                    # Conflict existence only matters once the cap is
-                    # reached; stop scanning the moment the answer is known.
-                    if not cap_reached or first_conflict is not None:
-                        break
-            elif first_conflict is None:
-                first_conflict = request
-                if first_hit is not None:
-                    break
-        if first_hit is not None and not (cap_reached and first_conflict is not None):
-            command = _column_command(first_hit)
-            issue_cycle = controller.dram.earliest_issue_cycle(command, cycle)
-            return issue_cycle, (first_hit.arrival_cycle,), command, first_hit
-        if first_conflict is None:
-            return None
-        # Row conflict (or column cap reached): precharge on behalf of the
-        # oldest conflicting request.
-        command = _pre_command(first_conflict)
-        issue_cycle = controller.dram.earliest_issue_cycle(command, cycle)
-        return issue_cycle, (first_conflict.arrival_cycle,), command, first_conflict
 
 
 @register_scheduler(
@@ -438,25 +343,11 @@ class FRFCFSScheduler(SchedulingPolicy):
 class FCFSScheduler(SchedulingPolicy):
     """First-come first-served: the oldest request per bank always wins.
 
-    To the fused demand scan this is ``HITS_FIRST = False``: the scan looks
+    To the controller's demand scan this is ``HITS_FIRST = False``: the scan looks
     at each bank's oldest request alone.
     """
 
     HITS_FIRST = False
-
-    def bank_candidate(self, controller, bank, pending, cycle):
-        request = pending[0]
-        priority = (request.arrival_cycle,)
-        if bank.is_closed():
-            command = _act_command(request)
-            issue_cycle = controller.demand_act_cycle(request, command, cycle)
-        elif request.address.row == bank.open_row:
-            command = _column_command(request)
-            issue_cycle = controller.dram.earliest_issue_cycle(command, cycle)
-        else:
-            command = _pre_command(request)
-            issue_cycle = controller.dram.earliest_issue_cycle(command, cycle)
-        return issue_cycle, priority, command, request
 
 
 @register_scheduler(
@@ -473,9 +364,8 @@ class BLISSScheduler(SchedulingPolicy):
     ties as in FR-FCFS.  This bounds how long one streaming core (or a
     row-hammering attacker) can monopolize a bank.
 
-    To the fused demand scan the blacklist is :attr:`demoted_cores` and the
-    clearing check is :meth:`before_demand_scan`; :meth:`bank_candidate`
-    states the same ranking per bank as the fastpath-off reference.
+    To the controller's demand scan the blacklist is :attr:`demoted_cores`
+    and the clearing check is :meth:`before_demand_scan`.
     """
 
     PARAMS = ("bliss_blacklist_streak", "bliss_clearing_interval")
@@ -515,51 +405,8 @@ class BLISSScheduler(SchedulingPolicy):
         # a decision made at ``start`` may rank requests wrongly at ``end``.
         return start < self._next_clear <= end
 
-    def _blacklisted(self, request: "MemoryRequest") -> int:
-        return 1 if request.core_id in self.blacklist else 0
-
     def close_priority(self, opened_cycle: int) -> tuple:
         return (0, opened_cycle)
-
-    def bank_candidate(self, controller, bank, pending, cycle):
-        self._maybe_clear(cycle)
-        requests = pending
-        if bank.is_closed():
-            request = min(
-                requests,
-                key=lambda r: (self._blacklisted(r), r.arrival_cycle, r.request_id),
-            )
-            command = _act_command(request)
-            issue_cycle = controller.demand_act_cycle(request, command, cycle)
-            return (
-                issue_cycle,
-                (self._blacklisted(request), request.arrival_cycle),
-                command,
-                request,
-            )
-        open_row = bank.open_row
-        hits = [r for r in requests if r.address.row == open_row]
-        conflicts = [r for r in requests if r.address.row != open_row]
-        cap_reached = bank.open_row_column_accesses >= controller.config.column_cap
-        if hits and not (cap_reached and conflicts):
-            request = min(
-                hits,
-                key=lambda r: (self._blacklisted(r), r.arrival_cycle, r.request_id),
-            )
-            command = _column_command(request)
-        else:
-            request = min(
-                conflicts,
-                key=lambda r: (self._blacklisted(r), r.arrival_cycle, r.request_id),
-            )
-            command = _pre_command(request)
-        issue_cycle = controller.dram.earliest_issue_cycle(command, cycle)
-        return (
-            issue_cycle,
-            (self._blacklisted(request), request.arrival_cycle),
-            command,
-            request,
-        )
 
     def on_issue(self, command, request, cycle):
         if command.kind not in (CommandKind.RD, CommandKind.WR) or request is None:

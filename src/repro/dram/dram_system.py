@@ -12,6 +12,14 @@ The model also maintains the ground-truth row activation bookkeeping that the
 security verifier and the RowHammer mitigations observe: observers can be
 registered for row activations and for row refreshes (both periodic REF
 coverage and preventive ACT-based refreshes).
+
+:meth:`DRAMSystem.issue` re-checks a command's timing unless the caller says
+it already did (``validated=True``).  The memory controller always has: its
+select computes every earliest legal cycle, and its fused issue applies
+commands through the same state without calling :meth:`DRAMSystem.issue`
+at all.  A command observer (:meth:`DRAMSystem.add_command_observer`) sees
+every command either way, which is how the test suite's independent JEDEC
+oracle checks the whole stream.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro import fastpath
 from repro.dram.address import DRAMAddress
 from repro.dram.bank import Bank, BankTimingTable, TimingViolation
 from repro.dram.commands import Command, CommandKind
@@ -327,7 +334,7 @@ class DRAMSystem:
         channels = range(org.channels) if channel is None else (channel,)
         # One shared struct-of-arrays timing table covering every bank this
         # system owns; ranks claim contiguous slot ranges in (channel, rank,
-        # bankgroup, bank) order.  The controller's FR-FCFS fast scan reads
+        # bankgroup, bank) order.  The controller's demand scan reads
         # these arrays directly (see MemoryController._build_fast_select).
         banks_per_rank = org.bankgroups_per_rank * org.banks_per_bankgroup
         num_channels = org.channels if channel is None else 1
@@ -361,10 +368,6 @@ class DRAMSystem:
         #: Called with every issued command; the controller's fused issue
         #: binds this list at build time, so it is only ever appended to.
         self._command_observers: List[CommandObserver] = []
-        # Latch the fastpath switch: controllers constructed under the fast
-        # path pre-validate their scheduling decisions and ask issue() to
-        # skip the redundant earliest-cycle recheck.
-        self._fast = fastpath.enabled()
         self.current_cycle = 0
 
     # ------------------------------------------------------------------ #

@@ -34,16 +34,21 @@ Each component is an *event source*:
   decision whose issue cycle is still in the future stays the right
   choice), so an event that provably touched one channel no longer
   recomputes all of them, and an idle span collapses to a single jump of
-  ``now`` to the next live entry instead of per-event rescheduling.  The
-  busy-case skip is part of the fast path
-  (:mod:`repro.fastpath`); with the switch off the kernel recomputes after
-  every event like the pre-fast-path kernel did.
+  ``now`` to the next live entry instead of per-event rescheduling.
 * **Mitigations** may register their own timestamped callbacks through
   :meth:`EventKernel.schedule` (see
   :meth:`repro.mitigations.base.RowHammerMitigation.register_events`).
 
 Stale heap entries are invalidated lazily with per-source generation
 counters, so re-scheduling is O(log n) and no entry is ever searched for.
+
+There is one event loop, :meth:`EventKernel.run`, with its per-event work
+inlined over locals.  It calls each controller's fused select and issue
+closures directly unless the controller's ``next_decision`` or
+``issue_decision`` is overridden (on its class or on the instance, as a
+benchmark's tracing wrappers do), in which case it calls the override.
+Controllers must expose ``mutations``, ``scheduler``, ``next_refresh_due``
+and ``dram_config``, the inputs the loop's untouched-channel skip reads.
 
 Ties are broken the same way the seed loop's comparisons did: cores win over
 controllers at equal timestamps, the lowest-numbered core wins among cores,
@@ -71,8 +76,7 @@ import heapq
 import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro import fastpath
-from repro.controller.policies import NEVER
+from repro.controller.policies import NEVER, SchedulingPolicy
 from repro.cpu.core import Core
 
 #: Heap priorities: cores beat controllers at equal timestamps (the seed
@@ -178,11 +182,6 @@ class EventKernel:
         #: recovery), so maintaining the set there makes the slot-free hook
         #: O(blocked) instead of a scan over every core.
         self._blocked_cores: set[int] = set()
-        #: Fast-path switch, latched at construction (see repro.fastpath):
-        #: gates the untouched-channel skip of a *cached decision*.  Off, the
-        #: kernel reschedules every controller after every event (the legacy
-        #: behaviour the e2e benchmark times against).
-        self._fast = fastpath.enabled()
 
         for index, core in enumerate(self.cores):
             core.kernel_wakeup = self._make_core_wakeup(index)
@@ -210,87 +209,10 @@ class EventKernel:
     # Main loop
     # ------------------------------------------------------------------ #
     def run(self) -> float:
-        """Process events until all cores finish; returns the final time."""
-        if (
-            self._fast
-            # The fused loop inlines these helpers; an instance-level
-            # override (tests wrap _pop_live to observe the event stream)
-            # must keep the generic loop that actually calls them.
-            and not any(
-                name in self.__dict__
-                for name in (
-                    "_pop_live",
-                    "_schedule_controller",
-                    "_schedule_controllers",
-                    "_schedule_core",
-                    "_flush_dirty_cores",
-                )
-            )
-            # Real controllers expose the boundary inputs the fused loop
-            # pre-resolves; test doubles fall back to the generic loop.
-            and all(
-                hasattr(ctl, "scheduler")
-                and hasattr(ctl, "next_refresh_due")
-                and hasattr(ctl, "dram_config")
-                for ctl in self.controllers
-            )
-        ):
-            return self._run_fast()
-        for index in range(len(self.cores)):
-            self._schedule_core(index)
-        self._schedule_controllers()
+        """Process events until all cores finish; returns the final time.
 
-        while self.steps < self.max_steps:
-            entry = self._pop_live()
-            if entry is None:
-                if self._all_done():
-                    break
-                if not self._recover_stall():
-                    self._raise_deadlock()
-                continue
-            time, priority, index = entry
-            self.now = max(self.now, time)
-            self.steps += 1
-
-            if priority == _PRIORITY_CORE:
-                core = self.cores[index]
-                if core.has_blocked_request:
-                    core.retry_blocked(self.now)
-                elif not core.finished:
-                    core.step(self.now)
-                # The blocked flag only changes inside step/retry; keep the
-                # O(blocked) slot-free index in lockstep here.
-                if core.has_blocked_request:
-                    self._blocked_cores.add(index)
-                else:
-                    self._blocked_cores.discard(index)
-                self._schedule_core(index)
-                self._schedule_controllers()
-            elif priority == _PRIORITY_CONTROLLER:
-                ctl = self.controllers[index]
-                self._ctl_has_entry[index] = False
-                if self._ctl_recheck[index]:
-                    issued = ctl.issue_next(_as_cycle(time))
-                else:
-                    issued = ctl.issue_decision(self._ctl_decision[index])
-                if issued is not None and issued > self.now:
-                    self.now = issued
-                self._schedule_controllers()
-            else:
-                callback = self._callbacks.pop(index, None)
-                if callback is not None:
-                    callback(self.now)
-                self._schedule_controllers()
-            self._flush_dirty_cores()
-        self._check_budget()
-        return self.now
-
-    def _run_fast(self) -> float:
-        """The event loop with its hot path flattened (fast path only).
-
-        Event-for-event identical to :meth:`run` with the fast switch on:
-        the same pop-validate/dispatch/reschedule sequence, with the
-        per-event helper calls (:meth:`_pop_live`,
+        The pop-validate/dispatch/reschedule sequence runs with its
+        per-event helpers (pop of the next live entry,
         :meth:`_schedule_controllers`, :meth:`_schedule_controller`,
         :meth:`~repro.controller.controller.MemoryController.decision_crosses_boundary`)
         inlined over locals.  Per-controller boundary inputs are
@@ -299,10 +221,10 @@ class EventKernel:
         and the scheduler's ``priority_boundary_crossed`` hook is dropped
         entirely when it is the base-class constant ``False`` (every
         scheduler but BLISS).  Cold paths — setup, stall recovery,
-        termination, dirty-core flushing — stay delegated to the shared
-        helpers.  ``self.now``/``self.steps`` are kept in sync before any
-        component call because completion hooks and ``schedule()`` read
-        them mid-event.
+        termination, dirty-core flushing — stay in the helpers.
+        ``self.now``/``self.steps`` are kept in sync before any component
+        call because completion hooks and ``schedule()`` read them
+        mid-event.
         """
         for index in range(len(self.cores)):
             self._schedule_core(index)
@@ -326,8 +248,6 @@ class EventKernel:
         dirty_cores = self._dirty_cores
         blocked_cores = self._blocked_cores
         max_steps = self.max_steps
-        from repro.controller.policies import SchedulingPolicy
-
         base_boundary = SchedulingPolicy.priority_boundary_crossed
         boundary_hooks = [
             ctl.scheduler.priority_boundary_crossed
@@ -339,7 +259,7 @@ class EventKernel:
             ctl.next_refresh_due if ctl.dram_config.refresh_enabled else None
             for ctl in controllers
         ]
-        # Call the controllers' fused fast closures directly where they are
+        # Call the controllers' fused closures directly where they are
         # provably equivalent — the public methods are one-line delegations
         # to them (guarded against subclass or instance overrides, which
         # keep the delegating wrappers).
@@ -350,9 +270,7 @@ class EventKernel:
             if (
                 getattr(ctl, "_fast_select", None) is not None
                 and type(ctl).next_decision is MemoryController.next_decision
-                and type(ctl)._choose_command is MemoryController._choose_command
                 and "next_decision" not in ctl.__dict__
-                and "_choose_command" not in ctl.__dict__
             )
             else ctl.next_decision
             for ctl in controllers
@@ -545,12 +463,14 @@ class EventKernel:
             self._schedule_controller(index)
 
     def _schedule_controller(self, index: int) -> None:
+        """Re-decide one controller after an event, unless provably unchanged.
+
+        The event loop inlines this; setup and stall recovery call it.
+        """
         ctl = self.controllers[index]
         cycle = _as_cycle(self.now)
         cached_mutations = self._ctl_cached_mutations[index]
-        if cached_mutations is not None and cached_mutations == getattr(
-            ctl, "mutations", None
-        ):
+        if cached_mutations is not None and cached_mutations == ctl.mutations:
             decision = self._ctl_decision[index]
             if decision is None:
                 if not self._ctl_has_entry[index] and not ctl.decision_crosses_boundary(
@@ -563,8 +483,7 @@ class EventKernel:
                     # be "nothing" again.
                     return
             elif (
-                self._fast
-                and self._ctl_has_entry[index]
+                self._ctl_has_entry[index]
                 and decision[0] >= cycle
                 and not ctl.decision_crosses_boundary(
                     self._ctl_cached_cycle[index], cycle
@@ -580,15 +499,14 @@ class EventKernel:
                 # candidates' issue cycles, never change the winner or its
                 # (still-future) issue cycle.  A decision already in the
                 # past (``now`` jumped over it via a recheck-path issue)
-                # must be re-clamped, exactly as the legacy per-event
-                # recompute would.
+                # must be re-clamped by a recompute.
                 return
         self._ctl_gen[index] += 1
         decision = ctl.next_decision(cycle)
         self._ctl_cached_cycle[index] = cycle
         # Snapshot *after* next_decision: selection may retire already-done
         # preventive refreshes (queue pruning) and bump the counter.
-        self._ctl_cached_mutations[index] = getattr(ctl, "mutations", None)
+        self._ctl_cached_mutations[index] = ctl.mutations
         if decision is None:
             self._ctl_decision[index] = None
             self._ctl_has_entry[index] = False
@@ -605,19 +523,6 @@ class EventKernel:
             (issue_cycle, _PRIORITY_CONTROLLER, index, self._ctl_gen[index]),
         )
         self._ctl_has_entry[index] = True
-
-    def _pop_live(self) -> Optional[Tuple[float, int, int]]:
-        heap = self._heap
-        while heap:
-            time, priority, index, gen = heapq.heappop(heap)
-            if priority == _PRIORITY_CORE and gen != self._core_gen[index]:
-                continue
-            if priority == _PRIORITY_CONTROLLER and gen != self._ctl_gen[index]:
-                continue
-            if priority == _PRIORITY_CALLBACK and index not in self._callbacks:
-                continue
-            return time, priority, index
-        return None
 
     def _flush_dirty_cores(self) -> None:
         while self._dirty_cores:

@@ -12,13 +12,11 @@ Covers the refactor's three contracts:
   mitigation counters or triggers its preventive refreshes.
 """
 
-import json
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_runs import assert_matches_golden, load_golden
 from oracle_commands import checked_runs
 from repro.controller.fabric import ChannelFabric
 from repro.dram.address import AddressMapper, DRAMAddress
@@ -38,45 +36,12 @@ from repro.workloads.suite import (
     workloads_by_category,
 )
 
-GOLDEN_PATH = Path(__file__).parent / "golden" / "channels1.json"
-
-
-def _fingerprint(result) -> dict:
-    return {
-        "name": result.name,
-        "mitigation_name": result.mitigation_name,
-        "cycles": result.cycles,
-        "per_core_ipc": result.per_core_ipc,
-        "per_core_instructions": result.per_core_instructions,
-        "average_read_latency": result.average_read_latency,
-        "read_requests": result.read_requests,
-        "write_requests": result.write_requests,
-        "dram_stats": result.dram_stats,
-        "energy": result.energy.as_dict(),
-        "preventive_refreshes": result.preventive_refreshes,
-        "early_refresh_operations": result.early_refresh_operations,
-        "mitigation_stats": result.mitigation_stats,
-        "security_ok": result.security_ok,
-        "max_disturbance": result.max_disturbance,
-        "steps": result.steps,
-    }
-
-
-def assert_matches_golden(result, run, entry):
-    """Every fingerprint field and the command-stream hash of one run, whose
-    command stream must also pass the JEDEC oracle."""
-    run.assert_clean()
-    expected = {k: v for k, v in entry.items() if k not in ("command_stream", "spec")}
-    assert _fingerprint(result) == expected
-    assert run.hexdigest() == entry["command_stream"]
-
-
 class TestGoldenEquivalence:
     """channels=1 must be bit-identical to the pre-fabric monolithic code."""
 
     @pytest.fixture(scope="class")
     def golden(self):
-        return json.loads(GOLDEN_PATH.read_text())
+        return load_golden()
 
     @pytest.fixture(scope="class")
     def dram_config(self):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import fastpath
 from repro.controller.controller import ControllerConfig, MemoryController
 from repro.controller.policies import ControllerPolicySpec
 from repro.controller.request import MemoryRequest, RequestType
@@ -313,8 +312,7 @@ class TestDemandPrechargeReuse:
     """The fused select hands out one frozen demand PRE per bank."""
 
     def test_demand_pre_decision_is_a_plain_pre(self, tiny_dram_config):
-        with fastpath.forced(True):
-            controller = make_controller(tiny_dram_config)
+        controller = make_controller(tiny_dram_config)
         controller.enqueue(read_request(controller, 5), 0)
         conflict = read_request(controller, 9)
         controller.enqueue(conflict, 0)
@@ -346,10 +344,9 @@ class TestDemandPrechargeReuse:
 
     @pytest.mark.parametrize("row_policy", ["closed_page", "adaptive_timeout"])
     def test_policy_close_pre_keeps_its_tag(self, tiny_dram_config, row_policy):
-        with fastpath.forced(True):
-            controller = make_controller(
-                tiny_dram_config, policy=ControllerPolicySpec(row_policy=row_policy)
-            )
+        controller = make_controller(
+            tiny_dram_config, policy=ControllerPolicySpec(row_policy=row_policy)
+        )
         controller.enqueue(read_request(controller, 5), 0)
         conflict = read_request(controller, 9)
         controller.enqueue(conflict, 0)
@@ -389,15 +386,12 @@ class TestDemandPrechargeReuse:
             ),
         )
         dram_config = spec.platform.dram_config()
-        with fastpath.forced(True):
-            system = System(
-                build_workload_traces(spec.workload, dram_config),
-                mitigation=spec.mitigation.build_instances(2),
-                config=SystemConfig(
-                    dram=dram_config, policy=spec.platform.controller
-                ),
-            )
-            system.run()
+        system = System(
+            build_workload_traces(spec.workload, dram_config),
+            mitigation=spec.mitigation.build_instances(2),
+            config=SystemConfig(dram=dram_config, policy=spec.platform.controller),
+        )
+        system.run()
         org = dram_config.organization
         banks_per_channel = (
             org.ranks_per_channel * org.bankgroups_per_rank * org.banks_per_bankgroup

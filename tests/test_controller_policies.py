@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.controller.controller import ControllerConfig, MemoryController
+from repro.controller.controller import MemoryController
 from repro.controller.policies import (
     NEVER,
     ControllerPolicySpec,

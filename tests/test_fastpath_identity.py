@@ -1,38 +1,40 @@
-"""Bit-identity of the fast hot path against the fastpath-off reference.
+"""Whole runs and single decisions of the hot path, against independent references.
 
-:mod:`repro.fastpath` gates the controller's fused select/issue closures
+The controller's fused select/issue closures
 (:meth:`~repro.controller.controller.MemoryController._build_fast_select`,
 one struct-of-arrays demand scan for every registered scheduler, and
 ``_build_fast_issue``) and the event kernel's untouched-channel decision
-skip (:meth:`~repro.sim.engine.EventKernel._schedule_controller`).  With
-the switch off the controller ranks candidates through the scheduler's
-per-bank ``bank_candidate`` reference and the kernel recomputes after
-every event.  The fast path claims to be a pure optimisation: same
-commands, same cycles, same statistics.
+skip are the simulator's only hot path.  Two levels pin it:
 
-Two levels pin that claim:
-
-* whole runs — identical experiments executed with the switch forced off
-  and on must agree on every field of the
-  :class:`~repro.sim.system.SimulationResult`, with at least one point per
-  registered scheduler (a registry-completeness test enforces it);
-* single decisions — a hypothesis property drives a fused-select
-  controller and a switch-off twin through the same random multi-core
-  request stream and compares every selection: issue cycle, command,
-  request, and BLISS' blacklist state.
+* whole runs — every ``spec/*`` entry of ``tests/golden/channels1.json``
+  (small runs covering every registered scheduler x row policy, written by
+  ``tools/gen_golden.py``) must reproduce its fingerprint and the hash of
+  its whole DRAM command stream, and that stream must pass the JEDEC
+  oracle of ``tests/oracle_commands.py``;
+* single decisions — a hypothesis property drives the fused select through
+  random multi-core request streams and compares every selection (issue
+  cycle, command, request, BLISS' blacklist state) with a brute-force
+  ranker written here from the scheduling policies' definitions.  A twin
+  controller issues the ranker's decisions through the plain
+  ``DRAMSystem.issue`` + ``_post_issue`` pair, which re-checks timing, and
+  the two controllers' statistics must agree at the end.
 """
 
-import json
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from golden_runs import assert_matches_golden, load_golden
 from oracle_commands import checked_runs
-from repro import fastpath
 from repro.controller.controller import ControllerConfig, MemoryController
-from repro.controller.policies import ControllerPolicySpec, scheduler_names
+from repro.controller.policies import (
+    ControllerPolicySpec,
+    row_policy_names,
+    scheduler_names,
+)
 from repro.controller.request import MemoryRequest, RequestType
+from repro.dram.commands import Command, CommandKind
 from repro.dram.config import small_test_config
 from repro.experiment.execute import execute_spec
 from repro.experiment.spec import (
@@ -41,6 +43,15 @@ from repro.experiment.spec import (
     PlatformSpec,
     WorkloadSpec,
 )
+
+GOLDEN = load_golden()
+
+#: label -> spec of every whole-run point in the golden file.
+SPECS = {
+    key.split("/", 1)[1]: ExperimentSpec.from_dict(entry["spec"])
+    for key, entry in GOLDEN.items()
+    if key.startswith("spec/")
+}
 
 _MIX = ("429.mcf", "462.libquantum", "473.astar", "bfs_dblp")
 
@@ -62,81 +73,29 @@ def _mix_point(scheduler: str, row_policy: str, **params) -> ExperimentSpec:
     )
 
 
-#: Small but structurally diverse runs: single channel with full violation
-#: recording, a multi-core 2-channel fabric (per-channel skip state), an
-#: adversarial pattern under the streaming verifier, and policy points for
-#: the non-default schedulers.  ``bliss_closed_page`` is single-core, so its
-#: one core is the whole blacklist and demotion never reorders anything;
-#: ``bliss_4core_open_page`` is the point where it does, on open rows where
-#: the column cap and hit-first ordering both bite.
-SPECS = {
-    "single_core_comet": ExperimentSpec(
-        workload=WorkloadSpec(name="429.mcf", num_requests=800),
-        mitigation=MitigationSpec(name="comet", nrh=250),
-    ),
-    "multicore_2ch": ExperimentSpec(
-        workload=WorkloadSpec(name="429.mcf", num_requests=500, num_cores=4),
-        mitigation=MitigationSpec(name="comet", nrh=250),
-        platform=PlatformSpec(channels=2),
-    ),
-    "attack_streaming": ExperimentSpec(
-        workload=WorkloadSpec(name="attack_traditional", num_requests=800),
-        mitigation=MitigationSpec(name="para", nrh=125),
-        verify_security="streaming",
-    ),
-    "bliss_closed_page": ExperimentSpec(
-        workload=WorkloadSpec(name="429.mcf", num_requests=800),
-        mitigation=MitigationSpec(name="comet", nrh=250),
-        platform=PlatformSpec(
-            controller=ControllerPolicySpec(
-                scheduler="bliss", row_policy="closed_page"
-            )
-        ),
-    ),
-    "bliss_4core_open_page": _mix_point(
-        "bliss", "open_page", bliss_clearing_interval=4000
-    ),
-    "fcfs_4core_adaptive_timeout": _mix_point(
-        "fcfs", "adaptive_timeout", row_timeout=200
-    ),
-}
-
-
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "channels1.json").read_text())
-
-
 @pytest.mark.parametrize("label", sorted(SPECS))
 def test_fast_path_is_bit_identical(label):
-    spec = SPECS[label]
     with checked_runs() as runs:
-        with fastpath.forced(False):
-            legacy = execute_spec(spec)
-        with fastpath.forced(True):
-            fast = execute_spec(spec)
-    assert fast.__dict__ == legacy.__dict__
-    golden = GOLDEN[f"spec/{label}"]
-    assert ExperimentSpec.from_dict(golden["spec"]) == spec
-    for run in runs:
-        run.assert_clean()
-    assert [run.hexdigest() for run in runs] == [golden["command_stream"]] * 2
-
-
-def test_forced_restores_the_switch():
-    before = fastpath.enabled()
-    with fastpath.forced(not before):
-        assert fastpath.enabled() is (not before)
-    assert fastpath.enabled() is before
+        result = execute_spec(SPECS[label])
+    assert_matches_golden(result, runs[0], GOLDEN[f"spec/{label}"])
 
 
 def test_every_scheduler_has_an_identity_point():
     # The fused scan expresses each scheduler through two facts
-    # (HITS_FIRST, demoted_cores); a scheduler without a whole-run point
-    # here would have nothing pinning those facts to its bank_candidate.
+    # (HITS_FIRST, demoted_cores); a scheduler x row policy pair without a
+    # golden whole-run point would have nothing pinning its schedule.
     covered = {
-        (spec.platform.controller or ControllerPolicySpec()).scheduler
-        for spec in SPECS.values()
+        (controller.scheduler, controller.row_policy)
+        for controller in (
+            spec.platform.controller or ControllerPolicySpec()
+            for spec in SPECS.values()
+        )
     }
-    assert set(scheduler_names()) <= covered
+    assert {
+        (scheduler, row_policy)
+        for scheduler in scheduler_names()
+        for row_policy in row_policy_names()
+    } <= covered
 
 
 @pytest.mark.parametrize(
@@ -154,11 +113,11 @@ def test_policy_point_departs_from_fr_fcfs(label, fr_fcfs_twin):
     # point would not exercise what sets its scheduler apart.  BLISS with
     # nobody demoted schedules exactly like FR-FCFS, so for it this proves
     # demotion reordered requests.
-    assert execute_spec(SPECS[label]).cycles != execute_spec(fr_fcfs_twin).cycles
+    assert GOLDEN[f"spec/{label}"]["cycles"] != execute_spec(fr_fcfs_twin).cycles
 
 
 # --------------------------------------------------------------------------- #
-# Decision-level property: fused select vs. the fastpath-off reference
+# Decision-level property: fused select vs. a brute-force ranker
 # --------------------------------------------------------------------------- #
 _DRAM = small_test_config(
     rows_per_bank=256,
@@ -167,6 +126,128 @@ _DRAM = small_test_config(
     ranks_per_channel=1,
     refresh_window_scale=1.0 / 2048.0,
 )
+
+
+@dataclass
+class _BruteForceRanker:
+    """Ranks a controller's demand by re-reading its queues from scratch.
+
+    Written from the policy definitions, sharing nothing with the fused
+    scan: every active request is bucketed by bank and sorted here, each
+    bank yields the request its scheduler serves next, and the candidates
+    compete on ``(issue cycle, *priority, scan key)``.  The write-drain
+    hysteresis, the enqueue order behind the scan key and BLISS' clearing
+    are tracked here too.  Issue cycles come from
+    ``DRAMSystem.earliest_issue_cycle``, and the refresh and row-policy
+    close candidates from the controller's own helpers: their legality is
+    the JEDEC oracle's business, what is under test here is the ranking.
+    """
+
+    controller: MemoryController
+    draining: bool = False
+    seq: dict = field(default_factory=dict)
+
+    def enqueue(self, request: MemoryRequest, cycle: int) -> bool:
+        accepted = self.controller.enqueue(request, cycle)
+        if accepted:
+            self.seq[request] = len(self.seq)
+        return accepted
+
+    def decide(self, cycle: int):
+        ctl = self.controller
+        decision = ctl._refresh_command(cycle)
+        if decision is not None:
+            return decision
+        config = ctl.config
+        writes = len(ctl.write_queue)
+        if self.draining:
+            self.draining = writes > config.write_drain_low
+        else:
+            self.draining = writes >= config.write_drain_high
+        reads = list(ctl.read_queue)
+        active = reads + (
+            list(ctl.write_queue) if self.draining or not reads else []
+        )
+        scheduler = ctl.scheduler
+        bliss = scheduler.name == "bliss"
+        if active and bliss:
+            while cycle >= scheduler._next_clear:
+                scheduler.blacklist.clear()
+                scheduler._streak_core = None
+                scheduler._streak = 0
+                scheduler._next_clear += scheduler.clearing_interval
+
+        def demoted(request):
+            return bliss and request.core_id in scheduler.blacklist
+
+        def first(requests):
+            return min(
+                requests, key=lambda r: (demoted(r), r.arrival_cycle, r.request_id)
+            )
+
+        by_bank = {}
+        for request in active:
+            by_bank.setdefault(request.address.bank_key, []).append(request)
+        candidates = []
+        for bank_key, pending in by_bank.items():
+            bank = ctl.dram.bank(*bank_key)
+            bank_reads = [r for r in pending if not r.is_write]
+            scan_key = (
+                (0, min(self.seq[r] for r in bank_reads))
+                if bank_reads
+                else (1, min(self.seq[r] for r in pending))
+            )
+            if scheduler.name == "fcfs":
+                pending = [first(pending)]
+            if bank.is_closed():
+                request, kind = first(pending), CommandKind.ACT
+            else:
+                hits = [r for r in pending if r.address.row == bank.open_row]
+                conflicts = [r for r in pending if r.address.row != bank.open_row]
+                cap_reached = bank.open_row_column_accesses >= config.column_cap
+                if hits and not (cap_reached and conflicts):
+                    request = first(hits)
+                    kind = CommandKind.WR if request.is_write else CommandKind.RD
+                elif conflicts:
+                    request, kind = first(conflicts), CommandKind.PRE
+                else:
+                    continue
+            address = request.address
+            command = Command(
+                kind,
+                channel=address.channel,
+                rank=address.rank,
+                bankgroup=address.bankgroup,
+                bank=address.bank,
+                row=address.row if kind is CommandKind.ACT else None,
+                column=address.column if kind in (CommandKind.RD, CommandKind.WR) else None,
+            )
+            priority = (
+                (demoted(request), request.arrival_cycle)
+                if bliss
+                else (request.arrival_cycle,)
+            )
+            issue = ctl.dram.earliest_issue_cycle(command, cycle)
+            candidates.append(((issue, *priority, scan_key), command, request))
+        for bank_key, opened, not_before in ctl.row_policy.close_candidates(ctl, cycle):
+            if ctl.dram.bank(*bank_key).is_closed():
+                continue
+            command = Command(
+                CommandKind.PRE,
+                channel=bank_key[0],
+                rank=bank_key[1],
+                bankgroup=bank_key[2],
+                bank=bank_key[3],
+                metadata={"policy_close": True},
+            )
+            issue = ctl.dram.earliest_issue_cycle(command, max(cycle, not_before))
+            priority = (0, opened) if bliss else (opened,)
+            candidates.append(((issue, *priority, (2, *bank_key)), command, None))
+        if not candidates:
+            return None
+        order, command, request = min(candidates, key=lambda c: c[0])
+        return order[0], command, request
+
 
 #: One request: (write?, core, bank index, row, column).  Few banks and few
 #: rows per bank, so queues mix cores per bank, open rows collect hits past
@@ -205,15 +286,14 @@ def _twin_controllers(scheduler, row_policy, column_cap, blacklist, streak):
         write_drain_high=6,
         write_drain_low=2,
     )
-    with fastpath.forced(True):
-        fused = MemoryController(_DRAM, config=config, policy=policy)
-    with fastpath.forced(False):
-        reference = MemoryController(_DRAM, config=config, policy=policy)
-    assert fused._fast_select is not None and reference._fast_select is None
+    fused = MemoryController(_DRAM, config=config, policy=policy)
+    reference = MemoryController(_DRAM, config=config, policy=policy)
+    # The twin issues through the plain DRAMSystem.issue + _post_issue pair.
+    reference._fast_issue_fn = None
     if scheduler == "bliss":
         for controller in (fused, reference):
             controller.scheduler.blacklist.update(blacklist)
-    return fused, reference
+    return fused, _BruteForceRanker(reference)
 
 
 def _view(decision):
@@ -251,9 +331,10 @@ def _scheduler_state(controller):
 def test_fused_select_matches_reference_decision_by_decision(
     scheduler, row_policy, column_cap, blacklist, streak, steps
 ):
-    fused, reference = _twin_controllers(
+    fused, ranker = _twin_controllers(
         scheduler, row_policy, column_cap, blacklist, streak
     )
+    reference = ranker.controller
     mapper = fused.mapper
     cycle = 0
     next_id = 0
@@ -286,13 +367,13 @@ def test_fused_select_matches_reference_decision_by_decision(
             pending, retry = burst + retry, []
             for twin in pending:
                 accepted = fused.enqueue(twin[0], cycle)
-                assert reference.enqueue(twin[1], cycle) is accepted
+                assert ranker.enqueue(twin[1], cycle) is accepted
                 if not accepted:
                     retry.append(twin)
             continue
         for _ in range(arg):
             decision = fused.next_decision(cycle)
-            expected = reference.next_decision(cycle)
+            expected = ranker.decide(cycle)
             assert _view(decision) == _view(expected)
             assert _scheduler_state(fused) == _scheduler_state(reference)
             if decision is None:

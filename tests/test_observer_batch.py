@@ -1,6 +1,6 @@
 """Batch == serial activation-observer equivalence, property-tested.
 
-The fast-path DRAM model delivers ACT events to *pure* observers in
+The DRAM model delivers ACT events to *pure* observers in
 batches — SoA columns handed to ``observe_batch`` at drain points
 (refresh boundaries, snapshots, window end) — instead of one callback per
 ACT.  The streaming :class:`~repro.analysis.security.SecurityVerifier` is
@@ -130,13 +130,10 @@ class TestVerifierBatchEqualsSerial:
         assert batched.violations == serial.violations
 
     def test_streaming_fastpath_wires_batches(self):
-        """On a fast-path DRAM system, streaming audits register the batch
-        observer (the drain-point protocol), recording audits stay serial."""
-        from repro import fastpath
-
-        with fastpath.forced(True):
-            dram = DRAMSystem(_tiny_config())
-            streaming = SecurityVerifier(dram, nrh=VERIFIER_NRH, record_violations=False)
-            recording = SecurityVerifier(dram, nrh=VERIFIER_NRH, record_violations=True)
+        """Streaming audits register the batch observer (the drain-point
+        protocol), recording audits stay serial."""
+        dram = DRAMSystem(_tiny_config())
+        streaming = SecurityVerifier(dram, nrh=VERIFIER_NRH, record_violations=False)
+        recording = SecurityVerifier(dram, nrh=VERIFIER_NRH, record_violations=True)
         assert streaming._batched
         assert not recording._batched

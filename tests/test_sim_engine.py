@@ -1,11 +1,12 @@
 """Tests for the event-driven simulation kernel (:mod:`repro.sim.engine`)."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from repro import fastpath
 from repro.controller.controller import MemoryController
+from repro.controller.policies import SchedulingPolicy
 from repro.cpu.trace import Trace
 from repro.sim.engine import (
     EventKernel,
@@ -27,6 +28,18 @@ def system(tiny_dram_config):
     )
 
 
+def _observe_steps(core, observe):
+    """Wrap one core's ``step`` on the instance: ``observe(core, now)`` runs
+    before each step the kernel dispatches to it."""
+    step = core.step
+
+    def observed_step(now):
+        observe(core, now)
+        return step(now)
+
+    core.step = observed_step
+
+
 class TestEventOrdering:
     def test_time_never_goes_backwards(self, tiny_dram_config):
         trace = _linear_trace(n=200, bubbles=3)
@@ -35,17 +48,18 @@ class TestEventOrdering:
         )
         kernel = EventKernel(system.cores, system.controller)
         times = []
-        original = kernel._pop_live
+        commands = []
+        _observe_steps(system.cores[0], lambda core, now: times.append(now))
 
-        def recording_pop():
-            entry = original()
-            if entry is not None:
-                times.append(max(kernel.now, entry[0]))
-            return entry
+        def on_command(cycle, command):
+            commands.append(cycle)
+            times.append(kernel.now)
 
-        kernel._pop_live = recording_pop
+        system.controller.dram.add_command_observer(on_command)
         kernel.run()
+        assert commands and len(times) > len(commands)
         assert times == sorted(times)
+        assert commands == sorted(commands)
         assert system.cores[0].finished
 
     def test_cores_win_ties_against_controller(self):
@@ -66,21 +80,14 @@ class TestEventOrdering:
             traces, config=SystemConfig(dram=tiny_dram_config, verify_security=False)
         )
         kernel = EventKernel(system.cores, system.controller)
-        first_core_events = []
-        original = kernel._pop_live
-
-        def recording_pop():
-            entry = original()
-            if entry is not None and entry[1] == 0:
-                first_core_events.append(entry)
-            return entry
-
-        kernel._pop_live = recording_pop
+        steps = []
+        for core in system.cores:
+            _observe_steps(core, lambda core, now: steps.append((now, core.core_id)))
         kernel.run()
         # Both cores issue their first dispatch at the same cycle; core 0 first.
-        first_time = first_core_events[0][0]
-        same_time = [e for e in first_core_events if e[0] == first_time]
-        assert [e[2] for e in same_time] == sorted(e[2] for e in same_time)
+        first_time = steps[0][0]
+        same_time = [core_id for now, core_id in steps if now == first_time]
+        assert same_time == [0, 1]
 
     def test_run_is_deterministic(self, tiny_dram_config):
         def run_once():
@@ -227,6 +234,10 @@ class _IdleControllerDouble:
 
     current_cycle = 0
     mutations = 0
+    # The boundary inputs the event loop reads from every controller.
+    scheduler = SchedulingPolicy()
+    next_refresh_due: dict = {}
+    dram_config = SimpleNamespace(refresh_enabled=False)
 
     def __init__(self, pending=0):
         self._pending = pending
@@ -239,6 +250,9 @@ class _IdleControllerDouble:
 
     def next_decision(self, cycle):
         return None
+
+    def issue_decision(self, decision):  # pragma: no cover - nothing decided
+        raise AssertionError("an idle controller never issues")
 
     def has_work(self):
         return False
@@ -306,7 +320,11 @@ class TestIntegerTimestamps:
         # Core events may be fractional by design (core cycles divided by
         # the CPU:DRAM clock ratio); controller decisions and integer-cycle
         # callbacks are integer sources and must stay exact.
-        from repro.sim.engine import _PRIORITY_CORE
+        from repro.sim.engine import (
+            _PRIORITY_CALLBACK,
+            _PRIORITY_CONTROLLER,
+            _PRIORITY_CORE,
+        )
 
         trace = _linear_trace(n=150, bubbles=2)
         system = System(
@@ -314,19 +332,20 @@ class TestIntegerTimestamps:
         )
         kernel = EventKernel(system.cores, system.controller)
         kernel.schedule(75, lambda now: None)  # integer-cycle callback
-        seen_types = set()
-        original = kernel._pop_live
+        seen = []
 
-        def checking_pop():
-            for entry in kernel._heap:
-                if entry[1] != _PRIORITY_CORE:
-                    seen_types.add(type(entry[0]))
-            return original()
+        def check_heap(*_):
+            seen.extend(entry for entry in kernel._heap if entry[1] != _PRIORITY_CORE)
 
-        kernel._pop_live = checking_pop
+        _observe_steps(system.cores[0], check_heap)
+        system.controller.dram.add_command_observer(check_heap)
         kernel.run()
         assert system.cores[0].finished
-        assert seen_types == {int}
+        assert {priority for _, priority, _, _ in seen} == {
+            _PRIORITY_CONTROLLER,
+            _PRIORITY_CALLBACK,
+        }
+        assert {type(time) for time, _, _, _ in seen} == {int}
 
 
 class TestKernelResults:
@@ -353,16 +372,12 @@ class TestKernelResults:
         assert "10 events" in str(error) and "[0]" in str(error)
         assert not system.cores[0].finished
 
-    def test_max_steps_raises_on_the_legacy_loop(self, tiny_dram_config):
-        trace = _linear_trace(n=2000, bubbles=1)
-        config = SystemConfig(dram=tiny_dram_config, verify_security=False, max_steps=10)
-        with fastpath.forced(False):
-            system = System([trace], config=config)
-            kernel = EventKernel(system.cores, system.fabric, max_steps=10)
-        assert not kernel._fast
+        # A kernel built directly over the fabric honours its own budget.
+        system = System([trace], config=config)
+        kernel = EventKernel(system.cores, system.fabric, max_steps=7)
         with pytest.raises(StepBudgetExhaustedError) as excinfo:
             kernel.run()
-        assert excinfo.value.steps == 10
+        assert excinfo.value.steps == kernel.steps == 7
         assert excinfo.value.unfinished == [0]
 
     def test_budget_spent_exactly_on_completion_is_not_an_error(
@@ -386,15 +401,17 @@ class TestKernelResults:
                 [trace],
                 config=SystemConfig(dram=tiny_dram_config, verify_security=False),
             )
-            kernel = EventKernel(system.cores, system.controller)
             if force_recheck:
-                original = kernel._schedule_controller
-
-                def always_recheck(index):
-                    original(index)
-                    kernel._ctl_recheck[index] = True
-
-                kernel._schedule_controller = always_recheck
+                # A scheduler whose priorities may change at any cycle: the
+                # kernel can then neither skip an untouched channel nor
+                # trust a cached decision, and re-selects at issue time.
+                scheduler = system.controller.scheduler
+                scheduler.__class__ = type(
+                    "AlwaysCrossed",
+                    (type(scheduler),),
+                    {"priority_boundary_crossed": lambda self, start, end: True},
+                )
+            kernel = EventKernel(system.cores, system.controller)
             final = kernel.run()
             final_cycle = system.controller.drain(int(math.ceil(final)))
             return system._build_result(max(final_cycle, int(math.ceil(final))))

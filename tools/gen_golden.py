@@ -33,10 +33,8 @@ from repro.experiment.spec import (
 from repro.workloads.attacks import traditional_rowhammer_attack
 from repro.workloads.suite import build_multicore_traces, build_trace
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN_PATH = ROOT / "tests" / "golden" / "channels1.json"
-
-sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from golden_runs import GOLDEN_PATH, result_fingerprint  # noqa: E402
 from oracle_commands import checked_runs  # noqa: E402
 
 _MIX = ("429.mcf", "462.libquantum", "473.astar", "bfs_dblp")
@@ -107,28 +105,6 @@ SPECS = {
         "fr_fcfs", "adaptive_timeout", row_timeout=200
     ),
 }
-
-
-def result_fingerprint(result) -> dict:
-    """Every numerically meaningful field of a SimulationResult, unrounded."""
-    return {
-        "name": result.name,
-        "mitigation_name": result.mitigation_name,
-        "cycles": result.cycles,
-        "per_core_ipc": result.per_core_ipc,
-        "per_core_instructions": result.per_core_instructions,
-        "average_read_latency": result.average_read_latency,
-        "read_requests": result.read_requests,
-        "write_requests": result.write_requests,
-        "dram_stats": result.dram_stats,
-        "energy": result.energy.as_dict(),
-        "preventive_refreshes": result.preventive_refreshes,
-        "early_refresh_operations": result.early_refresh_operations,
-        "mitigation_stats": result.mitigation_stats,
-        "security_ok": result.security_ok,
-        "max_disturbance": result.max_disturbance,
-        "steps": result.steps,
-    }
 
 
 def _entry(result, run) -> dict:
