@@ -34,7 +34,7 @@ how ``tests/golden/channels1.json`` pins each golden run's schedule.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
@@ -158,6 +158,9 @@ class CommandStreamChecker:
         self.commands = 0
         self.violation_count = 0
         self.violations: List[str] = []
+        #: Per rule, how many commands issued exactly at its limit: a rule
+        #: that never binds is one whose off-by-one no run could expose.
+        self.tight: Counter = Counter()
 
     # ------------------------------------------------------------------ #
     def _fail(self, cycle: int, command: Command, rule: str) -> None:
@@ -168,6 +171,8 @@ class CommandStreamChecker:
     def _not_before(self, cycle, command, ready, rule) -> None:
         if cycle < ready:
             self._fail(cycle, command, f"{rule} (legal from cycle {ready})")
+        elif cycle == ready:
+            self.tight[rule] += 1
 
     def __call__(self, cycle: int, command: Command) -> None:
         self.commands += 1
@@ -320,6 +325,11 @@ class CheckedRun:
     def finish(self) -> None:
         for checker in self.checkers:
             checker.finish()
+
+    @property
+    def tight(self) -> Counter:
+        """Per rule, the commands of the run issued exactly at its limit."""
+        return sum((checker.tight for checker in self.checkers), Counter())
 
     @property
     def violations(self) -> List[str]:

@@ -249,7 +249,7 @@ def test_recorder_hash_covers_every_field():
 _MIX = ("429.mcf", "462.libquantum", "473.astar", "bfs_dblp")
 
 
-def _mix_spec(mitigation, channels=1, requests=80, **policy):
+def _mix_spec(mitigation, channels=1, requests=80, dram=None, **policy):
     return ExperimentSpec(
         workload=WorkloadSpec(
             name="mix4",
@@ -257,7 +257,7 @@ def _mix_spec(mitigation, channels=1, requests=80, **policy):
         ),
         mitigation=MitigationSpec(name=mitigation, nrh=125),
         platform=PlatformSpec(
-            channels=channels, controller=ControllerPolicySpec(**policy)
+            channels=channels, dram=dram, controller=ControllerPolicySpec(**policy)
         ),
         verify_security="streaming",
     )
@@ -282,6 +282,43 @@ def test_every_policy_pair_issues_a_legal_stream(mitigation, scheduler, row_poli
         _mix_spec(mitigation, scheduler=scheduler, row_policy=row_policy)
     )
     assert run.recorder.count > 0
+
+
+#: The paper's Table 2 rank: 4 bank groups x 4 banks.  With four banks per
+#: rank (the scaled test geometry) a fifth ACT inside tFAW always reuses a
+#: bank and waits tRC, so only a wider rank lets tFAW bind.
+_PAPER_RANKS = small_test_config(
+    rows_per_bank=4096,
+    banks_per_bankgroup=4,
+    bankgroups_per_rank=4,
+    ranks_per_channel=2,
+    refresh_window_scale=1.0 / 256.0,
+)
+
+#: Every timing rule the oracle checks.
+TIMING_RULES = {
+    "tRCD", "tRAS", "tRP", "tRC", "tRTP", "tWR", "tRRD_S", "tRRD_L", "tFAW",
+    "tCCD_S", "tCCD_L", "tWTR_S", "tWTR_L", "tRTW", "tRFC", "tRFM",
+}
+
+
+@pytest.mark.parametrize("scheduler", scheduler_names())
+def test_every_timing_rule_binds_in_a_legal_stream(scheduler):
+    # Clean is only convincing where the rules bind: an off-by-one in a
+    # rule that never decides an issue cycle changes nothing.  On the
+    # paper's rank geometry, with RFM refresh management, every rule puts
+    # some command exactly at its limit.
+    run = _run_checked(
+        _mix_spec(
+            "comet",
+            requests=300,
+            dram=_PAPER_RANKS,
+            scheduler=scheduler,
+            refresh_policy="rfm",
+            params={"raaimt": 8, "raammt": 16, "trfm": 120},
+        )
+    )
+    assert TIMING_RULES <= set(run.tight), TIMING_RULES - set(run.tight)
 
 
 @pytest.mark.parametrize(
