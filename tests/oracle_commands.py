@@ -73,19 +73,16 @@ def command_line(cycle: int, command: Command) -> str:
 
 
 class CommandRecorder:
-    """Hashes (and optionally keeps) every command it observes, in order."""
+    """Hashes every command it observes, in order, and counts them by kind."""
 
-    def __init__(self, keep: bool = False) -> None:
+    def __init__(self) -> None:
         self._hash = hashlib.sha256()
-        self.count = 0
-        self.records: Optional[List[Tuple[int, Command]]] = [] if keep else None
+        self.kinds: Counter = Counter()
 
     def __call__(self, cycle: int, command: Command) -> None:
         self._hash.update(command_line(cycle, command).encode())
         self._hash.update(b"\n")
-        self.count += 1
-        if self.records is not None:
-            self.records.append((cycle, command))
+        self.kinds[command.kind] += 1
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
@@ -311,9 +308,9 @@ class CheckedRun:
     """One simulation run under the oracle: a checker per DRAM system plus
     one recorder over the whole run's command stream, in issue order."""
 
-    def __init__(self, system, keep: bool = False) -> None:
+    def __init__(self, system) -> None:
         self.name = system.name
-        self.recorder = CommandRecorder(keep=keep)
+        self.recorder = CommandRecorder()
         self.checkers: List[CommandStreamChecker] = []
         for controller in system.fabric.controllers:
             dram = controller.dram
@@ -347,7 +344,7 @@ class CheckedRun:
 
 
 @contextmanager
-def checked_runs(keep: bool = False) -> Iterator[List[CheckedRun]]:
+def checked_runs() -> Iterator[List[CheckedRun]]:
     """Put every :meth:`System.run` inside the block under the oracle.
 
     Yields the list the block's runs are appended to, in run order.  Each
@@ -361,7 +358,7 @@ def checked_runs(keep: bool = False) -> Iterator[List[CheckedRun]]:
     runs: List[CheckedRun] = []
 
     def run(system):
-        checked = CheckedRun(system, keep=keep)
+        checked = CheckedRun(system)
         runs.append(checked)
         result = original(system)
         checked.finish()

@@ -1,16 +1,16 @@
 """Gate head against a base commit on whole-run wall time, on the same machine.
 
-    python tools/bench_gate.py BASE_REF [--pairs 5] [--seconds 20]
+    python tools/bench_gate.py BASE_REF
 
 Checks ``BASE_REF`` out into a temporary ``git worktree`` and runs the
 benchmark's own ``perfbench/run.py --trace 0`` from both trees on every
-workload ``BENCHMARK.json`` lists: ``--pairs`` base/head pairs per
-workload, alternating which tree runs first and sharing a seed within a
-pair.  For each workload it prints the median ``wall_s`` of base and head,
-their relative change and base's interquartile range (the noise measured
-in this very run), and fails when head's median exceeds base's by more than
-``wall_s``'s ``bound`` in ``BENCHMARK.json``, or when any run reports an
-incorrect result.  ``--base-tree DIR`` uses an existing checkout of the base
+workload ``BENCHMARK.json`` lists, for the benchmark's ``run_seconds``:
+five base/head pairs per workload, alternating which tree runs first and
+sharing a seed within a pair.  For each workload it prints the median
+``wall_s`` of base and head, their relative change and base's
+interquartile range (the noise measured in this very run), and fails when
+head's median exceeds base's by more than ``wall_s``'s ``bound`` in
+``BENCHMARK.json``, or when any run reports an incorrect result.  ``--base-tree DIR`` uses an existing checkout of the base
 instead of a worktree (then ``BASE_REF`` may be omitted).
 
 Exit status: 0 when every workload passes, 1 otherwise.
@@ -26,10 +26,11 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 HEAD = Path(__file__).resolve().parent.parent
 METRIC = "wall_s"
+PAIRS = 5
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> float:
@@ -65,20 +66,19 @@ def iqr(values: List[float]) -> float:
     return q3 - q1
 
 
-def gate(base: Path, pairs: int, seconds: Optional[float],
-         workloads: Optional[List[str]]) -> bool:
+def gate(base: Path) -> bool:
     spec = json.loads((HEAD / "BENCHMARK.json").read_text())
     bound = next(m["bound"] for m in spec["end_to_end"] if m["name"] == METRIC)
-    seconds = seconds if seconds is not None else spec["run_seconds"]
-    names = workloads or [w["name"] for w in spec["workloads"]]
-    print(f"{METRIC} medians over {pairs} base/head pairs, {seconds:g} s per run, "
+    seconds = spec["run_seconds"]
+    print(f"{METRIC} medians over {PAIRS} base/head pairs, {seconds:g} s per run, "
           f"bound +{bound:.0%}")
     print(f"{'workload':<16} {'base':>9} {'head':>9} {'change':>8} "
           f"{'base IQR':>9} {'verdict':>8}")
     ok = True
-    for name in names:
+    for workload in spec["workloads"]:
+        name = workload["name"]
         samples: Dict[str, List[float]] = {"base": [], "head": []}
-        for pair in range(pairs):
+        for pair in range(PAIRS):
             order = [("base", base), ("head", HEAD)]
             if pair % 2:
                 order.reverse()
@@ -100,15 +100,9 @@ def main(argv=None) -> int:
     parser.add_argument("base_ref", nargs="?", help="git revision of the base")
     parser.add_argument("--base-tree", type=Path,
                         help="an existing checkout of the base to use instead")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float,
-                        help="per run (default: BENCHMARK.json's run_seconds)")
-    parser.add_argument("--workloads", nargs="+",
-                        help="subset of BENCHMARK.json's workloads")
     args = parser.parse_args(argv)
     if args.base_tree is not None:
-        return 0 if gate(args.base_tree.resolve(), args.pairs, args.seconds,
-                         args.workloads) else 1
+        return 0 if gate(args.base_tree.resolve()) else 1
     if args.base_ref is None:
         parser.error("give BASE_REF or --base-tree")
     with tempfile.TemporaryDirectory(prefix="bench-gate-") as scratch:
@@ -116,7 +110,7 @@ def main(argv=None) -> int:
         subprocess.run(["git", "worktree", "add", "--detach", str(base), args.base_ref],
                        cwd=HEAD, check=True, capture_output=True)
         try:
-            ok = gate(base, args.pairs, args.seconds, args.workloads)
+            ok = gate(base)
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(base)],
                            cwd=HEAD, check=False, capture_output=True)
