@@ -133,9 +133,7 @@ class CommandStreamChecker:
 
     def __init__(self, config: DRAMConfig, channel: Optional[int] = None) -> None:
         org = config.organization
-        timing = config.timing
-        self.config = config
-        self.t = timing
+        self.t = config.timing
         self.rows = org.rows_per_bank
         self.columns_per_row = org.columns_per_row
         channels = range(org.channels) if channel is None else (channel,)
@@ -152,7 +150,6 @@ class CommandStreamChecker:
             else None
         )
         self.last_cycle = 0
-        self.commands = 0
         self.violation_count = 0
         self.violations: List[str] = []
         #: Per rule, how many commands issued exactly at its limit: a rule
@@ -160,10 +157,13 @@ class CommandStreamChecker:
         self.tight: Counter = Counter()
 
     # ------------------------------------------------------------------ #
-    def _fail(self, cycle: int, command: Command, rule: str) -> None:
+    def _record(self, violation: str) -> None:
         self.violation_count += 1
         if len(self.violations) < self.KEEP:
-            self.violations.append(f"{command_line(cycle, command)}: {rule}")
+            self.violations.append(violation)
+
+    def _fail(self, cycle: int, command: Command, rule: str) -> None:
+        self._record(f"{command_line(cycle, command)}: {rule}")
 
     def _not_before(self, cycle, command, ready, rule) -> None:
         if cycle < ready:
@@ -172,7 +172,6 @@ class CommandStreamChecker:
             self.tight[rule] += 1
 
     def __call__(self, cycle: int, command: Command) -> None:
-        self.commands += 1
         t = self.t
         rank = self.ranks.get((command.channel, command.rank))
         if rank is None:
@@ -292,9 +291,7 @@ class CommandStreamChecker:
                 f"last REF (limit {limit})"
             )
             if command is None:
-                self.violation_count += 1
-                if len(self.violations) < self.KEEP:
-                    self.violations.append(f"end of run at cycle {cycle}: {message}")
+                self._record(f"end of run at cycle {cycle}: {message}")
             else:
                 self._fail(cycle, command, message)
 
