@@ -372,7 +372,12 @@ class TestKernelResults:
         assert "10 events" in str(error) and "[0]" in str(error)
         assert not system.cores[0].finished
 
-        # A kernel built directly over the fabric honours its own budget.
+    def test_max_steps_raises_on_the_legacy_loop(self, tiny_dram_config):
+        """A kernel built directly over the fabric, outside System.run (the
+        way the removed generic loop used to be reached), honours its own
+        budget and raises rather than returning a truncated run."""
+        trace = _linear_trace(n=2000, bubbles=1)
+        config = SystemConfig(dram=tiny_dram_config, verify_security=False, max_steps=10)
         system = System([trace], config=config)
         kernel = EventKernel(system.cores, system.fabric, max_steps=7)
         with pytest.raises(StepBudgetExhaustedError) as excinfo:
