@@ -63,7 +63,10 @@ RECORD_VERSION = 1
 #: v6: sampled-fidelity execution — the canonical spec JSON grew
 #: ``fidelity``/``sampled`` (emitted only when non-default, so full-fidelity
 #: hashes are unchanged).
-CACHE_VERSION = 6
+#: v7: tWTR_S/L enforced against every earlier write to the rank (per bank
+#: group), not only the last column command — some schedules, and with them
+#: cycles and IPC, changed.
+CACHE_VERSION = 7
 
 _DEFAULT_STORE = object()
 

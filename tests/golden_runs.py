@@ -11,6 +11,9 @@ from pathlib import Path
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "channels1.json"
 
+#: The heterogeneous 4-core mix of the multi-core golden points.
+MIX4 = ("429.mcf", "462.libquantum", "473.astar", "bfs_dblp")
+
 
 def load_golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text())

@@ -16,6 +16,7 @@ from dataclasses import replace
 
 import pytest
 
+from golden_runs import MIX4
 from oracle_commands import (
     CommandRecorder,
     CommandStreamChecker,
@@ -246,14 +247,11 @@ def test_recorder_hash_covers_every_field():
 # --------------------------------------------------------------------------- #
 # The simulator under the oracle
 # --------------------------------------------------------------------------- #
-_MIX = ("429.mcf", "462.libquantum", "473.astar", "bfs_dblp")
-
-
 def _mix_spec(mitigation, channels=1, requests=80, dram=None, **policy):
     return ExperimentSpec(
         workload=WorkloadSpec(
             name="mix4",
-            mix=tuple(WorkloadSpec(name=m, num_requests=requests) for m in _MIX),
+            mix=tuple(WorkloadSpec(name=m, num_requests=requests) for m in MIX4),
         ),
         mitigation=MitigationSpec(name=mitigation, nrh=125),
         platform=PlatformSpec(

@@ -373,9 +373,9 @@ class TestKernelResults:
         assert not system.cores[0].finished
 
     def test_max_steps_raises_on_the_legacy_loop(self, tiny_dram_config):
-        """A kernel built directly over the fabric, outside System.run (the
-        way the removed generic loop used to be reached), honours its own
-        budget and raises rather than returning a truncated run."""
+        """A kernel built directly over the fabric, outside System.run,
+        honours its own ``max_steps`` (not System's) and raises rather than
+        returning a truncated run."""
         trace = _linear_trace(n=2000, bubbles=1)
         config = SystemConfig(dram=tiny_dram_config, verify_security=False, max_steps=10)
         system = System([trace], config=config)

@@ -10,8 +10,13 @@ sharing a seed within a pair.  For each workload it prints the median
 ``wall_s`` of base and head, their relative change and base's
 interquartile range (the noise measured in this very run), and fails when
 head's median exceeds base's by more than ``wall_s``'s ``bound`` in
-``BENCHMARK.json``, or when any run reports an incorrect result.  ``--base-tree DIR`` uses an existing checkout of the base
-instead of a worktree (then ``BASE_REF`` may be omitted).
+``BENCHMARK.json``, or when any run reports an incorrect result.
+
+    python tools/bench_gate.py --base-tree DIR
+
+gates against a tree of the base that already exists instead, for a
+repository where a worktree must not be added: a read-only ``.git``, or a
+base exported with ``git archive`` that has no commit in this repository.
 
 Exit status: 0 when every workload passes, 1 otherwise.
 """

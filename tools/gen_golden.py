@@ -34,18 +34,15 @@ from repro.workloads.attacks import traditional_rowhammer_attack
 from repro.workloads.suite import build_multicore_traces, build_trace
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from golden_runs import GOLDEN_PATH, result_fingerprint  # noqa: E402
+from golden_runs import GOLDEN_PATH, MIX4, result_fingerprint  # noqa: E402
 from oracle_commands import checked_runs  # noqa: E402
-
-_MIX = ("429.mcf", "462.libquantum", "473.astar", "bfs_dblp")
-
 
 def mix_point(scheduler: str, row_policy: str, **params) -> ExperimentSpec:
     """A heterogeneous 4-core mix on 2 channels under one policy pair."""
     return ExperimentSpec(
         workload=WorkloadSpec(
             name="mix4",
-            mix=tuple(WorkloadSpec(name=m, num_requests=300) for m in _MIX),
+            mix=tuple(WorkloadSpec(name=m, num_requests=300) for m in MIX4),
         ),
         mitigation=MitigationSpec(name="comet", nrh=125),
         platform=PlatformSpec(
