@@ -2,9 +2,17 @@
 
 ``repro serve --store DIR`` answers spec-hash and grid queries from the
 store without ever simulating — the "results database" face of the
-campaign subsystem.  Pure stdlib (:mod:`http.server`), threaded, safe to
-run against a store that workers are still writing to (records are
-published atomically).
+campaign subsystem.  Pure stdlib (:mod:`http.server`), safe to run against
+a store that workers are still writing to (records are published
+atomically).
+
+Requests are answered one at a time on the thread that runs
+``serve_forever``.  Every request is a short read of the store, and a
+thread started per request costs more than the request itself: a newly
+created thread queues behind whatever else is runnable on its CPU, so on a
+busy host a share of the responses waited several milliseconds for their
+handler to start.  A client that connects and then stalls is cut off after
+``StoreRequestHandler.timeout`` seconds, so it cannot hold the server.
 
 Endpoints (all ``GET``, all ``application/json``):
 
@@ -23,7 +31,7 @@ Endpoints (all ``GET``, all ``application/json``):
 from __future__ import annotations
 
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -46,6 +54,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
     """Routes GETs into store queries; every response is JSON."""
 
     server: "StoreHTTPServer"
+    #: Seconds a connection may stay silent before it is dropped.
+    timeout = 10
 
     # ------------------------------------------------------------------ #
     # Plumbing
@@ -152,10 +162,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         )
 
 
-class StoreHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the store for its handlers."""
-
-    daemon_threads = True
+class StoreHTTPServer(HTTPServer):
+    """HTTPServer carrying the store for its handler."""
 
     def __init__(
         self,

@@ -1,6 +1,7 @@
 """Tests for the read-only HTTP JSON API over a result store."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -118,3 +119,23 @@ class TestErrors:
     def test_bad_query_int_400(self, base_url):
         body = get_json(f"{base_url}/query?nrh=abc", expect_status=400)
         assert "integer" in body["error"]
+
+
+class TestStalledClient:
+    def test_silent_connection_is_dropped_and_others_are_served(self, store, monkeypatch):
+        from repro.campaign.serve import StoreRequestHandler
+
+        monkeypatch.setattr(StoreRequestHandler, "timeout", 0.2)
+        server = make_server(store, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address
+        try:
+            with socket.create_connection((host, port)):
+                # Requests are answered one at a time, so this one waits
+                # until the silent connection above times out.
+                body = get_json(f"http://{host}:{port}/health")
+            assert body["status"] == "ok"
+        finally:
+            server.shutdown()
+            server.server_close()
