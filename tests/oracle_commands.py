@@ -24,7 +24,15 @@ Rules, all checked pairwise against every earlier command they apply to:
   metadata (RFM→ACT/REF/RFM to the bank);
 * buses: one command per channel per cycle, data bursts never overlap;
 * refresh cadence: with refresh enabled, no rank goes more than
-  ``MAX_POSTPONED_REFRESHES + 1`` refresh intervals without a REF.
+  ``MAX_POSTPONED_REFRESHES + 1`` refresh intervals without a REF;
+* PRAC Alert Back-Off, when the run's mitigation is PRAC: the checker
+  recounts activations per row (every ACT counts; at the alert threshold the
+  device alerts and the alerting row's count restarts; a REF restarts the
+  ``rows_per_refresh`` rows it covers in every bank of its rank, from a
+  per-rank pointer that wraps at ``rows_per_bank``) and flags any
+  non-preventive ACT, RD or WR issued before the alert plus the back-off
+  window (``tABO``).  PREs are not checked: a demand PRE and the PRE that
+  closes a bank for a preventive ACT look alike on the bus.
 
 :func:`checked_runs` attaches a checker to every DRAM system of every
 simulation run inside it and hashes the whole command stream, which is
@@ -89,7 +97,7 @@ class CommandRecorder:
 
 
 class _Bank:
-    __slots__ = ("open_row", "act", "pre", "rd", "wr_end", "busy_until")
+    __slots__ = ("open_row", "act", "pre", "rd", "wr_end", "busy_until", "row_acts")
 
     def __init__(self) -> None:
         self.open_row: Optional[int] = None
@@ -98,10 +106,14 @@ class _Bank:
         self.rd = _PAST  # last RD
         self.wr_end = _PAST  # end of the last write burst
         self.busy_until = _PAST  # end of the last RFM window
+        #: PRAC: activations per row since the row's count last restarted.
+        self.row_acts: Dict[int, int] = {}
 
 
 class _Rank:
-    __slots__ = ("banks", "acts", "columns", "wr_end", "rd", "ref_end", "last_ref")
+    __slots__ = (
+        "banks", "acts", "columns", "wr_end", "rd", "ref_end", "last_ref", "ref_row"
+    )
 
     def __init__(self, bankgroups: int, banks: int) -> None:
         self.banks: Dict[Tuple[int, int], _Bank] = {
@@ -117,6 +129,7 @@ class _Rank:
         self.rd = _PAST  # last RD anywhere in the rank (tRTW)
         self.ref_end = _PAST  # last REF + tRFC
         self.last_ref = 0
+        self.ref_row = 0  # first row the next REF covers
 
 
 class CommandStreamChecker:
@@ -124,17 +137,28 @@ class CommandStreamChecker:
 
     ``channel`` scopes the checker to one channel of the organization (a
     channel-partitioned controller's DRAM system); ``None`` covers them all.
-    Call the checker as a command observer, then :meth:`finish` at the end
-    of the run; :attr:`violations` lists what broke, first offence first.
+    ``alert_back_off`` is PRAC's ``(alert threshold, back-off window)`` in
+    activations and cycles; ``None`` (no PRAC) skips the check.  Call the
+    checker as a command observer, then :meth:`finish` at the end of the
+    run; :attr:`violations` lists what broke, first offence first.
     """
 
     #: Violation messages kept (the count keeps going).
     KEEP = 20
 
-    def __init__(self, config: DRAMConfig, channel: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        config: DRAMConfig,
+        channel: Optional[int] = None,
+        alert_back_off: Optional[Tuple[int, int]] = None,
+    ) -> None:
         org = config.organization
         self.t = config.timing
         self.rows = org.rows_per_bank
+        self.rows_per_refresh = config.rows_per_refresh
+        self.alert_back_off = alert_back_off
+        #: End of the latest Alert Back-Off window.
+        self.abo_until = _PAST
         self.columns_per_row = org.columns_per_row
         channels = range(org.channels) if channel is None else (channel,)
         self.ranks: Dict[Tuple[int, int], _Rank] = {
@@ -189,6 +213,12 @@ class CommandStreamChecker:
         if kind is _REF:
             self._refresh(cycle, command, rank)
             return
+        if (
+            self.alert_back_off is not None
+            and kind in (_ACT, _RD, _WR)
+            and not command.is_preventive
+        ):
+            self._not_before(cycle, command, self.abo_until, "tABO")
         bank = rank.banks.get((command.bankgroup, command.bank))
         if bank is None:
             self._fail(cycle, command, "no such bank")
@@ -212,6 +242,8 @@ class CommandStreamChecker:
             rank.acts.append((cycle, bg))
             bank.open_row = command.row
             bank.act = cycle
+            if self.alert_back_off is not None:
+                self._count_activation(cycle, bank, command.row)
         elif kind is _PRE:
             if bank.open_row is None:
                 self._fail(cycle, command, "PRE to a closed bank")
@@ -272,6 +304,15 @@ class CommandStreamChecker:
             bank.rd = cycle
             rank.rd = cycle
 
+    def _count_activation(self, cycle: int, bank: _Bank, row: int) -> None:
+        threshold, window = self.alert_back_off
+        count = bank.row_acts.get(row, 0) + 1
+        if count >= threshold:
+            self.abo_until = max(self.abo_until, cycle + window)
+            bank.row_acts.pop(row, None)
+        else:
+            bank.row_acts[row] = count
+
     def _refresh(self, cycle: int, command: Command, rank: _Rank) -> None:
         t = self.t
         for key, bank in rank.banks.items():
@@ -282,6 +323,13 @@ class CommandStreamChecker:
         self._cadence(cycle, command, rank)
         rank.ref_end = cycle + t.tRFC
         rank.last_ref = cycle
+        if self.alert_back_off is not None:
+            first = rank.ref_row
+            last = first + self.rows_per_refresh
+            for bank in rank.banks.values():
+                for row in [r for r in bank.row_acts if first <= r < last]:
+                    del bank.row_acts[row]
+            rank.ref_row = last % self.rows
 
     def _cadence(self, cycle: int, command: Optional[Command], rank: _Rank) -> None:
         limit = self.refresh_limit
@@ -301,6 +349,16 @@ class CommandStreamChecker:
             self._cadence(self.last_cycle, None, rank)
 
 
+def alert_back_off(mitigation) -> Optional[Tuple[int, int]]:
+    """PRAC's ``(alert threshold, back-off window)`` from its configuration
+    (``nrh // alert_divider`` activations, at least one, and
+    ``tabo_cycles``); ``None`` for any other mitigation."""
+    if getattr(mitigation, "name", None) != "prac":
+        return None
+    config = mitigation.config
+    return max(1, config.nrh // config.alert_divider), config.tabo_cycles
+
+
 class CheckedRun:
     """One simulation run under the oracle: a checker per DRAM system plus
     one recorder over the whole run's command stream, in issue order."""
@@ -311,7 +369,11 @@ class CheckedRun:
         self.checkers: List[CommandStreamChecker] = []
         for controller in system.fabric.controllers:
             dram = controller.dram
-            checker = CommandStreamChecker(dram.config, channel=dram.channel)
+            checker = CommandStreamChecker(
+                dram.config,
+                channel=dram.channel,
+                alert_back_off=alert_back_off(controller.mitigation),
+            )
             dram.add_command_observer(checker)
             dram.add_command_observer(self.recorder)
             self.checkers.append(checker)

@@ -73,8 +73,8 @@ def wr(bg, bank):
     return Command(WR, bankgroup=bg, bank=bank, column=0)
 
 
-def check(stream, config=_NO_REFRESH):
-    checker = CommandStreamChecker(config)
+def check(stream, config=_NO_REFRESH, alert_back_off=None):
+    checker = CommandStreamChecker(config, alert_back_off=alert_back_off)
     for cycle, command in stream:
         checker(cycle, command)
     checker.finish()
@@ -221,6 +221,53 @@ def test_refresh_postponement_bound():
     assert check([(limit + 1, act(0, 0))], _NO_REFRESH) == []
 
 
+def check_abo(stream, threshold=2):
+    """``stream`` under PRAC with a 100-cycle back-off window."""
+    return check(stream, alert_back_off=(threshold, 100))
+
+
+#: Two ACTs to row 1 of bank A: the second one alerts at ``_ALERT``.
+_ALERT = _T.tRC
+_HAMMER = [(0, act(0, 0)), (_T.tRAS, pre(0, 0)), (_ALERT, act(0, 0))]
+
+
+def test_alert_back_off_window_is_enforced_to_the_cycle():
+    end = _ALERT + 100
+    assert check_abo(_HAMMER + [(end, rd(0, 0))]) == []
+    flagged = check_abo(_HAMMER + [(end - 1, rd(0, 0))])
+    assert [v.split(": ", 1)[1] for v in flagged] == [
+        f"tABO (legal from cycle {end})"
+    ]
+    # A demand ACT waits too; a preventive ACT and a PRE do not.
+    assert any(": tABO " in v for v in check_abo(_HAMMER + [(end - 1, act(1, 0))]))
+    preventive = Command(ACT, bankgroup=1, bank=0, row=5, is_preventive=True)
+    assert check_abo(_HAMMER + [(_ALERT + _T.tRRD_S, preventive)]) == []
+    assert check_abo(_HAMMER + [(_ALERT + _T.tRAS, pre(0, 0))]) == []
+    # Below the threshold nothing is held back.
+    assert check_abo(_HAMMER + [(_ALERT + _T.tRCD, rd(0, 0))], threshold=3) == []
+
+
+def test_alert_restarts_the_row_and_refresh_restarts_covered_rows():
+    # After an alert the row counts from zero: two more ACTs alert again.
+    second = _ALERT + 100
+    stream = _HAMMER + [(second - _T.tRC + _T.tRAS, pre(0, 0)), (second, act(0, 0))]
+    assert check_abo(stream + [(second + _T.tRCD, rd(0, 0))]) == []
+    # A REF covering row 1 (the first REF covers rows_per_refresh rows from
+    # row 0) restarts its count, so the second ACT does not alert.
+    ref = _T.tRAS + _T.tRP
+    after = ref + _T.tRFC
+    with_ref = [
+        (0, act(0, 0)),
+        (_T.tRAS, pre(0, 0)),
+        (ref, Command(REF)),
+        (after, act(0, 0)),
+        (after + _T.tRCD, rd(0, 0)),
+    ]
+    assert check_abo(with_ref) == []
+    without_ref = [entry for entry in with_ref if entry[1].kind is not REF]
+    assert any(": tABO " in v for v in check_abo(without_ref))
+
+
 def test_recorder_hash_covers_every_field():
     base = [(5, act(0, 0)), (30, rd(0, 0))]
     variants = [
@@ -342,3 +389,21 @@ def test_refresh_policies_issue_a_legal_stream(mitigation, refresh_policy, param
     # interval of fine-granularity refresh, or bank-scoped RFMs.
     expected = REF if refresh_policy == "fine_granularity" else RFM
     assert run.recorder.kinds[expected] > 0
+
+
+def test_prac_alert_back_off_binds_in_a_legal_stream():
+    # The mix points above stay below PRAC's alert threshold.  Two
+    # aggressors per bank at NRH = 64 alert, and demand commands wait
+    # exactly to the end of the back-off window, so an off-by-one shows.
+    run = _run_checked(
+        ExperimentSpec(
+            workload=WorkloadSpec(
+                name="attack_traditional",
+                num_requests=1200,
+                params={"aggressor_rows_per_bank": 2},
+            ),
+            mitigation=MitigationSpec(name="prac", nrh=64),
+            verify_security="streaming",
+        )
+    )
+    assert run.tight["tABO"] > 0

@@ -248,6 +248,9 @@ class _IdleControllerDouble:
     def decision_crosses_boundary(self, start, end):
         return False
 
+    def select_deferrable(self):
+        return True
+
     def next_decision(self, cycle):
         return None
 
