@@ -22,6 +22,8 @@ Endpoints (all ``GET``, all ``application/json``):
     The full stored :class:`~repro.experiment.session.RunRecord` payload.
 ``/query?workload=&mitigation=&nrh=&secure=&campaign=&limit=``
     Flat summary rows for every matching record (all filters optional).
+    A non-integer ``nrh`` or ``limit``, a negative ``limit`` or a ``secure``
+    that is not a boolean word is a 400.
 ``/campaigns``
     Checkpointed campaign ids.
 ``/campaigns/<id>``
@@ -126,7 +128,14 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         except ValueError:
             self._error(400, "nrh and limit must be integers")
             return
-        secure = _parse_bool(single("secure")) if single("secure") else None
+        if limit is not None and limit < 0:
+            self._error(400, "limit must not be negative")
+            return
+        secure_text = single("secure")
+        secure = _parse_bool(secure_text) if secure_text else None
+        if secure_text and secure is None:
+            self._error(400, "secure must be one of 1, true, yes, 0, false, no")
+            return
         rows = self.server.store.query(
             workload=single("workload"),
             mitigation=single("mitigation"),

@@ -41,17 +41,19 @@ bit-identical to the pre-policy controller — decision ties are broken by an
 explicit scan key that reproduces the old queue-scan order exactly — and is
 pinned by the golden traces under ``tests/golden/``.
 
-There is one hot path.  Selection and issue are two closures built once per
-controller with their invariant inputs pre-bound
-(:meth:`MemoryController._build_fast_select` and
-:meth:`MemoryController._build_fast_issue`); the event kernel calls them
-directly, and the public :meth:`~MemoryController.next_decision` /
-:meth:`~MemoryController.issue_decision` delegate to them.  The select
-computes every command's earliest legal cycle itself, so the fused issue
-applies decisions without asking the device model to re-check them.  What
-checks the timing instead is independent of this package: the test suite's
-JEDEC oracle (``tests/oracle_commands.py``) rebuilds the device state from
-the configuration and every issued command
+There is one issue path.  Selection and issue are two closures built once
+per controller with their invariant inputs pre-bound
+(:meth:`MemoryController._build_select` and
+:meth:`MemoryController._build_issue`) and set as the instance attributes
+:attr:`~MemoryController.next_decision` and
+:attr:`~MemoryController.issue_decision`, which the event kernel calls as
+they are.  The select computes every command's earliest legal cycle itself,
+so the issue hands each decision to
+:attr:`~repro.dram.dram_system.DRAMSystem.apply` — the device model's only
+update routine — without a second timing check, then does the controller's
+bookkeeping.  What checks the timing instead is independent of this
+package: the test suite's JEDEC oracle (``tests/oracle_commands.py``)
+rebuilds the device state from the configuration and every issued command
 (:meth:`~repro.dram.dram_system.DRAMSystem.add_command_observer`).
 """
 
@@ -76,6 +78,9 @@ from repro.dram.config import DRAMConfig
 from repro.dram.dram_system import DRAMSystem
 
 _WRITE = RequestType.WRITE
+
+#: Commands :meth:`MemoryController.drain` issues at most before it returns.
+DRAIN_MAX_COMMANDS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -265,7 +270,7 @@ class MemoryController:
         #: without re-running command selection.
         self.mutations = 0
         #: Static proof that the row policy never emits close candidates
-        #: (the default open-page case), letting the fast scan skip the
+        #: (the default open-page case), letting the demand scan skip the
         #: close-candidate pass entirely.
         self._row_policy_closes = (
             type(self.row_policy).close_candidates is not RowPolicy.close_candidates
@@ -287,10 +292,10 @@ class MemoryController:
             is not RowHammerMitigation.act_allowed_cycle
         )
         #: Per-bank-key (rank, timing-table index, channel, bankgroup)
-        #: cache for the fast scan: everything about a bank key that never
+        #: cache for the demand scan: everything about a bank key that never
         #: changes, resolved once instead of per scan.
         self._bank_meta: Dict[Tuple[int, int, int, int], tuple] = {}
-        #: One demand PRE per bank key for the fast select to hand out
+        #: One demand PRE per bank key for the select to hand out
         #: again: a frozen ``Command`` with empty metadata is the same
         #: value every time that bank is closed for a conflict.  Bounded by
         #: the bank count; policy-close PREs never enter it.
@@ -336,24 +341,28 @@ class MemoryController:
             self.dram.add_refresh_observer(self._on_refresh)
         if self._refresh_policy_rfm:
             self.refresh_policy.attach(self)
-        #: The fused command select with every construction-stable input
+        #: The command select with every construction-stable input
         #: pre-bound.  Built last: it binds the queues, indexes, caches and
         #: the attached mitigation's hook resolutions.
-        self._fast_select = self._build_fast_select()
-        #: The fused issue+bookkeeping path: one closure covering
-        #: ``DRAMSystem.issue`` plus :meth:`_post_issue` for the per-command
-        #: kinds (ACT/PRE/RD/WR) with no-op policy hooks resolved away.
-        #: Guarded against subclass/instance overrides of the methods it
-        #: inlines, so specialized models keep the plain pair.
-        self._fast_issue_fn = (
-            self._build_fast_issue()
-            if (
-                type(self)._post_issue is MemoryController._post_issue
-                and type(self.dram).issue is DRAMSystem.issue
-                and "issue" not in self.dram.__dict__
-            )
-            else None
-        )
+        self._select = self._build_select()
+        #: ``next_decision(cycle)``: the best command as of ``cycle``, as
+        #: ``(issue_cycle, command, request)``, or ``None`` when idle.  The
+        #: event kernel caches the decision and, provided no queue state
+        #: changed in between, hands it back to :attr:`issue_decision`; it
+        #: also defers a select a due core event would supersede.  Measured
+        #: (perfbench, traced): 1.00 selects per issued command on
+        #: ``hammer_comet`` and ``campaign_audit``, 1.30 on the 4-core
+        #: mixes, where an enqueue while a decision waits forces another.  A
+        #: cached decision stays right at its issue cycle unless a periodic
+        #: refresh becomes due in between or the scheduling policy's
+        #: priorities shift (BLISS' clearing interval) — check
+        #: :meth:`decision_crosses_boundary` before trusting it.
+        self.next_decision = self._select
+        #: ``issue_decision(decision)``: issue a decision produced by
+        #: :attr:`next_decision` and return its cycle.  Both are instance
+        #: attributes the event kernel calls as they are, so a wrapper set
+        #: on the instance (a benchmark's tracing) sees every call.
+        self.issue_decision = self._build_issue()
 
     # ------------------------------------------------------------------ #
     # External interface (cores, mitigations)
@@ -477,26 +486,10 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     def next_issue_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle >= ``cycle`` at which some command can issue (None if idle)."""
-        decision = self._fast_select(cycle)
+        decision = self._select(cycle)
         if decision is None:
             return None
         return decision[0]
-
-    def next_decision(self, cycle: int) -> Optional[Tuple[int, Command, Optional[MemoryRequest]]]:
-        """Pick the best command as of ``cycle``: ``(issue_cycle, command, request)``.
-
-        The event kernel caches the returned decision and, provided no queue
-        state changed in between, hands it back to :meth:`issue_decision`,
-        and it defers a selection a due core event would supersede.
-        Measured (perfbench, traced): 1.00 selects per issued command on
-        ``hammer_comet`` and ``campaign_audit``, 1.30 on the 4-core mixes,
-        where an enqueue while a decision waits still forces another.  A
-        cached decision stays the right choice at its issue cycle unless a
-        periodic refresh becomes due in between or the scheduling policy's
-        priorities shift (BLISS' clearing interval) — check
-        :meth:`decision_crosses_boundary` before trusting it.
-        """
-        return self._fast_select(cycle)
 
     def select_deferrable(self) -> bool:
         """True when a select now would change no state: no preventive
@@ -508,22 +501,6 @@ class MemoryController:
         if self._draining_writes:
             return len(self.write_queue) > self.config.write_drain_low
         return len(self.write_queue) < self.config.write_drain_high
-
-    def issue_decision(
-        self, decision: Tuple[int, Command, Optional[MemoryRequest]]
-    ) -> int:
-        """Issue a decision produced by :meth:`next_decision`; returns its cycle."""
-        fused = self._fast_issue_fn
-        if fused is not None:
-            return fused(decision)
-        # A subclass or instance override of what the fused issue inlines:
-        # the plain pair, with the device model re-checking the timing.
-        issue_cycle, command, request = decision
-        self.mutations += 1
-        self.current_cycle = issue_cycle
-        result = self.dram.issue(command, issue_cycle)
-        self._post_issue(command, request, issue_cycle, result)
-        return issue_cycle
 
     def refresh_crosses_due(self, start: int, end: int) -> bool:
         """True when a periodic refresh becomes due in ``(start, end]``.
@@ -554,7 +531,7 @@ class MemoryController:
         Returns the cycle at which the command was issued, or None if the
         controller has nothing to do.
         """
-        decision = self._fast_select(cycle)
+        decision = self._select(cycle)
         if decision is None:
             return None
         return self.issue_decision(decision)
@@ -720,7 +697,7 @@ class MemoryController:
             is_preventive=True,
         )
 
-    def _build_fast_select(self):
+    def _build_select(self):
         """Build the command select with every invariant pre-bound.
 
         One closure covers the whole priority chain: refresh > RFM >
@@ -1172,116 +1149,35 @@ class MemoryController:
         elif len(self.write_queue) >= self.config.write_drain_high:
             self._draining_writes = True
 
-    # -- post-issue bookkeeping -------------------------------------------
-    def _post_issue(
-        self,
-        command: Command,
-        request: Optional[MemoryRequest],
-        cycle: int,
-        result: Optional[int],
-    ) -> None:
-        if command.kind is CommandKind.REF:
-            rank_key = (command.channel, command.rank)
-            if self.extra_rank_refreshes[rank_key] > 0:
-                self.extra_rank_refreshes[rank_key] -= 1
-            else:
-                self.next_refresh_due[rank_key] += self.dram_config.tREFI
-            return
-
-        bank_key = (command.channel, command.rank, command.bankgroup, command.bank)
-
-        if command.kind is CommandKind.RFM:
-            # The device model already blocked the bank; the policy performs
-            # the device's management action (victim refresh, RAA payback).
-            self.refresh_policy.on_rfm(cycle, bank_key)
-            return
-
-        if command.kind is CommandKind.ACT:
-            self.row_policy.on_act(bank_key, cycle)
-            if request is not None:
-                if request.request_type is RequestType.PREVENTIVE_REFRESH:
-                    request.__dict__["_refresh_activated"] = True
-                else:
-                    # A demand request whose row had to be opened: a miss.
-                    self.stats.row_misses += 1
-            self.scheduler.on_issue(command, request, cycle)
-            return
-
-        if command.kind is CommandKind.PRE:
-            self.row_policy.on_pre(bank_key)
-            if (
-                request is not None
-                and request.request_type is RequestType.PREVENTIVE_REFRESH
-                and request.__dict__.get("_refresh_activated", False)
-            ):
-                self.preventive_queue.remove(request)
-                request.complete(cycle)
-                self.dram.stats.preventive_refresh_pairs += 1
-                self._notify_slot_free()
-            elif (
-                request is not None
-                and request.request_type is not RequestType.PREVENTIVE_REFRESH
-            ):
-                # A demand PRE: an open row lost to a conflicting request.
-                self.stats.row_conflicts += 1
-            elif command.metadata.get("policy_close"):
-                # The row policy closing an idle row (no request behind it).
-                self.stats.policy_precharges += 1
-            self.scheduler.on_issue(command, request, cycle)
-            return
-
-        if command.kind in (CommandKind.RD, CommandKind.WR) and request is not None:
-            request.issue_cycle = cycle
-            completion = result if result is not None else cycle
-            queue = self.write_queue if request.is_write else self.read_queue
-            queue.remove(request)
-            self._unindex_request(request)
-            request.complete(completion)
-            if request.is_read and not request.is_mitigation_traffic:
-                self.stats.record_read_completion(request)
-            # Served straight from the open row: a row-buffer hit.
-            self.stats.row_hits += 1
-            self.scheduler.on_issue(command, request, cycle)
-            self._notify_slot_free()
-
+    # -- issue ---------------------------------------------------------------
     def _notify_slot_free(self) -> None:
         for callback in self._slot_free_callbacks:
             callback()
 
-    def _build_fast_issue(self):
-        """Build the fused issue path that pairs with the select.
+    def _build_issue(self):
+        """Build :attr:`issue_decision`: the device update, then bookkeeping.
 
-        One closure replays ``DRAMSystem.issue`` + :meth:`_post_issue` for
-        the per-bank command kinds (ACT/PRE/RD/WR) with every
-        construction-stable input pre-bound (positional defaults, as in
-        :meth:`_build_fast_select`), the no-op policy hooks
-        resolved away (FR-FCFS, FCFS and the open-page row policy observe
-        nothing; BLISS keeps its ``on_issue`` streak tracking), and the
-        ACT-event :class:`DRAMAddress`
-        memoized per row — hammering workloads re-activate the same rows by
-        construction.  REF and RFM are once-per-tREFI rare and go through
-        the two methods unchanged.  Semantically this must stay a
-        line-by-line transliteration of the two methods it fuses (they
-        remain the issue path of subclasses that override either); the
-        decision-by-decision property in ``tests/test_fastpath_identity.py``
-        issues through both and compares the statistics.
+        One closure for all six command kinds.  It hands the command to
+        :attr:`~repro.dram.dram_system.DRAMSystem.apply` — the device half:
+        buses, bank and rank state, device statistics, observers — and then
+        does the controller's half: retire the served request, advance the
+        refresh schedule, count row hits, misses and conflicts, and call the
+        policy hooks.  No-op hooks are resolved away here (FR-FCFS, FCFS and
+        the open-page row policy observe nothing; BLISS keeps its
+        ``on_issue`` streak tracking), and every construction-stable input
+        is pre-bound as a positional default, as in :meth:`_build_select`.
+        ``tests/test_fastpath_identity.py`` recounts the row statistics from
+        the issued decisions.
         """
-        dram = self.dram
         scheduler = self.scheduler
         row_policy = self.row_policy
 
-        def issue_fused(
+        def issue(
             decision,
             self=self,
-            dram=dram,
-            ranks=dram.ranks,
-            dram_stats=dram.stats,
+            apply=self.dram.apply,
+            dram_stats=self.dram.stats,
             ctl_stats=self.stats,
-            command_bus_free=dram._command_bus_free,
-            data_bus_free=dram._data_bus_free,
-            deliver_activation=dram.deliver_activation,
-            notify_row_refresh=dram.notify_row_refresh,
-            command_observers=dram._command_observers,
             on_act_hook=(
                 row_policy.on_act
                 if type(row_policy).on_act is not RowPolicy.on_act
@@ -1297,13 +1193,15 @@ class MemoryController:
                 if type(scheduler).on_issue is not SchedulingPolicy.on_issue
                 else None
             ),
+            on_rfm=self.refresh_policy.on_rfm,
             read_queue=self.read_queue,
             write_queue=self.write_queue,
             preventive_queue=self.preventive_queue,
             unindex_request=self._unindex_request,
             slot_free_callbacks=self._slot_free_callbacks,
-            act_addresses={},
-            act_memo_limit=1 << 20,
+            next_refresh_due=self.next_refresh_due,
+            extra_rank_refreshes=self.extra_rank_refreshes,
+            tREFI=self.dram_config.tREFI,
             PREVENTIVE_REFRESH=RequestType.PREVENTIVE_REFRESH,
             READ=RequestType.READ,
             WRITE=RequestType.WRITE,
@@ -1311,115 +1209,86 @@ class MemoryController:
             PRE=CommandKind.PRE,
             RD=CommandKind.RD,
             WR=CommandKind.WR,
-            DRAMAddress=DRAMAddress,
-        ):
+            REF=CommandKind.REF,
+        ) -> int:
             issue_cycle, command, request = decision
             self.mutations += 1
             self.current_cycle = issue_cycle
+            result = apply(command, issue_cycle)
             kind = command.kind
-            if kind is not ACT and kind is not PRE and kind is not RD and kind is not WR:
-                # REF / RFM: rank-scoped, rare, and full of policy plumbing
-                # — the plain issue pair costs nothing at their rate.
-                result = dram.issue(command, issue_cycle, validated=True)
-                self._post_issue(command, request, issue_cycle, result)
-                return issue_cycle
-            if command_observers:
-                for observer in command_observers:
-                    observer(issue_cycle, command)
-            channel = command.channel
-            rank_id = command.rank
-            bankgroup = command.bankgroup
-            bank = command.bank
-            rank = ranks[(channel, rank_id)]
-            if issue_cycle > dram.current_cycle:
-                dram.current_cycle = issue_cycle
-            command_bus_free[channel] = issue_cycle + 1
-            bank_key = (channel, rank_id, bankgroup, bank)
 
             if kind is ACT:
-                preventive = command.is_preventive
-                rank.apply_act(issue_cycle, bankgroup, bank, command.row, preventive)
-                dram_stats.acts += 1
-                if preventive:
-                    dram_stats.preventive_acts += 1
-                row_key = (channel, rank_id, bankgroup, bank, command.row)
-                address = act_addresses.get(row_key)
-                if address is None:
-                    address = DRAMAddress(
-                        channel=channel,
-                        rank=rank_id,
-                        bankgroup=bankgroup,
-                        bank=bank,
-                        row=command.row,
-                        column=0,
-                    )
-                    if len(act_addresses) < act_memo_limit:
-                        act_addresses[row_key] = address
-                deliver_activation(issue_cycle, address, preventive)
-                if preventive:
-                    notify_row_refresh(issue_cycle, address)
                 if on_act_hook is not None:
-                    on_act_hook(bank_key, issue_cycle)
+                    on_act_hook(
+                        (command.channel, command.rank, command.bankgroup, command.bank),
+                        issue_cycle,
+                    )
                 if request is not None:
                     if request.request_type is PREVENTIVE_REFRESH:
                         request.__dict__["_refresh_activated"] = True
                     else:
+                        # A demand request whose row had to be opened: a miss.
                         ctl_stats.row_misses += 1
                 if on_issue_hook is not None:
                     on_issue_hook(command, request, issue_cycle)
-                return issue_cycle
 
-            if kind is PRE:
-                rank.apply_pre(issue_cycle, bankgroup, bank)
-                dram_stats.pres += 1
+            elif kind is PRE:
                 if on_pre_hook is not None:
-                    on_pre_hook(bank_key)
-                if request is not None:
-                    if request.request_type is PREVENTIVE_REFRESH:
-                        if request.__dict__.get("_refresh_activated", False):
-                            preventive_queue.remove(request)
-                            request.complete(issue_cycle)
-                            dram_stats.preventive_refresh_pairs += 1
-                            for callback in slot_free_callbacks:
-                                callback()
-                        elif command.metadata.get("policy_close"):
-                            ctl_stats.policy_precharges += 1
-                    else:
-                        ctl_stats.row_conflicts += 1
-                elif command.metadata.get("policy_close"):
-                    ctl_stats.policy_precharges += 1
+                    on_pre_hook(
+                        (command.channel, command.rank, command.bankgroup, command.bank)
+                    )
+                if request is None:
+                    if command.metadata.get("policy_close"):
+                        # The row policy closing an idle row.
+                        ctl_stats.policy_precharges += 1
+                elif request.request_type is not PREVENTIVE_REFRESH:
+                    # A demand PRE: an open row lost to a conflicting request.
+                    ctl_stats.row_conflicts += 1
+                elif request.__dict__.get("_refresh_activated", False):
+                    # The PRE closing a preventive refresh's victim row.
+                    preventive_queue.remove(request)
+                    request.complete(issue_cycle)
+                    dram_stats.preventive_refresh_pairs += 1
+                    for callback in slot_free_callbacks:
+                        callback()
                 if on_issue_hook is not None:
                     on_issue_hook(command, request, issue_cycle)
-                return issue_cycle
 
-            # RD / WR
-            is_write = kind is WR
-            bank_state = rank.banks[(bankgroup, bank)]
-            data_end = rank.apply_column(
-                issue_cycle, bankgroup, bank, bank_state.open_row, is_write
-            )
-            data_bus_free[channel] = data_end
-            if is_write:
-                dram_stats.writes += 1
+            elif kind is RD or kind is WR:
+                if request is not None:
+                    request.issue_cycle = issue_cycle
+                    request_type = request.request_type
+                    queue = write_queue if request_type is WRITE else read_queue
+                    queue.remove(request)
+                    unindex_request(request)
+                    request.complete(result)
+                    if request_type is READ and not request.is_mitigation_traffic:
+                        ctl_stats.record_read_completion(request)
+                    # Served straight from the open row: a row-buffer hit.
+                    ctl_stats.row_hits += 1
+                    if on_issue_hook is not None:
+                        on_issue_hook(command, request, issue_cycle)
+                    for callback in slot_free_callbacks:
+                        callback()
+
+            elif kind is REF:
+                rank_key = (command.channel, command.rank)
+                if extra_rank_refreshes[rank_key] > 0:
+                    extra_rank_refreshes[rank_key] -= 1
+                else:
+                    next_refresh_due[rank_key] += tREFI
+
             else:
-                dram_stats.reads += 1
-            if request is not None:
-                request.issue_cycle = issue_cycle
-                request_type = request.request_type
-                queue = write_queue if request_type is WRITE else read_queue
-                queue.remove(request)
-                unindex_request(request)
-                request.complete(data_end)
-                if request_type is READ and not request.is_mitigation_traffic:
-                    ctl_stats.record_read_completion(request)
-                ctl_stats.row_hits += 1
-                if on_issue_hook is not None:
-                    on_issue_hook(command, request, issue_cycle)
-                for callback in slot_free_callbacks:
-                    callback()
+                # RFM: the device already blocked the bank; the policy
+                # performs the device's management action (victim refresh,
+                # RAA payback).
+                on_rfm(
+                    issue_cycle,
+                    (command.channel, command.rank, command.bankgroup, command.bank),
+                )
             return issue_cycle
 
-        return issue_fused
+        return issue
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -1460,7 +1329,8 @@ class MemoryController:
 
     def restore(self, state: Dict) -> None:
         """Restore the state captured by :meth:`snapshot`."""
-        # In-place: the fast select binds these dicts at construction.
+        # In-place: the select and issue closures bind these dicts at
+        # construction.
         self.next_refresh_due.clear()
         self.next_refresh_due.update(
             (tuple(key), due) for key, due in state["next_refresh_due"]
@@ -1498,11 +1368,14 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Draining (used at the end of simulations)
     # ------------------------------------------------------------------ #
-    def drain(self, cycle: int, max_commands: int = 10_000_000) -> int:
-        """Issue commands until all queues are empty; returns the final cycle."""
+    def drain(self, cycle: int) -> int:
+        """Issue commands until all queues are empty; returns the final cycle.
+
+        At most :data:`DRAIN_MAX_COMMANDS` commands, a runaway guard.
+        """
         issued = 0
         current = cycle
-        while self.has_work() and issued < max_commands:
+        while self.has_work() and issued < DRAIN_MAX_COMMANDS:
             next_cycle = self.issue_next(current)
             if next_cycle is None:
                 break

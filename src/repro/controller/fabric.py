@@ -150,16 +150,14 @@ class ChannelFabric:
     def has_work(self) -> bool:
         return any(controller.has_work() for controller in self.controllers)
 
-    def drain(self, cycle: int, max_commands: int = 10_000_000) -> int:
+    def drain(self, cycle: int) -> int:
         """Drain every channel's queues; returns the latest final cycle.
 
         Channels share no state, so per-channel drains compose: draining them
         one after another issues exactly the commands a timestamp-interleaved
         drain would, at the same cycles.
         """
-        return max(
-            controller.drain(cycle, max_commands) for controller in self.controllers
-        )
+        return max(controller.drain(cycle) for controller in self.controllers)
 
     @property
     def stats(self) -> ControllerStatistics:

@@ -184,7 +184,7 @@ class SchedulingPolicy:
     owns its own policy instances.
 
     A policy is expressed to the controller's struct-of-arrays demand scan
-    (:meth:`~repro.controller.controller.MemoryController._build_fast_select`)
+    (:meth:`~repro.controller.controller.MemoryController._build_select`)
     by two facts — :attr:`HITS_FIRST` and :attr:`demoted_cores` — plus the
     :meth:`before_demand_scan` hook.  The per-bank rule they encode: a
     closed bank serves its first request (ACT); an open bank serves its

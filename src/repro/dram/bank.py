@@ -15,7 +15,7 @@ struct-of-arrays earliest-cycle table shared by every bank of a
 dense index.  A :class:`Bank` is a *view* into its slot — its attribute
 interface (``bank.next_act``, ``bank.open_row``, ``bank.state``) is
 unchanged and remains the single source of truth — while the memory
-controller's fused demand scan reads the shared arrays directly and evaluates
+controller's demand scan reads the shared arrays directly and evaluates
 every candidate bank against one earliest-issue vector instead of chasing
 ``ranks[...].banks[...]`` object chains per check.  A bank constructed
 standalone (unit tests) owns a private 1-slot table.

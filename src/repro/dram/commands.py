@@ -62,10 +62,10 @@ class Command:
     :func:`dataclasses.fields`/:func:`dataclasses.replace` and pickling.
     Each command gets its own ``metadata`` dict unless one is passed in.
 
-    Being frozen is what lets one command instance be shared: the fused
+    Being frozen is what lets one command instance be shared: the
     controller select hands out the same demand PRE per bank on every
     decision that closes that bank for a row conflict (see
-    :meth:`repro.controller.controller.MemoryController._build_fast_select`).
+    :meth:`repro.controller.controller.MemoryController._build_select`).
     """
 
     kind: CommandKind

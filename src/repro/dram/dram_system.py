@@ -2,24 +2,25 @@
 
 :class:`DRAMSystem` owns every bank of every rank of every channel, enforces
 the cross-bank constraints (tRRD, tFAW, tCCD, data-bus occupancy, read/write
-turnaround, tRFC) and exposes two operations to the memory controller:
+turnaround, tRFC) and exposes three operations to the memory controller:
 
 * :meth:`DRAMSystem.earliest_issue_cycle` — the first cycle at or after a
-  given cycle at which a command would be legal, and
-* :meth:`DRAMSystem.issue` — apply the command, updating all state.
+  given cycle at which a command would be legal;
+* :attr:`DRAMSystem.apply` — apply a command, updating all state.  It is the
+  only code that changes the device for a command, for all six kinds, and
+  it does not check timing: the memory controller's select has already
+  computed every earliest legal cycle, and the controller calls it
+  directly;
+* :meth:`DRAMSystem.issue` — the timing check, then :attr:`apply`, for
+  callers that computed nothing (tests, tools).
 
 The model also maintains the ground-truth row activation bookkeeping that the
 security verifier and the RowHammer mitigations observe: observers can be
 registered for row activations and for row refreshes (both periodic REF
-coverage and preventive ACT-based refreshes).
-
-:meth:`DRAMSystem.issue` re-checks a command's timing unless the caller says
-it already did (``validated=True``).  The memory controller always has: its
-select computes every earliest legal cycle, and its fused issue applies
-commands through the same state without calling :meth:`DRAMSystem.issue`
-at all.  A command observer (:meth:`DRAMSystem.add_command_observer`) sees
-every command either way, which is how the test suite's independent JEDEC
-oracle checks the whole stream.
+coverage and preventive ACT-based refreshes).  A command observer
+(:meth:`DRAMSystem.add_command_observer`) sees every command :attr:`apply`
+applies, which is how the test suite's independent JEDEC oracle checks the
+whole stream.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ class DRAMSystem:
         # One shared struct-of-arrays timing table covering every bank this
         # system owns; ranks claim contiguous slot ranges in (channel, rank,
         # bankgroup, bank) order.  The controller's demand scan reads
-        # these arrays directly (see MemoryController._build_fast_select).
+        # these arrays directly (see MemoryController._build_select).
         banks_per_rank = org.bankgroups_per_rank * org.banks_per_bankgroup
         num_channels = org.channels if channel is None else 1
         self.timing_table = BankTimingTable(
@@ -365,10 +366,16 @@ class DRAMSystem:
         self._batch_cycles: List[int] = []
         self._batch_addresses: List[DRAMAddress] = []
         self._batch_flags: List[bool] = []
-        #: Called with every issued command; the controller's fused issue
-        #: binds this list at build time, so it is only ever appended to.
+        #: Called with every issued command; :attr:`apply` binds this list
+        #: at build time, so it is only ever appended to.
         self._command_observers: List[CommandObserver] = []
         self.current_cycle = 0
+        #: ``apply(command, cycle)``: THE device update, for every command
+        #: kind, with no timing check — the caller vouches that ``cycle`` is
+        #: legal (:meth:`issue` checks first).  Returns the data-completion
+        #: cycle for RD/WR, the end of the refresh block for REF/RFM and
+        #: ``None`` for ACT/PRE.  Built last: it binds the state above.
+        self.apply = self._build_apply()
 
     # ------------------------------------------------------------------ #
     # Observer registration
@@ -384,9 +391,8 @@ class DRAMSystem:
     def add_command_observer(self, observer: CommandObserver) -> None:
         """Observer called as ``observer(cycle, Command)`` for every issued command.
 
-        Fired once per command, in issue order, before the command is
-        applied — from :meth:`issue` and from the memory controller's fused
-        issue path alike.  For checkers and recorders of the command stream
+        Fired once per command, in issue order, by :attr:`apply` before it
+        changes any state.  For checkers and recorders of the command stream
         (the test suite's JEDEC timing oracle); an observer must not feed
         back into the device or the controller.
         """
@@ -441,7 +447,7 @@ class DRAMSystem:
     def deliver_activation(self, cycle: int, address: DRAMAddress, is_preventive: bool) -> None:
         """Deliver one ACT event: buffer for batched observers, call the rest.
 
-        The single delivery point shared by :meth:`issue` and the sampled
+        The single delivery point shared by :attr:`apply` and the sampled
         fidelity's functional fast-forward (which reconstructs ACTs without
         issuing commands) — any path that synthesizes activation events must
         go through here so batched observers see the same stream as
@@ -516,99 +522,136 @@ class DRAMSystem:
     # ------------------------------------------------------------------ #
     # Command application
     # ------------------------------------------------------------------ #
-    def issue(self, command: Command, cycle: int, validated: bool = False) -> Optional[int]:
-        """Apply ``command`` at ``cycle``.
+    def issue(self, command: Command, cycle: int) -> Optional[int]:
+        """Check ``command``'s timing at ``cycle``, then :attr:`apply` it.
 
-        Returns the data-completion cycle for RD/WR commands, the
-        rank-unblock cycle for REF, and ``None`` for ACT/PRE.  Raises
-        :class:`~repro.dram.bank.TimingViolation` when the command is early.
-
-        ``validated=True`` promises the caller already checked
-        :meth:`earliest_issue_cycle` for this exact ``(command, cycle)``
-        pair, so the recheck is skipped.  The memory controller's scheduler
-        always computes the earliest cycle before deciding to issue (and
-        guards cached decisions with a mutation counter), making the second
-        computation pure overhead on the hot path; direct callers — tests
-        deliberately issuing illegal commands — keep the default and the
-        :class:`TimingViolation` it raises.
+        Raises :class:`~repro.dram.bank.TimingViolation` when the command is
+        early.  For callers that have not computed the earliest legal cycle
+        themselves (tests, tools); the memory controller's select has, so
+        its issue calls :attr:`apply` directly.
         """
-        if not validated:
-            earliest = self.earliest_issue_cycle(command, cycle)
-            if earliest > cycle:
-                raise TimingViolation(
-                    f"{command.describe()} issued at cycle {cycle}, "
-                    f"earliest legal cycle is {earliest}"
+        earliest = self.earliest_issue_cycle(command, cycle)
+        if earliest > cycle:
+            raise TimingViolation(
+                f"{command.describe()} issued at cycle {cycle}, "
+                f"earliest legal cycle is {earliest}"
+            )
+        return self.apply(command, cycle)
+
+    def _build_apply(self) -> Callable[[Command, int], Optional[int]]:
+        """Build :attr:`apply` with every construction-stable input pre-bound.
+
+        Positional defaults, as in the controller's select: the rank dict,
+        the bus dicts, the statistics and the observer lists are mutated in
+        place for the system's lifetime (see :meth:`restore`).  The ACT-event
+        :class:`DRAMAddress` is memoized per row, since hammering workloads
+        re-activate the same rows by construction.
+        """
+
+        def apply(
+            command: Command,
+            cycle: int,
+            self=self,
+            ranks=self.ranks,
+            stats=self.stats,
+            command_bus_free=self._command_bus_free,
+            data_bus_free=self._data_bus_free,
+            command_observers=self._command_observers,
+            refresh_observers=self._refresh_observers,
+            deliver_activation=self.deliver_activation,
+            notify_row_refresh=self.notify_row_refresh,
+            tRFC=self.config.timing.tRFC,
+            act_addresses={},
+            act_memo_limit=1 << 20,
+            ACT=CommandKind.ACT,
+            PRE=CommandKind.PRE,
+            RD=CommandKind.RD,
+            WR=CommandKind.WR,
+            REF=CommandKind.REF,
+            RFM=CommandKind.RFM,
+        ) -> Optional[int]:
+            if command_observers:
+                for observer in command_observers:
+                    observer(cycle, command)
+            channel = command.channel
+            rank_id = command.rank
+            rank = ranks[(channel, rank_id)]
+            if cycle > self.current_cycle:
+                self.current_cycle = cycle
+            command_bus_free[channel] = cycle + 1
+            kind = command.kind
+
+            if kind is ACT:
+                bankgroup = command.bankgroup
+                bank = command.bank
+                row = command.row
+                preventive = command.is_preventive
+                rank.apply_act(cycle, bankgroup, bank, row, preventive)
+                stats.acts += 1
+                if preventive:
+                    stats.preventive_acts += 1
+                row_key = (channel, rank_id, bankgroup, bank, row)
+                address = act_addresses.get(row_key)
+                if address is None:
+                    address = DRAMAddress(
+                        channel=channel,
+                        rank=rank_id,
+                        bankgroup=bankgroup,
+                        bank=bank,
+                        row=row,
+                        column=0,
+                    )
+                    if len(act_addresses) < act_memo_limit:
+                        act_addresses[row_key] = address
+                deliver_activation(cycle, address, preventive)
+                if preventive:
+                    # A preventive ACT refreshes the activated (victim) row
+                    # itself; notify_row_refresh drains the batch buffer first.
+                    notify_row_refresh(cycle, address)
+                return None
+
+            if kind is PRE:
+                rank.apply_pre(cycle, command.bankgroup, command.bank)
+                stats.pres += 1
+                return None
+
+            if kind is RD or kind is WR:
+                bankgroup = command.bankgroup
+                bank = command.bank
+                is_write = kind is WR
+                data_end = rank.apply_column(
+                    cycle, bankgroup, bank,
+                    rank.banks[(bankgroup, bank)].open_row, is_write,
                 )
-        if self._command_observers:
-            for observer in self._command_observers:
-                observer(cycle, command)
-        self.current_cycle = max(self.current_cycle, cycle)
-        rank = self.ranks[(command.channel, command.rank)]
-        self._command_bus_free[command.channel] = cycle + 1
-        timing = self.config.timing
+                data_bus_free[channel] = data_end
+                if is_write:
+                    stats.writes += 1
+                else:
+                    stats.reads += 1
+                return data_end
 
-        if command.kind is CommandKind.ACT:
-            rank.apply_act(
-                cycle, command.bankgroup, command.bank, command.row, command.is_preventive
-            )
-            self.stats.acts += 1
-            if command.is_preventive:
-                self.stats.preventive_acts += 1
-            address = DRAMAddress(
-                channel=command.channel,
-                rank=command.rank,
-                bankgroup=command.bankgroup,
-                bank=command.bank,
-                row=command.row,
-                column=0,
-            )
-            self.deliver_activation(cycle, address, command.is_preventive)
-            if command.is_preventive:
-                # A preventive ACT refreshes the activated (victim) row
-                # itself; notify_row_refresh drains the batch buffer first.
-                self.notify_row_refresh(cycle, address)
-            return None
+            if kind is REF:
+                start_row, count = rank.apply_refresh(cycle)
+                stats.refreshes += 1
+                stats.refresh_rows += count
+                # REF deletes disturbance state downstream; drain buffered
+                # ACT increments first so batch delivery preserves event
+                # order.
+                if self._batch_cycles:
+                    self.flush_activations()
+                for observer in refresh_observers:
+                    observer(cycle, (channel, rank_id), start_row, count)
+                return cycle + tRFC
 
-        if command.kind is CommandKind.PRE:
-            rank.apply_pre(cycle, command.bankgroup, command.bank)
-            self.stats.pres += 1
-            return None
+            if kind is RFM:
+                trfm = command.metadata.get("trfm", tRFC)
+                rank.apply_rfm(cycle, command.bankgroup, command.bank, trfm)
+                stats.rfms += 1
+                return cycle + trfm
 
-        if command.kind in (CommandKind.RD, CommandKind.WR):
-            is_write = command.kind is CommandKind.WR
-            data_end = rank.apply_column(
-                cycle, command.bankgroup, command.bank,
-                self.bank_for_command(command).open_row, is_write,
-            )
-            self._data_bus_free[command.channel] = data_end
-            if is_write:
-                self.stats.writes += 1
-            else:
-                self.stats.reads += 1
-            return data_end
+            raise ValueError(f"unknown command kind {kind}")
 
-        if command.kind is CommandKind.REF:
-            start_row, count = rank.apply_refresh(cycle)
-            self.stats.refreshes += 1
-            self.stats.refresh_rows += count
-            # REF deletes disturbance state downstream; drain buffered ACT
-            # increments first so batch delivery preserves event order.
-            if self._batch_cycles:
-                self.flush_activations()
-            for observer in self._refresh_observers:
-                observer(cycle, (command.channel, command.rank), start_row, count)
-            return cycle + timing.tRFC
-
-        if command.kind is CommandKind.RFM:
-            trfm = command.metadata.get("trfm", timing.tRFC)
-            rank.apply_rfm(cycle, command.bankgroup, command.bank, trfm)
-            self.stats.rfms += 1
-            return cycle + trfm
-
-        raise ValueError(f"unknown command kind {command.kind}")
-
-    def bank_for_command(self, command: Command) -> Bank:
-        return self.bank(command.channel, command.rank, command.bankgroup, command.bank)
+        return apply
 
     # ------------------------------------------------------------------ #
     # Checkpointing
@@ -634,8 +677,9 @@ class DRAMSystem:
         self._batch_flags = []
         for key, rank_state in state["ranks"].items():
             self.ranks[tuple(key)].restore(rank_state)
-        # In-place updates: the controller's fast demand scan binds these
-        # dicts once at construction, so the objects must stay identical.
+        # In-place updates: apply and the controller's demand scan bind
+        # these dicts once at construction, so the objects must stay
+        # identical.
         self._data_bus_free.update(state["data_bus_free"])
         self._command_bus_free.update(state["command_bus_free"])
         for key, value in state["stats"].items():

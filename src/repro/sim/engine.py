@@ -58,14 +58,14 @@ Stale heap entries are invalidated lazily with per-source generation
 counters, so re-scheduling is O(log n) and no entry is ever searched for.
 
 There is one event loop, :meth:`EventKernel.run`, with its per-event work
-inlined over locals.  It calls each controller's fused select and issue
-closures directly unless the controller's ``next_decision`` or
-``issue_decision`` is overridden (on its class or on the instance, as a
-benchmark's tracing wrappers do), in which case it calls the override.
-Controllers must expose ``mutations``, ``scheduler``, ``next_refresh_due``
-and ``dram_config``, the inputs the loop's untouched-channel skip reads,
-and ``select_deferrable``, the deferral predicate (read once per run, so an
-instance override of it is honoured).
+inlined over locals.  It reads each controller's ``next_decision`` and
+``issue_decision`` once per run and calls them as they are: on a
+:class:`~repro.controller.controller.MemoryController` they are the select
+and issue closures themselves, and a wrapper set on the instance before the
+run (a benchmark's tracing) is what the loop calls.  Controllers must also
+expose ``mutations``, ``scheduler``, ``next_refresh_due`` and
+``dram_config``, the inputs the loop's untouched-channel skip reads, and
+``select_deferrable``, the deferral predicate (also read once per run).
 
 Ties are broken the same way the seed loop's comparisons did: cores win over
 controllers at equal timestamps, the lowest-numbered core wins among cores,
@@ -284,32 +284,8 @@ class EventKernel:
             for ctl in controllers
         ]
         deferrable = [ctl.select_deferrable for ctl in controllers]
-        # Call the controllers' fused closures directly where they are
-        # provably equivalent — the public methods are one-line delegations
-        # to them (guarded against subclass or instance overrides, which
-        # keep the delegating wrappers).
-        from repro.controller.controller import MemoryController
-
-        decision_fns = [
-            ctl._fast_select
-            if (
-                getattr(ctl, "_fast_select", None) is not None
-                and type(ctl).next_decision is MemoryController.next_decision
-                and "next_decision" not in ctl.__dict__
-            )
-            else ctl.next_decision
-            for ctl in controllers
-        ]
-        issue_fns = [
-            ctl._fast_issue_fn
-            if (
-                getattr(ctl, "_fast_issue_fn", None) is not None
-                and type(ctl).issue_decision is MemoryController.issue_decision
-                and "issue_decision" not in ctl.__dict__
-            )
-            else ctl.issue_decision
-            for ctl in controllers
-        ]
+        decision_fns = [ctl.next_decision for ctl in controllers]
+        issue_fns = [ctl.issue_decision for ctl in controllers]
 
         now = self.now
         steps = self.steps

@@ -120,6 +120,18 @@ class TestErrors:
         body = get_json(f"{base_url}/query?nrh=abc", expect_status=400)
         assert "integer" in body["error"]
 
+    @pytest.mark.parametrize(
+        "query, message",
+        [("secure=maybe", "secure must be"), ("limit=-1", "negative")],
+    )
+    def test_bad_query_value_400(self, base_url, query, message):
+        # An unrecognised boolean must not fall through to "no filter".
+        body = get_json(f"{base_url}/query?{query}", expect_status=400)
+        assert message in body["error"]
+
+    def test_empty_secure_and_zero_limit_accepted(self, base_url):
+        assert get_json(f"{base_url}/query?secure=&limit=0")["count"] == 0
+
 
 class TestStalledClient:
     def test_silent_connection_is_dropped_and_others_are_served(self, store, monkeypatch):

@@ -1,9 +1,9 @@
 """Whole runs and single decisions of the hot path, against independent references.
 
-The controller's fused select/issue closures
-(:meth:`~repro.controller.controller.MemoryController._build_fast_select`,
+The controller's select/issue closures
+(:meth:`~repro.controller.controller.MemoryController._build_select`,
 one struct-of-arrays demand scan for every registered scheduler, and
-``_build_fast_issue``) and the event kernel's untouched-channel decision
+``_build_issue``) and the event kernel's untouched-channel decision
 skip are the simulator's only hot path.  Two levels pin it:
 
 * whole runs — every ``spec/*`` entry of ``tests/golden/channels1.json``
@@ -11,13 +11,14 @@ skip are the simulator's only hot path.  Two levels pin it:
   ``tools/gen_golden.py``) must reproduce its fingerprint and the hash of
   its whole DRAM command stream, and that stream must pass the JEDEC
   oracle of ``tests/oracle_commands.py``;
-* single decisions — a hypothesis property drives the fused select through
+* single decisions — a hypothesis property drives the select through
   random multi-core request streams and compares every selection (issue
   cycle, command, request, BLISS' blacklist state) with a brute-force
   ranker written here from the scheduling policies' definitions.  A twin
-  controller issues the ranker's decisions through the plain
-  ``DRAMSystem.issue`` + ``_post_issue`` pair, which re-checks timing, and
-  the two controllers' statistics must agree at the end.
+  controller issues the ranker's decisions under the JEDEC oracle, so every
+  one of them is checked legal by a model that shares no code with the
+  device, and both controllers' row statistics must equal a recount from
+  the issued decisions.
 """
 
 from dataclasses import dataclass, field, replace
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from golden_runs import assert_matches_golden, load_golden
-from oracle_commands import checked_runs
+from oracle_commands import CommandStreamChecker, checked_runs
 from repro.controller.controller import ControllerConfig, MemoryController
 from repro.controller.policies import (
     ControllerPolicySpec,
@@ -283,12 +284,64 @@ def _twin_controllers(scheduler, row_policy, column_cap, blacklist, streak):
     )
     fused = MemoryController(_DRAM, config=config, policy=policy)
     reference = MemoryController(_DRAM, config=config, policy=policy)
-    # The twin issues through the plain DRAMSystem.issue + _post_issue pair.
-    reference._fast_issue_fn = None
+    # The twin issues the ranker's decisions; the oracle re-checks each one.
+    checker = CommandStreamChecker(reference.dram.config)
+    reference.dram.add_command_observer(checker)
     if scheduler == "bliss":
         for controller in (fused, reference):
             controller.scheduler.blacklist.update(blacklist)
-    return fused, _BruteForceRanker(reference)
+    return fused, _BruteForceRanker(reference), checker
+
+
+def _recount(issued):
+    """The issue bookkeeping, recounted from issued ``(command, request)``.
+
+    A column command served a demand request from the open row (a hit), a
+    demand ACT opened its row (a miss), a demand PRE closed a row for it (a
+    conflict); a request-less PRE marked ``policy_close`` is the row
+    policy's, and a preventive PRE finishes a preventive refresh.
+    """
+    counts = dict.fromkeys(
+        (
+            "row_hits",
+            "row_misses",
+            "row_conflicts",
+            "policy_precharges",
+            "preventive_refresh_pairs",
+            "completed_reads",
+            "total_read_latency",
+        ),
+        0,
+    )
+    for command, request in issued:
+        demand = (
+            request is not None
+            and request.request_type is not RequestType.PREVENTIVE_REFRESH
+        )
+        if command.kind in (CommandKind.RD, CommandKind.WR):
+            if demand:
+                counts["row_hits"] += 1
+                if not request.is_write:
+                    counts["completed_reads"] += 1
+                    counts["total_read_latency"] += request.latency
+        elif command.kind is CommandKind.ACT:
+            counts["row_misses"] += demand
+        elif command.kind is CommandKind.PRE:
+            if demand:
+                counts["row_conflicts"] += 1
+            elif command.is_preventive:
+                counts["preventive_refresh_pairs"] += 1
+            elif request is None and command.metadata.get("policy_close"):
+                counts["policy_precharges"] += 1
+    return counts
+
+
+def _bookkeeping(controller, keys):
+    stats = dict(
+        vars(controller.stats),
+        preventive_refresh_pairs=controller.dram.stats.preventive_refresh_pairs,
+    )
+    return {key: stats[key] for key in keys}
 
 
 def _view(decision):
@@ -326,10 +379,11 @@ def _scheduler_state(controller):
 def test_fused_select_matches_reference_decision_by_decision(
     scheduler, row_policy, column_cap, blacklist, streak, steps
 ):
-    fused, ranker = _twin_controllers(
+    fused, ranker, checker = _twin_controllers(
         scheduler, row_policy, column_cap, blacklist, streak
     )
     reference = ranker.controller
+    issued = {fused: [], reference: []}
     mapper = fused.mapper
     cycle = 0
     next_id = 0
@@ -376,4 +430,9 @@ def test_fused_select_matches_reference_decision_by_decision(
             cycle = fused.issue_decision(decision)
             assert reference.issue_decision(expected) == cycle
             assert _scheduler_state(fused) == _scheduler_state(reference)
-    assert vars(fused.stats) == vars(reference.stats)
+            issued[fused].append(decision[1:])
+            issued[reference].append(expected[1:])
+    assert checker.violation_count == 0, checker.violations[:5]
+    for controller, decisions in issued.items():
+        expected_counts = _recount(decisions)
+        assert _bookkeeping(controller, expected_counts) == expected_counts
