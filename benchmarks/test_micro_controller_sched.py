@@ -1,16 +1,16 @@
 """Micro-benchmark: incremental vs. full-rescan ready-queue selection.
 
-Before the policy refactor, every call to ``next_issue_cycle``/``issue_next``
-re-bucketed the *entire* read+write queue contents by bank and re-sorted
-each bank's requests by arrival — O(queue + banks·k·log k) per command
-selection, and selection runs at least once per issued command.  The
+Before the policy refactor, every command selection re-bucketed the
+*entire* read+write queue contents by bank and re-sorted each bank's
+requests by arrival — O(queue + banks·k·log k) per selection, and
+selection runs about once per issued command.  The
 policy-driven controller instead maintains an incremental per-bank index
 (:class:`repro.controller.controller._BankPending`, updated on enqueue and
 retire) and the FR-FCFS policy stops scanning a bank the moment its answer
 is determined, so a selection on a deep queue touches only bank heads.
 
 This harness pits the shipped select (``MemoryController.next_decision``,
-the fused select every run executes) against a faithful inline replica of
+the one select every run executes) against a faithful inline replica of
 the pre-refactor algorithm (`_legacy_demand_command`, the old
 rebucket-and-sort demand selection) on identical controller
 state, across queue depths.  Refresh is disabled, so every selection is a

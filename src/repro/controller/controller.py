@@ -2,11 +2,12 @@
 
 The controller owns the read/write queues, the refresh schedule and the
 preventive-refresh queue, and drives the :class:`~repro.dram.dram_system.DRAMSystem`
-one command at a time.  It is deliberately event-driven: the system simulation
-asks for the earliest cycle at which the controller can do useful work
-(:meth:`MemoryController.next_issue_cycle`) and then tells it to issue exactly
-one command (:meth:`MemoryController.issue_next`), so no cycles are spent
-spinning over idle periods.
+one command at a time.  It is deliberately event-driven: the event kernel
+(:mod:`repro.sim.engine`) asks it for its best command as of a cycle
+(:attr:`MemoryController.next_decision`: the command and the earliest cycle
+it can issue at) and later tells it to issue exactly that command
+(:attr:`MemoryController.issue_decision`), so no cycles are spent spinning
+over idle periods.  :meth:`MemoryController.issue_next` does both at once.
 
 What used to be one monolithic FR-FCFS/open-page/all-bank scheduler is now a
 :class:`~repro.controller.policies.ControllerPolicySpec` naming one policy
@@ -78,9 +79,6 @@ from repro.dram.config import DRAMConfig
 from repro.dram.dram_system import DRAMSystem
 
 _WRITE = RequestType.WRITE
-
-#: Commands :meth:`MemoryController.drain` issues at most before it returns.
-DRAIN_MAX_COMMANDS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -355,8 +353,9 @@ class MemoryController:
         #: mixes, where an enqueue while a decision waits forces another.  A
         #: cached decision stays right at its issue cycle unless a periodic
         #: refresh becomes due in between or the scheduling policy's
-        #: priorities shift (BLISS' clearing interval) — check
-        #: :meth:`decision_crosses_boundary` before trusting it.
+        #: priorities shift (BLISS' clearing interval,
+        #: ``scheduler.priority_boundary_crossed``); the kernel checks both
+        #: before trusting it.
         self.next_decision = self._select
         #: ``issue_decision(decision)``: issue a decision produced by
         #: :attr:`next_decision` and return its cycle.  Both are instance
@@ -484,13 +483,6 @@ class MemoryController:
     # ------------------------------------------------------------------ #
     # Scheduling
     # ------------------------------------------------------------------ #
-    def next_issue_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest cycle >= ``cycle`` at which some command can issue (None if idle)."""
-        decision = self._select(cycle)
-        if decision is None:
-            return None
-        return decision[0]
-
     def select_deferrable(self) -> bool:
         """True when a select now would change no state: no preventive
         refresh to retire, no write-drain flip, no throttled-ACT count.  The
@@ -501,29 +493,6 @@ class MemoryController:
         if self._draining_writes:
             return len(self.write_queue) > self.config.write_drain_low
         return len(self.write_queue) < self.config.write_drain_high
-
-    def refresh_crosses_due(self, start: int, end: int) -> bool:
-        """True when a periodic refresh becomes due in ``(start, end]``.
-
-        A decision made at ``start`` that issues at ``end`` considered every
-        refresh already due at ``start``; only a deadline strictly inside the
-        interval can change what the scheduler would pick.
-        """
-        if not self.dram_config.refresh_enabled:
-            return False
-        return any(start < due <= end for due in self.next_refresh_due.values())
-
-    def decision_crosses_boundary(self, start: int, end: int) -> bool:
-        """True when a decision made at ``start`` may be wrong by ``end``.
-
-        Covers both invalidation sources the queues cannot signal: a
-        periodic refresh becoming due (outranks any cached demand command)
-        and a scheduling-policy priority boundary (a time-varying scheduler
-        such as BLISS re-ranks pending requests at its clearing interval).
-        """
-        return self.refresh_crosses_due(start, end) or (
-            self.scheduler.priority_boundary_crossed(start, end)
-        )
 
     def issue_next(self, cycle: int) -> Optional[int]:
         """Issue the best command at the earliest legal cycle >= ``cycle``.
@@ -1364,21 +1333,3 @@ class MemoryController:
         self._bank_writes.clear()
         self._merged_cache.clear()
         self.mutations += 1
-
-    # ------------------------------------------------------------------ #
-    # Draining (used at the end of simulations)
-    # ------------------------------------------------------------------ #
-    def drain(self, cycle: int) -> int:
-        """Issue commands until all queues are empty; returns the final cycle.
-
-        At most :data:`DRAIN_MAX_COMMANDS` commands, a runaway guard.
-        """
-        issued = 0
-        current = cycle
-        while self.has_work() and issued < DRAIN_MAX_COMMANDS:
-            next_cycle = self.issue_next(current)
-            if next_cycle is None:
-                break
-            current = next_cycle
-            issued += 1
-        return current

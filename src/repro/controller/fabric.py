@@ -141,23 +141,11 @@ class ChannelFabric:
     # ------------------------------------------------------------------ #
     # Aggregate queries
     # ------------------------------------------------------------------ #
-    def controller_for(self, channel: int) -> MemoryController:
-        return self.controllers[channel]
-
     def pending_requests(self) -> int:
         return sum(controller.pending_requests() for controller in self.controllers)
 
     def has_work(self) -> bool:
         return any(controller.has_work() for controller in self.controllers)
-
-    def drain(self, cycle: int) -> int:
-        """Drain every channel's queues; returns the latest final cycle.
-
-        Channels share no state, so per-channel drains compose: draining them
-        one after another issues exactly the commands a timestamp-interleaved
-        drain would, at the same cycles.
-        """
-        return max(controller.drain(cycle) for controller in self.controllers)
 
     @property
     def stats(self) -> ControllerStatistics:

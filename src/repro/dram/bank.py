@@ -164,24 +164,8 @@ class Bank:
         self.table.col_accesses[self.index] = value
 
     # ------------------------------------------------------------------ #
-    # Legality checks
+    # Timing queries
     # ------------------------------------------------------------------ #
-    def can_activate(self, cycle: int) -> bool:
-        table, i = self.table, self.index
-        return table.open_row[i] is None and cycle >= table.next_act[i]
-
-    def can_precharge(self, cycle: int) -> bool:
-        table, i = self.table, self.index
-        return table.open_row[i] is not None and cycle >= table.next_pre[i]
-
-    def can_read(self, cycle: int, row: int) -> bool:
-        table, i = self.table, self.index
-        return table.open_row[i] == row and cycle >= table.next_read[i]
-
-    def can_write(self, cycle: int, row: int) -> bool:
-        table, i = self.table, self.index
-        return table.open_row[i] == row and cycle >= table.next_write[i]
-
     def earliest_activate(self) -> int:
         return self.table.next_act[self.index]
 

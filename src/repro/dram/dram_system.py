@@ -516,9 +516,6 @@ class DRAMSystem:
             )
         raise ValueError(f"unknown command kind {command.kind}")
 
-    def can_issue(self, command: Command, cycle: int) -> bool:
-        return self.earliest_issue_cycle(command, cycle) <= cycle
-
     # ------------------------------------------------------------------ #
     # Command application
     # ------------------------------------------------------------------ #

@@ -86,15 +86,6 @@ class RowHammerMitigation(ABC):
         self.dram_config = controller.dram_config
         self.channel = getattr(controller, "channel", None)
 
-    def register_events(self, kernel) -> None:
-        """Register timestamped callbacks on the simulation kernel.
-
-        Called once by :class:`repro.sim.engine.EventKernel` before the event
-        loop starts.  Mechanisms that need self-scheduled work (periodic
-        table resets, deferred scrubs) call ``kernel.schedule(cycle, fn)``;
-        the default reacts to ACT/REF observers only and registers nothing.
-        """
-
     # ------------------------------------------------------------------ #
     # Event hooks
     # ------------------------------------------------------------------ #

@@ -58,9 +58,6 @@ class MitigationFabric:
     def nrh(self) -> int:
         return self.instances[0].nrh
 
-    def instance_for(self, channel: int) -> RowHammerMitigation:
-        return self.instances[channel]
-
     @property
     def stats(self) -> MitigationStatistics:
         """Statistics summed across the per-channel instances (field-wise,

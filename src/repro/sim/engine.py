@@ -1,17 +1,17 @@
 """Event-driven simulation kernel.
 
 The kernel owns a single min-heap of timestamped events and drives every
-component of a :class:`~repro.sim.system.System` — cores, the memory
-controllers of the channel fabric, and (optionally) mitigations — through
-it.  It replaces the seed's per-step loop, which re-scanned every core
-(``O(N)`` per event) and re-polled the controller on every iteration, and
-which papered over the blocked-core/empty-controller stall with a one-cycle
-time nudge.
+component of a :class:`~repro.sim.system.System` — its cores and the memory
+controllers of its channel fabric — through it; :meth:`EventKernel.run` is
+the only driver of a simulation.  It replaces the seed's per-step loop,
+which re-scanned every core (``O(N)`` per event) and re-polled the
+controller on every iteration, and which papered over the
+blocked-core/empty-controller stall with a one-cycle time nudge.
 
 Scheduling model
 ----------------
 
-Each component is an *event source*:
+There are two kinds of *event source*:
 
 * A **core** is scheduled at :meth:`~repro.cpu.core.Core.next_event_cycle`.
   Its entry is re-queued whenever its own step changes its state, one of its
@@ -25,10 +25,11 @@ Each component is an *event source*:
   event only when that event could actually have changed the controller's
   answer: an *untouched* channel — its mutation counter
   (:attr:`~repro.controller.controller.MemoryController.mutations`) proves
-  its queues and device state are unchanged,
-  :meth:`~repro.controller.controller.MemoryController.decision_crosses_boundary`
-  proves no refresh deadline or scheduler priority boundary was crossed,
-  and its cached decision (if any) has not fallen behind the clock — keeps
+  its queues and device state are unchanged, no periodic refresh became
+  due and no scheduler priority boundary
+  (:meth:`~repro.controller.policies.SchedulingPolicy.priority_boundary_crossed`)
+  was crossed since it selected, and its cached decision (if any) has not
+  fallen behind the clock — keeps
   its cached decision and live heap entry as is.  This covers both the idle
   case (cached "nothing to do" stays nothing) and the busy case (a cached
   decision whose issue cycle is still in the future stays the right
@@ -50,15 +51,16 @@ Each component is an *event source*:
   (the flip stays in selection: the refresh, RFM and preventive stages can
   pre-empt the demand stage that evaluates it) and no ACT-throttling
   mitigation (BlockHammer counts the throttled candidates a select sees).
-* **Mitigations** may register their own timestamped callbacks through
-  :meth:`EventKernel.schedule` (see
-  :meth:`repro.mitigations.base.RowHammerMitigation.register_events`).
+
+Mitigations are not event sources: they act inside a controller's issue
+(activation and refresh observers) and through its queues.
 
 Stale heap entries are invalidated lazily with per-source generation
 counters, so re-scheduling is O(log n) and no entry is ever searched for.
 
 There is one event loop, :meth:`EventKernel.run`, with its per-event work
-inlined over locals.  It reads each controller's ``next_decision`` and
+inlined over locals and one controller pass, which setup and stall
+recovery enter too.  It reads each controller's ``next_decision`` and
 ``issue_decision`` once per run and calls them as they are: on a
 :class:`~repro.controller.controller.MemoryController` they are the select
 and issue closures themselves, and a wrapper set on the instance before the
@@ -74,17 +76,18 @@ and the lowest-numbered channel wins among controllers.
 Termination
 -----------
 
-When the heap runs dry before every core finished, the kernel retries every
-blocked core exactly once (a queue slot may have freed without an event being
-scheduled, e.g. under a test double).  If no retry makes progress the
-simulation is provably wedged and the kernel raises
-:class:`SimulationDeadlockError` instead of spinning time forward one cycle
-at a time like the seed loop did.
+The kernel returns only when every core has finished and no controller
+has work left, so its final time is the run's final cycle.  When the heap
+runs dry before that, the kernel retries every blocked core exactly once (a
+queue slot may have freed without an event being scheduled, e.g. under a
+test double).  If no retry makes progress the simulation is provably wedged
+and the kernel raises :class:`SimulationDeadlockError` instead of spinning
+time forward one cycle at a time like the seed loop did.
 
 ``max_steps`` bounds the events one kernel processes.  Running out of it
-with cores unfinished raises :class:`StepBudgetExhaustedError`: returning
-would let the caller drain the queues and report a truncated run as a
-complete result.
+before the run is done — a core unfinished, or every core finished while a
+controller still holds work — raises :class:`StepBudgetExhaustedError`
+rather than returning a truncated result.
 """
 
 from __future__ import annotations
@@ -97,24 +100,9 @@ from repro.controller.policies import NEVER, SchedulingPolicy
 from repro.cpu.core import Core
 
 #: Heap priorities: cores beat controllers at equal timestamps (the seed
-#: loop's ``core_cycle <= controller_time`` comparison), and user callbacks
-#: run after both so they observe a settled cycle.
+#: loop's ``core_cycle <= controller_time`` comparison).
 _PRIORITY_CORE = 0
 _PRIORITY_CONTROLLER = 1
-_PRIORITY_CALLBACK = 2
-
-
-def _as_cycle(time: float) -> int:
-    """THE kernel-time → controller-cycle conversion point.
-
-    Kernel timestamps may be fractional (core dispatch cycles are spaced at
-    the sub-cycle issue rate); controllers operate on integer DRAM cycles.
-    Every conversion funnels through this ceiling so the rounding rule lives
-    in exactly one place — heap entries from integer sources (controller
-    issue cycles, integer callback cycles) are pushed as ``int`` and pass
-    through unchanged.
-    """
-    return math.ceil(time)
 
 
 class SimulationDeadlockError(RuntimeError):
@@ -122,26 +110,38 @@ class SimulationDeadlockError(RuntimeError):
 
 
 class StepBudgetExhaustedError(RuntimeError):
-    """The kernel processed ``max_steps`` events with cores unfinished."""
+    """The kernel processed ``max_steps`` events before the run was done."""
 
-    def __init__(self, steps: int, now: float, cores: Sequence[Core]) -> None:
+    def __init__(
+        self, steps: int, now: float, cores: Sequence[Core], pending: int
+    ) -> None:
         unfinished = [core for core in cores if not core.finished]
         self.steps = steps
         self.now = now
         self.unfinished = [core.core_id for core in unfinished]
-        retired = ", ".join(
-            f"core {core.core_id} {core.stats.retired_instructions}"
-            for core in unfinished
-        )
+        self.pending = pending
+        if unfinished:
+            retired = ", ".join(
+                f"core {core.core_id} {core.stats.retired_instructions}"
+                for core in unfinished
+            )
+            state = (
+                f"cores {self.unfinished} unfinished "
+                f"(instructions retired so far: {retired})"
+            )
+        else:
+            state = (
+                "every core finished but the controllers still busy "
+                f"(pending requests {pending})"
+            )
         super().__init__(
             f"step budget exhausted: {steps} events processed by cycle "
-            f"{now:.0f} with cores {self.unfinished} unfinished "
-            f"(instructions retired so far: {retired})"
+            f"{now:.0f} with {state}"
         )
 
 
 class EventKernel:
-    """Min-heap event queue driving cores, controllers and mitigations.
+    """Min-heap event queue driving cores and memory controllers.
 
     Parameters
     ----------
@@ -153,7 +153,7 @@ class EventKernel:
         ``controllers`` sequence) or a single bare controller.
     max_steps:
         Upper bound on processed events (a runaway guard, like the seed's
-        ``SystemConfig.max_steps``); exhausting it with cores unfinished
+        ``SystemConfig.max_steps``); exhausting it before the run is done
         raises :class:`StepBudgetExhaustedError`.
     """
 
@@ -189,8 +189,6 @@ class EventKernel:
         self._ctl_cached_cycle = [0] * num_controllers
         self._ctl_cached_mutations: List[Optional[int]] = [None] * num_controllers
         self._ctl_has_entry = [False] * num_controllers
-        self._callback_seq = 0
-        self._callbacks: dict[int, Callable[[float], None]] = {}
         #: Cores whose state changed mid-event (read completions fire while
         #: a controller is issuing); re-scheduled once the event finishes.
         self._dirty_cores: set[int] = set()
@@ -204,55 +202,36 @@ class EventKernel:
             core.kernel_wakeup = self._make_core_wakeup(index)
         for ctl in self.controllers:
             ctl.add_slot_free_callback(self._on_slot_free)
-            mitigation = getattr(ctl, "mitigation", None)
-            if mitigation is not None:
-                mitigation.register_events(self)
-
-    # ------------------------------------------------------------------ #
-    # Public scheduling interface
-    # ------------------------------------------------------------------ #
-    def schedule(self, cycle: float, callback: Callable[[float], None]) -> None:
-        """Register ``callback(now)`` to run at ``cycle`` (clamped to now)."""
-        self._callback_seq += 1
-        token = self._callback_seq
-        self._callbacks[token] = callback
-        # Integer cycles stay integers on the heap (int/float compare
-        # exactly for cycle magnitudes); only clamping to a fractional
-        # ``now`` can produce a fractional timestamp.
-        time = cycle if cycle >= self.now else self.now
-        heapq.heappush(self._heap, (time, _PRIORITY_CALLBACK, token, 0))
 
     # ------------------------------------------------------------------ #
     # Main loop
     # ------------------------------------------------------------------ #
     def run(self) -> float:
-        """Process events until all cores finish; returns the final time.
+        """Process events until the run is done; returns the final time.
 
-        Each iteration pops the next live entry, dispatches it, re-queues
-        the cores it woke, then makes one pass over the
-        controllers: an untouched channel keeps its entry, a changed one
-        selects again or, under the module docstring's guards, is deferred
-        past a due core event.  On the benchmark's ``hammer_comet`` that
-        cuts selects from 1.32 to 1.00 per issued command, with the same
-        steps and command stream.
+        The run is done when every core has finished and no controller has
+        work left.  Each iteration makes one pass over the controllers, then
+        pops the next live entry and dispatches it.  The pass re-queues the
+        cores the last event woke; then an untouched channel keeps its
+        entry, and a changed one selects again or, under the module
+        docstring's guards, is deferred past a due core event.  Setup and
+        stall recovery enter the same pass.  On the benchmark's
+        ``hammer_comet`` deferral cuts selects from 1.32 to 1.00 per issued
+        command, with the same steps and command stream.
 
-        The per-event work — the dirty-core flush, the pop of the next live
-        entry, :meth:`_schedule_controller` and
-        :meth:`~repro.controller.controller.MemoryController.decision_crosses_boundary`
-        — runs inlined over locals.  Per-controller boundary inputs are
-        pre-resolved once: the refresh-due dict (mutated in place for the
-        controller's lifetime; empty with refresh off) replaces the
-        ``refresh_crosses_due`` call, and the scheduler's
-        ``priority_boundary_crossed`` hook is dropped entirely when it is
-        the base-class constant ``False`` (every scheduler but BLISS).  Cold
-        paths — setup, stall recovery, termination — stay in the helpers.
+        The per-event work — the dirty-core flush, the controller pass and
+        the pop of the next live entry — runs inlined over locals.
+        Per-controller boundary inputs are pre-resolved once: the
+        refresh-due dict (mutated in place for the controller's lifetime;
+        empty with refresh off), and the scheduler's
+        ``priority_boundary_crossed`` hook, dropped entirely when it is the
+        base-class constant ``False`` (every scheduler but BLISS).  Cold
+        paths — stall recovery, termination — stay in the helpers.
         ``self.now``/``self.steps`` are kept in sync before any component
-        call because completion hooks and ``schedule()`` read them
-        mid-event.
+        call because completion hooks read them mid-event.
         """
         for index in range(len(self.cores)):
             self._schedule_core(index)
-        self._schedule_controllers()
 
         heap = self._heap
         push = heapq.heappush
@@ -268,7 +247,6 @@ class EventKernel:
         ctl_cached_cycle = self._ctl_cached_cycle
         ctl_cached_mutations = self._ctl_cached_mutations
         ctl_has_entry = self._ctl_has_entry
-        callbacks = self._callbacks
         dirty_cores = self._dirty_cores
         blocked_cores = self._blocked_cores
         max_steps = self.max_steps
@@ -289,18 +267,106 @@ class EventKernel:
 
         now = self.now
         steps = self.steps
-        while steps < max_steps:
-            time = 0.0
-            priority = index = -1
+        while True:
+            while True:
+                # Re-queue the cores the last event woke (a read completion,
+                # or a freed slot: blocked cores retry at the latest issue)
+                # before the deferral test looks at the heap; again after a
+                # pass whose select retired a preventive refresh.
+                while dirty_cores:
+                    index = dirty_cores.pop()
+                    core = cores[index]
+                    core_gen[index] += 1
+                    if core.has_blocked_request:
+                        time = max(ctl.current_cycle for ctl in controllers)
+                    else:
+                        time = core.next_event_cycle()
+                        if time >= NEVER:
+                            continue
+                    if time < now:
+                        time = now
+                    push(heap, (time, _PRIORITY_CORE, index, core_gen[index]))
+                cycle = ceil(now)
+                # A core event due by ``cycle`` pops before any command this
+                # pass could schedule (cores win ties, nothing issues before
+                # ``cycle``) and usually enqueues a request that supersedes it.
+                core_due = False
+                if not blocked_cores:
+                    while heap:
+                        time, priority, index, gen = heap[0]
+                        if priority == _PRIORITY_CORE:
+                            if gen == core_gen[index]:
+                                core_due = time <= cycle
+                                break
+                        elif gen == ctl_gen[index]:
+                            break
+                        pop(heap)
+                for i in ctl_indices:
+                    ctl = controllers[i]
+                    decision = ctl_decision[i]
+                    if ctl_cached_mutations[i] == ctl.mutations and (
+                        decision is None or ctl_has_entry[i] and decision[0] >= cycle
+                    ):
+                        # Untouched channel: no scheduler-visible state
+                        # changed since it selected at ``start`` and the
+                        # cached decision, if any, has not fallen behind the
+                        # clock.  Unless a refresh deadline or a priority
+                        # boundary lies in (start, cycle], selecting again
+                        # would return the same decision.
+                        start = ctl_cached_cycle[i]
+                        for due in refresh_dues[i].values():
+                            if start < due <= cycle:
+                                break
+                        else:
+                            hook = boundary_hooks[i]
+                            if hook is None or not hook(start, cycle):
+                                continue
+                    ctl_gen[i] += 1
+                    if core_due and deferrable[i]():
+                        # Deferred: no entry and no cached decision, so the pass
+                        # after the core event selects this controller once.
+                        ctl_decision[i] = None
+                        ctl_cached_mutations[i] = None
+                        ctl_has_entry[i] = False
+                        continue
+                    decision = decision_fns[i](cycle)
+                    ctl_cached_cycle[i] = cycle
+                    # Snapshot *after* the select: it may retire finished
+                    # preventive refreshes and bump the counter.
+                    ctl_cached_mutations[i] = ctl.mutations
+                    if decision is None:
+                        ctl_decision[i] = None
+                        ctl_has_entry[i] = False
+                        continue
+                    issue_cycle = decision[0]
+                    ctl_decision[i] = decision
+                    # A refresh deadline or a priority boundary inside
+                    # (cycle, issue_cycle] can change the right choice:
+                    # select again at issue time then.
+                    for due in refresh_dues[i].values():
+                        if cycle < due <= issue_cycle:
+                            crossed = True
+                            break
+                    else:
+                        hook = boundary_hooks[i]
+                        crossed = hook is not None and hook(cycle, issue_cycle)
+                    ctl_recheck[i] = crossed
+                    push(
+                        heap,
+                        (issue_cycle, _PRIORITY_CONTROLLER, i, ctl_gen[i]),
+                    )
+                    ctl_has_entry[i] = True
+                if not dirty_cores:
+                    break
+            if steps >= max_steps:
+                break
+
             while heap:
                 time, priority, index, gen = pop(heap)
                 if priority == _PRIORITY_CORE:
                     if gen == core_gen[index]:
                         break
-                elif priority == _PRIORITY_CONTROLLER:
-                    if gen == ctl_gen[index]:
-                        break
-                elif index in callbacks:
+                elif gen == ctl_gen[index]:
                     break
             else:
                 self.now = now
@@ -337,7 +403,7 @@ class EventKernel:
                             core_gen[index],
                         ),
                     )
-            elif priority == _PRIORITY_CONTROLLER:
+            else:
                 ctl = controllers[index]
                 ctl_has_entry[index] = False
                 if ctl_recheck[index]:
@@ -347,104 +413,20 @@ class EventKernel:
                 if issued is not None and issued > now:
                     now = issued
                     self.now = now
-            else:
-                callback = callbacks.pop(index, None)
-                if callback is not None:
-                    callback(now)
-
-            while True:
-                # Re-queue the cores this event woke (a read completion, or
-                # a freed slot: blocked cores retry at the latest issue)
-                # before the deferral test looks at the heap; again after a
-                # pass whose select retired a preventive refresh.
-                while dirty_cores:
-                    index = dirty_cores.pop()
-                    core = cores[index]
-                    core_gen[index] += 1
-                    if core.has_blocked_request:
-                        time = max(ctl.current_cycle for ctl in controllers)
-                    else:
-                        time = core.next_event_cycle()
-                        if time >= NEVER:
-                            continue
-                    if time < now:
-                        time = now
-                    push(heap, (time, _PRIORITY_CORE, index, core_gen[index]))
-                cycle = ceil(now)
-                # A core event due by ``cycle`` pops before any command this
-                # pass could schedule (cores win ties, nothing issues before
-                # ``cycle``) and usually enqueues a request that supersedes it.
-                core_due = False
-                if not blocked_cores:
-                    while heap:
-                        time, priority, index, gen = heap[0]
-                        if priority == _PRIORITY_CORE:
-                            if gen == core_gen[index]:
-                                core_due = time <= cycle
-                                break
-                        elif priority == _PRIORITY_CONTROLLER:
-                            if gen == ctl_gen[index]:
-                                break
-                        elif index in callbacks:
-                            break
-                        pop(heap)
-                for i in ctl_indices:
-                    ctl = controllers[i]
-                    decision = ctl_decision[i]
-                    if ctl_cached_mutations[i] == ctl.mutations and (
-                        decision is None or ctl_has_entry[i] and decision[0] >= cycle
-                    ):
-                        start = ctl_cached_cycle[i]
-                        for due in refresh_dues[i].values():
-                            if start < due <= cycle:
-                                break
-                        else:
-                            hook = boundary_hooks[i]
-                            if hook is None or not hook(start, cycle):
-                                continue
-                    ctl_gen[i] += 1
-                    if core_due and deferrable[i]():
-                        # Deferred: no entry and no cached decision, so the pass
-                        # after the core event selects this controller once.
-                        ctl_decision[i] = None
-                        ctl_cached_mutations[i] = None
-                        ctl_has_entry[i] = False
-                        continue
-                    decision = decision_fns[i](cycle)
-                    ctl_cached_cycle[i] = cycle
-                    ctl_cached_mutations[i] = ctl.mutations
-                    if decision is None:
-                        ctl_decision[i] = None
-                        ctl_has_entry[i] = False
-                        continue
-                    issue_cycle = decision[0]
-                    ctl_decision[i] = decision
-                    for due in refresh_dues[i].values():
-                        if cycle < due <= issue_cycle:
-                            crossed = True
-                            break
-                    else:
-                        hook = boundary_hooks[i]
-                        crossed = hook is not None and hook(cycle, issue_cycle)
-                    ctl_recheck[i] = crossed
-                    push(
-                        heap,
-                        (issue_cycle, _PRIORITY_CONTROLLER, i, ctl_gen[i]),
-                    )
-                    ctl_has_entry[i] = True
-                if not dirty_cores:
-                    break
         self.now = now
         self.steps = steps
         self._check_budget()
         return now
 
     def _check_budget(self) -> None:
-        """Raise when the loop ended on ``max_steps`` with cores unfinished."""
-        if self.steps >= self.max_steps and not all(
-            core.finished for core in self.cores
-        ):
-            raise StepBudgetExhaustedError(self.steps, self.now, self.cores)
+        """Raise when the loop ended on ``max_steps`` before the run was done."""
+        if self.steps >= self.max_steps and not self._all_done():
+            raise StepBudgetExhaustedError(
+                self.steps,
+                self.now,
+                self.cores,
+                sum(ctl.pending_requests() for ctl in self.controllers),
+            )
 
     def _all_done(self) -> bool:
         return all(core.finished for core in self.cores) and not any(
@@ -466,72 +448,6 @@ class EventKernel:
         heapq.heappush(
             self._heap, (time, _PRIORITY_CORE, index, self._core_gen[index])
         )
-
-    def _schedule_controllers(self) -> None:
-        for index in range(len(self.controllers)):
-            self._schedule_controller(index)
-
-    def _schedule_controller(self, index: int) -> None:
-        """Re-decide one controller after an event, unless provably unchanged.
-
-        The event loop inlines this; setup and stall recovery call it.
-        """
-        ctl = self.controllers[index]
-        cycle = _as_cycle(self.now)
-        cached_mutations = self._ctl_cached_mutations[index]
-        if cached_mutations is not None and cached_mutations == ctl.mutations:
-            decision = self._ctl_decision[index]
-            if decision is None:
-                if not self._ctl_has_entry[index] and not ctl.decision_crosses_boundary(
-                    self._ctl_cached_cycle[index], cycle
-                ):
-                    # Idle-channel skip: command selection previously found
-                    # nothing to do, the controller's queues are untouched
-                    # since (mutation counter unchanged) and no refresh
-                    # deadline was crossed, so the recomputed decision would
-                    # be "nothing" again.
-                    return
-            elif (
-                self._ctl_has_entry[index]
-                and decision[0] >= cycle
-                and not ctl.decision_crosses_boundary(
-                    self._ctl_cached_cycle[index], cycle
-                )
-            ):
-                # Untouched-channel skip: the cached decision and its live
-                # heap entry stay valid.  Safe because (a) no scheduler-
-                # visible state changed (mutation counter unchanged), (b) no
-                # refresh deadline or scheduler priority boundary lies in
-                # (cached_cycle, cycle], and (c) the cached issue cycle has
-                # not fallen behind the clock — re-running selection with
-                # the clamp cycle raised to ``cycle`` can only raise losing
-                # candidates' issue cycles, never change the winner or its
-                # (still-future) issue cycle.  A decision already in the
-                # past (``now`` jumped over it via a recheck-path issue)
-                # must be re-clamped by a recompute.
-                return
-        self._ctl_gen[index] += 1
-        decision = ctl.next_decision(cycle)
-        self._ctl_cached_cycle[index] = cycle
-        # Snapshot *after* next_decision: selection may retire already-done
-        # preventive refreshes (queue pruning) and bump the counter.
-        self._ctl_cached_mutations[index] = ctl.mutations
-        if decision is None:
-            self._ctl_decision[index] = None
-            self._ctl_has_entry[index] = False
-            return
-        issue_cycle = decision[0]
-        self._ctl_decision[index] = decision
-        # A refresh deadline (outranks any cached demand command) or a
-        # scheduler priority boundary (BLISS' clearing interval) inside
-        # (cycle, issue_cycle] can change the right choice; recompute at
-        # issue time in that case.
-        self._ctl_recheck[index] = ctl.decision_crosses_boundary(cycle, issue_cycle)
-        heapq.heappush(
-            self._heap,
-            (issue_cycle, _PRIORITY_CONTROLLER, index, self._ctl_gen[index]),
-        )
-        self._ctl_has_entry[index] = True
 
     # ------------------------------------------------------------------ #
     # Hooks fired by the components
@@ -566,8 +482,6 @@ class EventKernel:
                 self._blocked_cores.discard(index)
                 self._schedule_core(index)
                 progressed = True
-        if progressed:
-            self._schedule_controllers()
         return progressed
 
     def _raise_deadlock(self) -> None:

@@ -441,9 +441,7 @@ def run_sampled(
         core.window_limit = None
 
     system._steps = kernel.steps
-    now = int(math.ceil(kernel.now))
-    final_cycle = max(system.fabric.drain(now), now)
-    return system._build_result(final_cycle)
+    return system._build_result(math.ceil(kernel.now))
 
 
 __all__ = ["run_sampled"]

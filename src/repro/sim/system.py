@@ -190,21 +190,20 @@ class System:
     # Main loop
     # ------------------------------------------------------------------ #
     def run(self) -> SimulationResult:
-        """Run to completion (all traces replayed, all queues drained).
+        """Run to completion (all traces replayed, all queues empty).
 
         The heavy lifting lives in :class:`repro.sim.engine.EventKernel`:
-        cores, the controller and the mitigation all register timestamped
-        events on one min-heap, so each processed event costs O(log n)
-        instead of a rescan of every component.
+        cores and controllers schedule timestamped events on one min-heap,
+        so each processed event costs O(log n) instead of a rescan of every
+        component.  The kernel returns only once the run is done, so its
+        final time is the run's final cycle.
         """
         kernel = EventKernel(
             self.cores, self.fabric, max_steps=self.config.max_steps
         )
         now = kernel.run()
         self._steps = kernel.steps
-        final_cycle = self.fabric.drain(int(math.ceil(now)))
-        final_cycle = max(final_cycle, int(math.ceil(now)))
-        return self._build_result(final_cycle)
+        return self._build_result(math.ceil(now))
 
     # ------------------------------------------------------------------ #
     # Result assembly

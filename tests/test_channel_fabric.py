@@ -269,6 +269,38 @@ class TestMultiChannelRuns:
         # The Table 3 suite stays intact.
         assert len(workload_names()) == 61
 
+    def test_per_channel_summary_sums_to_fabric_totals(self):
+        dram_config = default_experiment_config(channels=2)
+        traces = [
+            traditional_rowhammer_attack(
+                num_requests=3000,
+                dram_config=dram_config,
+                aggressor_rows_per_bank=2,
+                channel=channel,
+            )
+            for channel in (0, 1)
+        ]
+        system = System(
+            traces,
+            mitigation=MitigationSpec(name="comet", nrh=125).build_instances(2),
+            config=SystemConfig(dram=dram_config, verify_security=False),
+        )
+        system.run()
+        fabric = system.fabric
+        summary = fabric.per_channel_summary()
+        assert [row["channel"] for row in summary] == [0, 1]
+        dram_stats = fabric.dram_statistics()
+        ctl_stats = fabric.stats
+        totals = {
+            "acts": dram_stats.acts,
+            "refreshes": dram_stats.refreshes,
+            "read_requests": ctl_stats.read_requests,
+            "preventive_refreshes": ctl_stats.preventive_refreshes,
+        }
+        for key, total in totals.items():
+            assert sum(row[key] for row in summary) == total > 0, key
+            assert all(row[key] > 0 for row in summary), key
+
     def test_refreshes_happen_on_idle_channel(self):
         # Channel 1 sees no demand traffic at all (the trace is confined to
         # channel 0), but its periodic refreshes must still be issued while

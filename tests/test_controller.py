@@ -219,7 +219,7 @@ class TestWrites:
         for i in range(4):
             controller.enqueue(write_request(controller, i + 10, column=8 * i), 0)
         controller.enqueue(read_request(controller, 1), 0)
-        controller.next_issue_cycle(0)
+        controller.next_decision(0)
         assert controller._draining_writes
         cycle = 0
         while len(controller.write_queue) > config.write_drain_low:
@@ -227,7 +227,7 @@ class TestWrites:
             # Between low and high the latched mode must hold (hysteresis).
             if len(controller.write_queue) > config.write_drain_low:
                 assert controller._draining_writes
-        controller.next_issue_cycle(cycle)
+        controller.next_decision(cycle)
         assert not controller._draining_writes
 
 
@@ -303,7 +303,7 @@ class TestMitigationWiring:
     def test_drain_returns_final_cycle(self, tiny_dram_config):
         controller = make_controller(tiny_dram_config)
         controller.enqueue(read_request(controller, 4), 0)
-        final = controller.drain(0)
+        final = run_until_idle(controller)
         assert final > 0
         assert not controller.has_work()
 

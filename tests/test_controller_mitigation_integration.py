@@ -20,6 +20,13 @@ from repro.mitigations.para import PARA
 from repro.mitigations.rega import REGA
 
 
+def drain(controller, cycle):
+    """Issue commands until the controller has no work; returns the last cycle."""
+    while controller.has_work():
+        cycle = controller.issue_next(cycle)
+    return cycle
+
+
 def hammer_rows(controller, rows, repeats, bank_index=0, start_cycle=0):
     """Repeatedly activate ``rows`` one request at a time (defeating FR-FCFS
     reordering) so every request forces a fresh activation of its row."""
@@ -34,8 +41,8 @@ def hammer_rows(controller, rows, repeats, bank_index=0, start_cycle=0):
                 issued = controller.issue_next(cycle)
                 cycle = issued if issued is not None else cycle + 1
             # Serve this request completely before issuing the next one.
-            cycle = controller.drain(cycle)
-    return controller.drain(cycle)
+            cycle = drain(controller, cycle)
+    return drain(controller, cycle)
 
 
 class TestCoMeTIntegration:

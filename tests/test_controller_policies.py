@@ -271,14 +271,12 @@ class TestBLISSScheduler:
         a decision spanning a BLISS clearing boundary must be recomputed
         (the blacklist it ranked on is empty by then)."""
         controller = self._bliss_controller(tiny_dram_config, interval=500)
-        assert controller.decision_crosses_boundary(400, 600)
-        assert not controller.decision_crosses_boundary(100, 400)
+        assert controller.scheduler.priority_boundary_crossed(400, 600)
+        assert not controller.scheduler.priority_boundary_crossed(100, 400)
         # The default scheduler's priorities are time-invariant: only a
         # refresh deadline can invalidate its cached decisions.
         default = make_controller(tiny_dram_config)
-        assert default.decision_crosses_boundary(
-            400, 600
-        ) == default.refresh_crosses_due(400, 600)
+        assert not default.scheduler.priority_boundary_crossed(400, 600)
 
     def test_clearing_interval_resets_blacklist(self, tiny_dram_config):
         controller = self._bliss_controller(tiny_dram_config, streak=1, interval=500)
@@ -336,7 +334,7 @@ class TestAdaptiveTimeout:
         bank = controller.dram.bank_for(request.address)
         assert not bank.is_closed()
         # The close candidate is future-dated to the residency timeout.
-        close_cycle = controller.next_issue_cycle(cycle)
+        close_cycle = controller.next_decision(cycle)[0]
         assert close_cycle >= timeout
         issued = controller.issue_next(cycle)
         assert issued == close_cycle

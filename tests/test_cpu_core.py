@@ -27,8 +27,8 @@ def run_system(core, controller, max_steps=100_000):
         if core.has_blocked_request:
             core.retry_blocked(now)
         core_cycle = core.next_event_cycle()
-        controller_cycle = controller.next_issue_cycle(int(math.ceil(now)))
-        controller_time = float(controller_cycle) if controller_cycle is not None else NEVER
+        decision = controller.next_decision(int(math.ceil(now)))
+        controller_time = float(decision[0]) if decision is not None else NEVER
         if core_cycle >= NEVER and controller_time >= NEVER:
             now += 1
             continue

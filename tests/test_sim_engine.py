@@ -20,14 +20,6 @@ def _linear_trace(n=64, bubbles=10, stride=0x40, name="lin"):
     return Trace.from_tuples([(bubbles, stride * i) for i in range(n)], name=name)
 
 
-@pytest.fixture
-def system(tiny_dram_config):
-    trace = _linear_trace()
-    return System(
-        [trace], config=SystemConfig(dram=tiny_dram_config, verify_security=False)
-    )
-
-
 def _observe_steps(core, observe):
     """Wrap one core's ``step`` on the instance: ``observe(core, now)`` runs
     before each step the kernel dispatches to it."""
@@ -102,48 +94,6 @@ class TestEventOrdering:
         assert first.summary() == second.summary()
         assert first.per_core_ipc == second.per_core_ipc
         assert first.steps == second.steps
-
-
-class TestScheduledCallbacks:
-    def test_mitigation_style_callback_fires_at_cycle(self, system):
-        kernel = EventKernel(system.cores, system.controller)
-        fired = []
-        kernel.schedule(50, lambda now: fired.append(now))
-        kernel.run()
-        assert len(fired) == 1
-        assert fired[0] >= 50.0
-
-    def test_callback_in_past_clamps_to_now(self, system):
-        kernel = EventKernel(system.cores, system.controller)
-        fired = []
-
-        def late_registration(now):
-            kernel.schedule(0, lambda inner_now: fired.append((now, inner_now)))
-
-        kernel.schedule(40, late_registration)
-        kernel.run()
-        assert len(fired) == 1
-        registered_at, fired_at = fired[0]
-        assert fired_at >= registered_at
-
-    def test_mitigation_register_events_hook_called(self, tiny_dram_config):
-        from repro.mitigations.para import PARA
-
-        calls = []
-
-        class EventfulPARA(PARA):
-            def register_events(self, kernel):
-                calls.append(kernel)
-
-        trace = _linear_trace()
-        system = System(
-            [trace],
-            mitigation=EventfulPARA(125),
-            config=SystemConfig(dram=tiny_dram_config, verify_security=False),
-        )
-        system.run()
-        assert len(calls) == 1
-        assert isinstance(calls[0], EventKernel)
 
 
 class TestStallPaths:
@@ -245,9 +195,6 @@ class _IdleControllerDouble:
     def add_slot_free_callback(self, callback):
         pass
 
-    def decision_crosses_boundary(self, start, end):
-        return False
-
     def select_deferrable(self):
         return True
 
@@ -307,34 +254,21 @@ class TestDeadlockDiagnostics:
 class TestIntegerTimestamps:
     """Events sourced from integer cycles must keep integer heap times.
 
-    ``engine._as_cycle`` is the one documented float->int conversion point;
-    everything upstream of it (core events, controller decisions, integer
-    callback cycles) must not smuggle floats onto the heap, where they
-    would compare inexactly at large cycle magnitudes."""
-
-    def test_as_cycle_is_the_ceiling(self):
-        from repro.sim.engine import _as_cycle
-
-        assert _as_cycle(10) == 10
-        assert _as_cycle(10.0) == 10
-        assert _as_cycle(10.2) == 11
+    Controllers select at ``ceil(now)``, and their decisions must not
+    smuggle floats onto the heap, where they would compare inexactly at
+    large cycle magnitudes."""
 
     def test_heap_times_from_integer_sources_stay_int(self, tiny_dram_config):
         # Core events may be fractional by design (core cycles divided by
-        # the CPU:DRAM clock ratio); controller decisions and integer-cycle
-        # callbacks are integer sources and must stay exact.
-        from repro.sim.engine import (
-            _PRIORITY_CALLBACK,
-            _PRIORITY_CONTROLLER,
-            _PRIORITY_CORE,
-        )
+        # the CPU:DRAM clock ratio); controller decisions are an integer
+        # source and must stay exact.
+        from repro.sim.engine import _PRIORITY_CONTROLLER, _PRIORITY_CORE
 
         trace = _linear_trace(n=150, bubbles=2)
         system = System(
             [trace], config=SystemConfig(dram=tiny_dram_config, verify_security=False)
         )
         kernel = EventKernel(system.cores, system.controller)
-        kernel.schedule(75, lambda now: None)  # integer-cycle callback
         seen = []
 
         def check_heap(*_):
@@ -344,10 +278,7 @@ class TestIntegerTimestamps:
         system.controller.dram.add_command_observer(check_heap)
         kernel.run()
         assert system.cores[0].finished
-        assert {priority for _, priority, _, _ in seen} == {
-            _PRIORITY_CONTROLLER,
-            _PRIORITY_CALLBACK,
-        }
+        assert {priority for _, priority, _, _ in seen} == {_PRIORITY_CONTROLLER}
         assert {type(time) for time, _, _, _ in seen} == {int}
 
 
@@ -362,7 +293,7 @@ class TestKernelResults:
 
     def test_max_steps_stops_the_run(self, tiny_dram_config):
         """An exhausted step budget fails loudly instead of returning a
-        truncated run that System would drain into a normal-looking result."""
+        truncated run as a normal-looking result."""
         trace = _linear_trace(n=2000, bubbles=1)
         config = SystemConfig(dram=tiny_dram_config, verify_security=False, max_steps=10)
         system = System([trace], config=config)
@@ -399,6 +330,26 @@ class TestKernelResults:
         )
         assert System([trace], config=exact).run().steps == steps
 
+    def test_budget_ending_with_writes_queued_raises(self, tiny_dram_config):
+        """A budget that runs out after every core has finished but while
+        the controller still holds writes is an error too: the run is not
+        done, and its result would miss those commands."""
+        trace = Trace.from_tuples(
+            [(1, 0x40 * i, True) for i in range(8)], name="writes"
+        )
+        config = SystemConfig(dram=tiny_dram_config, verify_security=False)
+        steps = System([trace], config=config).run().steps
+        short = SystemConfig(
+            dram=tiny_dram_config, verify_security=False, max_steps=steps - 1
+        )
+        system = System([trace], config=short)
+        with pytest.raises(StepBudgetExhaustedError) as excinfo:
+            system.run()
+        error = excinfo.value
+        assert system.cores[0].finished and error.unfinished == []
+        assert error.pending == len(system.controller.write_queue) > 0
+        assert f"pending requests {error.pending}" in str(error)
+
     def test_cached_controller_decision_matches_recompute(self, tiny_dram_config):
         """The decision cached at schedule time must issue at the cycle the
         freshly recomputed decision would (see controller.next_decision)."""
@@ -420,9 +371,7 @@ class TestKernelResults:
                     {"priority_boundary_crossed": lambda self, start, end: True},
                 )
             kernel = EventKernel(system.cores, system.controller)
-            final = kernel.run()
-            final_cycle = system.controller.drain(int(math.ceil(final)))
-            return system._build_result(max(final_cycle, int(math.ceil(final))))
+            return system._build_result(math.ceil(kernel.run()))
 
         cached = run(force_recheck=False)
         recomputed = run(force_recheck=True)
