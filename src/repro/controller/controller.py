@@ -48,8 +48,9 @@ per controller with their invariant inputs pre-bound
 :meth:`MemoryController._build_issue`) and set as the instance attributes
 :attr:`~MemoryController.next_decision` and
 :attr:`~MemoryController.issue_decision`, which the event kernel calls as
-they are.  The select computes every command's earliest legal cycle itself,
-so the issue hands each decision to
+they are.  The select computes every command's earliest legal cycle from the
+device's own timing state (the bank timing table, the ranks' per-bank-group
+ready lists and the bus cycles), so the issue hands each decision to
 :attr:`~repro.dram.dram_system.DRAMSystem.apply` — the device model's only
 update routine — without a second timing check, then does the controller's
 bookkeeping.  What checks the timing instead is independent of this
@@ -289,9 +290,10 @@ class MemoryController:
             type(mitigation).act_allowed_cycle
             is not RowHammerMitigation.act_allowed_cycle
         )
-        #: Per-bank-key (rank, timing-table index, channel, bankgroup)
-        #: cache for the demand scan: everything about a bank key that never
-        #: changes, resolved once instead of per scan.
+        #: Per-bank-key (the rank's act/read/write ready lists,
+        #: timing-table index, channel, bankgroup) cache for the demand
+        #: scan: everything about a bank key that never changes, resolved
+        #: once instead of per scan.
         self._bank_meta: Dict[Tuple[int, int, int, int], tuple] = {}
         #: One demand PRE per bank key for the select to hand out
         #: again: a frozen ``Command`` with empty metadata is the same
@@ -684,7 +686,9 @@ class MemoryController:
         ``(issue, arrival, scan_key)``, where ``scan_key`` orders banks by
         their earliest-enqueued pending request, reads before writes.  The
         scan reads the shared :class:`~repro.dram.bank.BankTimingTable`
-        arrays and rank scalars directly and builds a
+        arrays and each rank's per-bank-group ready lists
+        (:class:`~repro.dram.dram_system.Rank`, where the rank rules are
+        pushed at issue time) directly, and builds a
         :class:`~repro.dram.commands.Command` for the winner only, instead
         of materializing one per candidate through ``Bank``/``Rank`` method
         chains.  A demand PRE winner is not rebuilt: the frozen PRE for
@@ -809,14 +813,6 @@ class MemoryController:
             next_pre=table.next_pre,
             next_read=table.next_read,
             next_write=table.next_write,
-            tRRD_L=timing.tRRD_L,
-            tRRD_S=timing.tRRD_S,
-            tFAW=timing.tFAW,
-            tCCD_L=timing.tCCD_L,
-            tCCD_S=timing.tCCD_S,
-            tWTR_L=timing.tWTR_L,
-            tWTR_S=timing.tWTR_S,
-            tRTW=timing.tRTW,
             tCL=timing.tCL,
             tCWL=timing.tCWL,
             command_bus_free=dram._command_bus_free,
@@ -918,12 +914,14 @@ class MemoryController:
                 if meta is None:
                     rank = ranks[(bank_key[0], bank_key[1])]
                     meta = bank_meta[bank_key] = (
-                        rank,
+                        rank.act_ready,
+                        rank.read_ready,
+                        rank.write_ready,
                         rank.banks[(bank_key[2], bank_key[3])].index,
                         bank_key[0],
                         bank_key[2],
                     )
-                rank, bank_index, channel, bankgroup = meta
+                act_ready, read_ready, write_ready, bank_index, channel, bankgroup = meta
 
                 bus = command_bus_free[channel]
                 issue = cycle if cycle > bus else bus
@@ -935,21 +933,8 @@ class MemoryController:
                     request = pending[0]
                     if next_act[bank_index] > issue:
                         issue = next_act[bank_index]
-                    if rank.blocked_until > issue:
-                        issue = rank.blocked_until
-                    if rank.last_act_bankgroup is not None:
-                        ready = rank.last_act_cycle + (
-                            tRRD_L
-                            if bankgroup == rank.last_act_bankgroup
-                            else tRRD_S
-                        )
-                        if ready > issue:
-                            issue = ready
-                    recent = rank.recent_act_cycles
-                    if len(recent) == recent.maxlen:
-                        ready = recent[0] + tFAW
-                        if ready > issue:
-                            issue = ready
+                    if act_ready[bankgroup] > issue:
+                        issue = act_ready[bankgroup]
                     if act_allowed_cycle is not None:
                         allowed = act_allowed_cycle(request.address, issue)
                         if allowed > issue:
@@ -987,36 +972,18 @@ class MemoryController:
                     ):
                         request = first_hit
                         is_write = request.request_type is WRITE
-                        ready = (
-                            next_write[bank_index]
-                            if is_write
-                            else next_read[bank_index]
-                        )
-                        if ready > issue:
-                            issue = ready
-                        if rank.blocked_until > issue:
-                            issue = rank.blocked_until
-                        if rank.last_col_bankgroup is not None:
-                            ready = rank.last_col_cycle + (
-                                tCCD_L
-                                if bankgroup == rank.last_col_bankgroup
-                                else tCCD_S
-                            )
-                            if ready > issue:
-                                issue = ready
-                            if is_write:
-                                if not rank.last_col_was_write:
-                                    ready = rank.last_col_cycle + tRTW
-                                    if ready > issue:
-                                        issue = ready
-                            else:
-                                ready = rank.write_end + tWTR_S
-                                if ready > issue:
-                                    issue = ready
-                                ready = rank.bankgroup_write_end[bankgroup] + tWTR_L
-                                if ready > issue:
-                                    issue = ready
-                        data_latency = tCWL if is_write else tCL
+                        if is_write:
+                            bank_ready = next_write[bank_index]
+                            rank_ready = write_ready[bankgroup]
+                            data_latency = tCWL
+                        else:
+                            bank_ready = next_read[bank_index]
+                            rank_ready = read_ready[bankgroup]
+                            data_latency = tCL
+                        if bank_ready > issue:
+                            issue = bank_ready
+                        if rank_ready > issue:
+                            issue = rank_ready
                         bus_free = data_bus_free[channel]
                         if issue + data_latency < bus_free:
                             issue = bus_free - data_latency
@@ -1029,8 +996,6 @@ class MemoryController:
                         request = first_conflict
                         if next_pre[bank_index] > issue:
                             issue = next_pre[bank_index]
-                        if rank.blocked_until > issue:
-                            issue = rank.blocked_until
                         kind = PRE
 
                 if demoted_cores is None:

@@ -70,10 +70,6 @@ class MemoryRequest:
     request_id: int = field(default_factory=lambda: next(_request_ids))
 
     @property
-    def is_read(self) -> bool:
-        return self.request_type is RequestType.READ
-
-    @property
     def is_write(self) -> bool:
         return self.request_type is RequestType.WRITE
 

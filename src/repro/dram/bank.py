@@ -3,10 +3,15 @@
 Each :class:`Bank` tracks its open row, the earliest cycle at which each
 command type may legally be issued to it, per-row activation counters (used
 by the security verifier and by statistics), and row-buffer hit/miss/conflict
-counts.  Rank- and channel-level constraints (tRRD, tFAW, tCCD, data bus,
-tRFC) are enforced by :class:`repro.dram.dram_system.Rank` /
-:class:`repro.dram.dram_system.DRAMSystem`; the bank only owns the
-bank-scoped constraints (tRCD, tRAS, tRC, tRP, tRTP, tWR).
+counts.  The bank only owns the bank-scoped constraints (tRCD, tRAS, tRC,
+tRP, tRTP, tWR), plus the tRFC/tRFM block that a REF or RFM pushes into
+``next_act``.  Rank-scoped constraints (tRRD, tFAW, tCCD, tRTW, tWTR) are
+pushed at issue time into :class:`repro.dram.dram_system.Rank`'s
+per-bank-group ready lists, and the buses are
+:class:`repro.dram.dram_system.DRAMSystem`'s.  Nothing here answers "when
+may this command issue?": readers take ``max`` over the table slot, the
+rank's ready list and the bus (``DRAMSystem.earliest_issue_cycle`` and the
+controller's select).
 
 The timing state itself lives in a :class:`BankTimingTable`, one
 struct-of-arrays earliest-cycle table shared by every bank of a
@@ -162,19 +167,6 @@ class Bank:
     @open_row_column_accesses.setter
     def open_row_column_accesses(self, value: int) -> None:
         self.table.col_accesses[self.index] = value
-
-    # ------------------------------------------------------------------ #
-    # Timing queries
-    # ------------------------------------------------------------------ #
-    def earliest_activate(self) -> int:
-        return self.table.next_act[self.index]
-
-    def earliest_precharge(self) -> int:
-        return self.table.next_pre[self.index]
-
-    def earliest_column(self, is_write: bool) -> int:
-        table, i = self.table, self.index
-        return table.next_write[i] if is_write else table.next_read[i]
 
     # ------------------------------------------------------------------ #
     # Command application

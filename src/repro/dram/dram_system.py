@@ -2,17 +2,21 @@
 
 :class:`DRAMSystem` owns every bank of every rank of every channel, enforces
 the cross-bank constraints (tRRD, tFAW, tCCD, data-bus occupancy, read/write
-turnaround, tRFC) and exposes three operations to the memory controller:
+turnaround, tRFC) and exposes two operations to the memory controller:
 
 * :meth:`DRAMSystem.earliest_issue_cycle` — the first cycle at or after a
   given cycle at which a command would be legal;
 * :attr:`DRAMSystem.apply` — apply a command, updating all state.  It is the
   only code that changes the device for a command, for all six kinds, and
-  it does not check timing: the memory controller's select has already
-  computed every earliest legal cycle, and the controller calls it
-  directly;
-* :meth:`DRAMSystem.issue` — the timing check, then :attr:`apply`, for
-  callers that computed nothing (tests, tools).
+  it does not check timing: the caller has already computed the earliest
+  legal cycle (the memory controller's select, or
+  :meth:`earliest_issue_cycle`).
+
+There is one timing model.  Bank-scoped rules live in the banks' shared
+:class:`~repro.dram.bank.BankTimingTable`; rank-scoped rules are pushed at
+issue time into the per-bank-group ready lists of :class:`Rank`; each
+channel's command and data bus is one "free from" cycle.  The controller's
+select reads the same table, lists and bus cycles.
 
 The model also maintains the ground-truth row activation bookkeeping that the
 security verifier and the RowHammer mitigations observe: observers can be
@@ -89,12 +93,39 @@ class DRAMStatistics:
         }
 
 
+def _push(ready: List[int], bankgroup: int, same: int, other: int) -> None:
+    """Raise ``ready[bankgroup]`` to at least ``same`` and every other bank
+    group's entry to at least ``other``; an entry is never lowered."""
+    for group, value in enumerate(ready):
+        floor = same if group == bankgroup else other
+        if floor > value:
+            ready[group] = floor
+
+
 class Rank:
-    """One DRAM rank: a set of banks plus rank-scoped timing state.
+    """One DRAM rank: a set of banks plus the rank-scoped timing rules.
 
     ``table``/``index_base`` place this rank's banks in the DRAM system's
     shared :class:`~repro.dram.bank.BankTimingTable` (dense, contiguous
     slots); standalone construction creates a private table.
+
+    The rank rules are pushed at issue time, not re-derived per query:
+    :meth:`apply_act` and :meth:`apply_column` raise three per-bank-group
+    lists of earliest cycles, so each rule is one lookup for every reader
+    (:meth:`earliest_act`, :meth:`earliest_column` and the memory
+    controller's select):
+
+    * ``act_ready[bg]`` — tRRD_L/tRRD_S after every ACT (same/other bank
+      group) and, once four ACTs are recorded, the fourth-last ACT + tFAW;
+    * ``read_ready[bg]`` — tCCD_L/tCCD_S after every column command, and
+      tWTR_L/tWTR_S after the end of every write burst;
+    * ``write_ready[bg]`` — tCCD_L/tCCD_S after every column command, and
+      tRTW after every read.
+
+    The lists never touch REF or RFM, which read the banks' ``next_act``
+    only.  tRFC needs no rank state: a REF raises every bank's
+    ``next_act`` past it (:meth:`~repro.dram.bank.Bank.refresh_block`) and
+    leaves every bank closed, so nothing reaches a bank before tRFC ends.
     """
 
     def __init__(
@@ -106,10 +137,10 @@ class Rank:
         index_base: int = 0,
     ) -> None:
         self.config = config
+        self.timing = config.timing
         self.channel = channel
         self.rank = rank
         org = config.organization
-        timing = config.timing
         num_banks = org.bankgroups_per_rank * org.banks_per_bankgroup
         if table is None:
             table = BankTimingTable(num_banks)
@@ -122,82 +153,46 @@ class Rank:
             for bank in range(org.banks_per_bankgroup):
                 key = (bankgroup, bank)
                 self.banks[key] = Bank(
-                    timing,
+                    self.timing,
                     org.rows_per_bank,
                     bank_key=(channel, rank, bankgroup, bank),
                     table=table,
                     index=index,
                 )
                 index += 1
-        # Rank-level ACT constraints.
-        self.last_act_cycle = -(10**9)
-        self.last_act_bankgroup: Optional[int] = None
+        # Earliest cycles per bank group, raised by every ACT and column
+        # command.  Mutated in place only: the controller's select binds
+        # these lists.
+        self.act_ready: List[int] = [0] * org.bankgroups_per_rank
+        self.read_ready: List[int] = [0] * org.bankgroups_per_rank
+        self.write_ready: List[int] = [0] * org.bankgroups_per_rank
+        #: The last four ACTs, for tFAW.
         self.recent_act_cycles: Deque[int] = deque(maxlen=4)
-        # Column command constraints (per rank, bank-group aware).
-        self.last_col_cycle = -(10**9)
-        self.last_col_bankgroup: Optional[int] = None
-        self.last_col_was_write = False
-        #: End of the latest write burst in the rank, and per bank group:
-        #: a read waits tWTR_S after every write and tWTR_L after every
-        #: write to its own bank group, not only after the last column
-        #: command.
-        self.write_end = -(10**9)
-        self.bankgroup_write_end: List[int] = [-(10**9)] * org.bankgroups_per_rank
-        # Refresh state.
-        self.blocked_until = 0
         self.refresh_row_pointer = 0
 
     # ------------------------------------------------------------------ #
     # Constraint queries
     # ------------------------------------------------------------------ #
     def earliest_act(self, cycle: int, bankgroup: int, bank: int) -> int:
-        timing = self.config.timing
-        target = self.banks[(bankgroup, bank)]
-        earliest = max(cycle, target.earliest_activate(), self.blocked_until)
-        if self.last_act_bankgroup is not None:
-            rrd = (
-                timing.tRRD_L
-                if bankgroup == self.last_act_bankgroup
-                else timing.tRRD_S
-            )
-            earliest = max(earliest, self.last_act_cycle + rrd)
-        if len(self.recent_act_cycles) == self.recent_act_cycles.maxlen:
-            earliest = max(earliest, self.recent_act_cycles[0] + timing.tFAW)
-        return earliest
+        i = self.banks[(bankgroup, bank)].index
+        return max(cycle, self.table.next_act[i], self.act_ready[bankgroup])
 
     def earliest_pre(self, cycle: int, bankgroup: int, bank: int) -> int:
-        target = self.banks[(bankgroup, bank)]
-        return max(cycle, target.earliest_precharge(), self.blocked_until)
+        return max(cycle, self.table.next_pre[self.banks[(bankgroup, bank)].index])
 
     def earliest_column(
         self, cycle: int, bankgroup: int, bank: int, is_write: bool
     ) -> int:
-        timing = self.config.timing
-        target = self.banks[(bankgroup, bank)]
-        earliest = max(cycle, target.earliest_column(is_write), self.blocked_until)
-        if self.last_col_bankgroup is not None:
-            ccd = (
-                timing.tCCD_L
-                if bankgroup == self.last_col_bankgroup
-                else timing.tCCD_S
-            )
-            earliest = max(earliest, self.last_col_cycle + ccd)
-            if is_write:
-                if not self.last_col_was_write:
-                    earliest = max(earliest, self.last_col_cycle + timing.tRTW)
-            else:
-                earliest = max(
-                    earliest,
-                    self.write_end + timing.tWTR_S,
-                    self.bankgroup_write_end[bankgroup] + timing.tWTR_L,
-                )
-        return earliest
+        i = self.banks[(bankgroup, bank)].index
+        if is_write:
+            return max(cycle, self.table.next_write[i], self.write_ready[bankgroup])
+        return max(cycle, self.table.next_read[i], self.read_ready[bankgroup])
 
     def earliest_refresh(self, cycle: int) -> int:
         """A REF may issue once every bank is precharged and tRP has elapsed."""
-        earliest = max(cycle, self.blocked_until)
+        earliest = cycle
         table = self.table
-        tRP = self.config.timing.tRP
+        tRP = self.timing.tRP
         for i in self._bank_indices:
             if table.open_row[i] is not None:
                 # The controller must precharge first; report the earliest
@@ -218,9 +213,16 @@ class Rank:
     # ------------------------------------------------------------------ #
     def apply_act(self, cycle: int, bankgroup: int, bank: int, row: int, preventive: bool) -> None:
         self.banks[(bankgroup, bank)].activate(cycle, row, preventive=preventive)
-        self.last_act_cycle = cycle
-        self.last_act_bankgroup = bankgroup
-        self.recent_act_cycles.append(cycle)
+        timing = self.timing
+        recent = self.recent_act_cycles
+        recent.append(cycle)
+        same = cycle + timing.tRRD_L
+        other = cycle + timing.tRRD_S
+        if len(recent) == recent.maxlen:
+            faw = recent[0] + timing.tFAW
+            same = max(same, faw)
+            other = max(other, faw)
+        _push(self.act_ready, bankgroup, same, other)
 
     def apply_pre(self, cycle: int, bankgroup: int, bank: int) -> None:
         self.banks[(bankgroup, bank)].precharge(cycle)
@@ -229,13 +231,28 @@ class Rank:
         self, cycle: int, bankgroup: int, bank: int, row: int, is_write: bool
     ) -> int:
         target = self.banks[(bankgroup, bank)]
-        data_end = target.write(cycle, row) if is_write else target.read(cycle, row)
-        self.last_col_cycle = cycle
-        self.last_col_bankgroup = bankgroup
-        self.last_col_was_write = is_write
+        timing = self.timing
+        same = cycle + timing.tCCD_L
+        other = cycle + timing.tCCD_S
         if is_write:
-            self.write_end = data_end
-            self.bankgroup_write_end[bankgroup] = data_end
+            data_end = target.write(cycle, row)
+            _push(self.write_ready, bankgroup, same, other)
+            _push(
+                self.read_ready,
+                bankgroup,
+                max(same, data_end + timing.tWTR_L),
+                max(other, data_end + timing.tWTR_S),
+            )
+        else:
+            data_end = target.read(cycle, row)
+            _push(self.read_ready, bankgroup, same, other)
+            turnaround = cycle + timing.tRTW
+            _push(
+                self.write_ready,
+                bankgroup,
+                max(same, turnaround),
+                max(other, turnaround),
+            )
         return data_end
 
     # ------------------------------------------------------------------ #
@@ -244,31 +261,21 @@ class Rank:
     def snapshot(self) -> Dict:
         """Plain-data checkpoint of the rank-scoped state plus its banks."""
         return {
-            "last_act_cycle": self.last_act_cycle,
-            "last_act_bankgroup": self.last_act_bankgroup,
+            "act_ready": list(self.act_ready),
+            "read_ready": list(self.read_ready),
+            "write_ready": list(self.write_ready),
             "recent_act_cycles": list(self.recent_act_cycles),
-            "last_col_cycle": self.last_col_cycle,
-            "last_col_bankgroup": self.last_col_bankgroup,
-            "last_col_was_write": self.last_col_was_write,
-            "write_end": self.write_end,
-            "bankgroup_write_end": list(self.bankgroup_write_end),
-            "blocked_until": self.blocked_until,
             "refresh_row_pointer": self.refresh_row_pointer,
             "banks": {key: bank.snapshot() for key, bank in self.banks.items()},
         }
 
     def restore(self, state: Dict) -> None:
         """Restore the state captured by :meth:`snapshot`."""
-        self.last_act_cycle = state["last_act_cycle"]
-        self.last_act_bankgroup = state["last_act_bankgroup"]
+        self.act_ready[:] = state["act_ready"]
+        self.read_ready[:] = state["read_ready"]
+        self.write_ready[:] = state["write_ready"]
         self.recent_act_cycles.clear()
         self.recent_act_cycles.extend(state["recent_act_cycles"])
-        self.last_col_cycle = state["last_col_cycle"]
-        self.last_col_bankgroup = state["last_col_bankgroup"]
-        self.last_col_was_write = state["last_col_was_write"]
-        self.write_end = state["write_end"]
-        self.bankgroup_write_end[:] = state["bankgroup_write_end"]
-        self.blocked_until = state["blocked_until"]
         self.refresh_row_pointer = state["refresh_row_pointer"]
         for key, bank_state in state["banks"].items():
             self.banks[tuple(key)].restore(bank_state)
@@ -284,9 +291,7 @@ class Rank:
             raise TimingViolation(
                 f"REF issued to rank {self.rank} with open banks at cycle {cycle}"
             )
-        timing = self.config.timing
-        until = cycle + timing.tRFC
-        self.blocked_until = max(self.blocked_until, until)
+        until = cycle + self.timing.tRFC
         for bank in self.banks.values():
             bank.refresh_block(cycle, until)
         rows_per_refresh = self.config.rows_per_refresh
@@ -298,14 +303,12 @@ class Rank:
 
     def earliest_rfm(self, cycle: int, bankgroup: int, bank: int) -> int:
         """An RFM may issue to a bank once that bank is precharged."""
-        earliest = max(cycle, self.blocked_until)
-        target = self.banks[(bankgroup, bank)]
-        table, i = self.table, target.index
+        table, i = self.table, self.banks[(bankgroup, bank)].index
         if table.open_row[i] is not None:
             # The controller must precharge first; report the earliest
             # cycle the closed bank could accept the RFM.
-            return max(earliest, table.next_pre[i] + self.config.timing.tRP)
-        return max(earliest, table.next_act[i])
+            return max(cycle, table.next_pre[i] + self.timing.tRP)
+        return max(cycle, table.next_act[i])
 
     def apply_rfm(self, cycle: int, bankgroup: int, bank: int, trfm: int) -> None:
         """Apply a bank-scoped RFM: the bank is busy refreshing for tRFM."""
@@ -372,7 +375,7 @@ class DRAMSystem:
         self.current_cycle = 0
         #: ``apply(command, cycle)``: THE device update, for every command
         #: kind, with no timing check — the caller vouches that ``cycle`` is
-        #: legal (:meth:`issue` checks first).  Returns the data-completion
+        #: legal (see :meth:`earliest_issue_cycle`).  Returns the data-completion
         #: cycle for RD/WR, the end of the refresh block for REF/RFM and
         #: ``None`` for ACT/PRE.  Built last: it binds the state above.
         self.apply = self._build_apply()
@@ -519,22 +522,6 @@ class DRAMSystem:
     # ------------------------------------------------------------------ #
     # Command application
     # ------------------------------------------------------------------ #
-    def issue(self, command: Command, cycle: int) -> Optional[int]:
-        """Check ``command``'s timing at ``cycle``, then :attr:`apply` it.
-
-        Raises :class:`~repro.dram.bank.TimingViolation` when the command is
-        early.  For callers that have not computed the earliest legal cycle
-        themselves (tests, tools); the memory controller's select has, so
-        its issue calls :attr:`apply` directly.
-        """
-        earliest = self.earliest_issue_cycle(command, cycle)
-        if earliest > cycle:
-            raise TimingViolation(
-                f"{command.describe()} issued at cycle {cycle}, "
-                f"earliest legal cycle is {earliest}"
-            )
-        return self.apply(command, cycle)
-
     def _build_apply(self) -> Callable[[Command, int], Optional[int]]:
         """Build :attr:`apply` with every construction-stable input pre-bound.
 

@@ -58,10 +58,6 @@ class EnergyBreakdown:
             + self.counter_nj
         )
 
-    @property
-    def total_mj(self) -> float:
-        return self.total_nj * 1e-6
-
     def as_dict(self) -> Dict[str, float]:
         data = {
             "activation_nj": self.activation_nj,

@@ -193,16 +193,6 @@ class Session:
                 finish(futures[future], future.result())
         return list(records)  # type: ignore[arg-type]
 
-    def run_grid(
-        self,
-        workloads: Sequence[str],
-        mitigations: Sequence[str],
-        nrhs: Sequence[int],
-        **grid_kwargs,
-    ) -> List[RunRecord]:
-        """Expand a workload x mitigation x NRH grid and execute it."""
-        return self.run_many(expand_grid(workloads, mitigations, nrhs, **grid_kwargs))
-
     def compare(
         self,
         workload: Union[str, WorkloadSpec],

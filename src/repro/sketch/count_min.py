@@ -164,10 +164,6 @@ class CountMinSketch:
         """True when every counter in ``key``'s group is at the saturation value."""
         return self.estimate(key) >= self.saturation_value
 
-    def counter_value(self, row: int, column: int) -> int:
-        """Raw value of one counter (used by tests and analysis code)."""
-        return self._counters[row][column]
-
     def counters_snapshot(self) -> List[List[int]]:
         """Deep copy of the counter array."""
         return [list(row) for row in self._counters]

@@ -37,6 +37,12 @@ Rules, all checked pairwise against every earlier command they apply to:
 :func:`checked_runs` attaches a checker to every DRAM system of every
 simulation run inside it and hashes the whole command stream, which is
 how ``tests/golden/channels1.json`` pins each golden run's schedule.
+
+:func:`issue` is the test suite's checked entry point for driving a
+:class:`~repro.dram.dram_system.DRAMSystem` by hand: the simulator's own
+timing check, then :attr:`~repro.dram.dram_system.DRAMSystem.apply`.
+It is the one helper here that imports ``repro.dram`` beyond the command
+and configuration types; the checker does not use it.
 """
 
 from __future__ import annotations
@@ -347,6 +353,23 @@ class CommandStreamChecker:
         """End-of-run checks: no rank is overdue at the last command."""
         for rank in self.ranks.values():
             self._cadence(self.last_cycle, None, rank)
+
+
+def issue(dram, command: Command, cycle: int) -> Optional[int]:
+    """Check ``command``'s timing at ``cycle`` on ``dram``, then apply it.
+
+    Raises :class:`~repro.dram.bank.TimingViolation` when the command is
+    early; otherwise returns what :attr:`DRAMSystem.apply` returns.
+    """
+    from repro.dram.bank import TimingViolation
+
+    earliest = dram.earliest_issue_cycle(command, cycle)
+    if earliest > cycle:
+        raise TimingViolation(
+            f"{command.describe()} issued at cycle {cycle}, "
+            f"earliest legal cycle is {earliest}"
+        )
+    return dram.apply(command, cycle)
 
 
 def alert_back_off(mitigation) -> Optional[Tuple[int, int]]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle_commands import issue
 from repro.analysis.false_positive import (
     blockhammer_tracker,
     comet_tracker,
@@ -28,10 +29,12 @@ class TestSecurityVerifier:
             cycle = dram.earliest_issue_cycle(
                 Command(CommandKind.ACT, bankgroup=bankgroup, bank=bank, row=row), cycle
             )
-            dram.issue(
-                Command(CommandKind.ACT, bankgroup=bankgroup, bank=bank, row=row), cycle
+            issue(
+                dram,
+                Command(CommandKind.ACT, bankgroup=bankgroup, bank=bank, row=row),
+                cycle,
             )
-            dram.issue(Command(CommandKind.PRE, bankgroup=bankgroup, bank=bank), cycle + timing.tRAS)
+            issue(dram, Command(CommandKind.PRE, bankgroup=bankgroup, bank=bank), cycle + timing.tRAS)
             cycle += timing.tRC
         return cycle
 
@@ -68,10 +71,12 @@ class TestSecurityVerifier:
         cycle = self.hammer(dram, row=5, times=5)
         timing = tiny_dram_config.timing
         # Preventively refresh victim row 6 (ACT with the preventive flag).
-        dram.issue(
-            Command(CommandKind.ACT, bankgroup=0, bank=0, row=6, is_preventive=True), cycle
+        issue(
+            dram,
+            Command(CommandKind.ACT, bankgroup=0, bank=0, row=6, is_preventive=True),
+            cycle,
         )
-        dram.issue(Command(CommandKind.PRE, bankgroup=0, bank=0), cycle + timing.tRAS)
+        issue(dram, Command(CommandKind.PRE, bankgroup=0, bank=0), cycle + timing.tRAS)
         from repro.dram.address import DRAMAddress
 
         assert verifier.disturbance_of(DRAMAddress(0, 0, 0, 0, 6, 0)) <= 1
@@ -81,7 +86,7 @@ class TestSecurityVerifier:
     def test_rank_refresh_clears_covered_rows(self, tiny_dram_config):
         dram, verifier = self.make(tiny_dram_config, nrh=50)
         cycle = self.hammer(dram, row=1, times=5)
-        dram.issue(Command(CommandKind.REF, rank=0), cycle)
+        issue(dram, Command(CommandKind.REF, rank=0), cycle)
         from repro.dram.address import DRAMAddress
 
         covered_rows = tiny_dram_config.rows_per_refresh

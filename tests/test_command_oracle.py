@@ -1,9 +1,14 @@
 """The JEDEC command-stream oracle (``tests/oracle_commands.py``).
 
-Two halves:
+Three parts:
 
 * the oracle itself — hand-built command streams put each rule exactly at
   its limit (clean) and one cycle before it (flagged, by name);
+* the simulator's timing model against the oracle — on the same streams,
+  and on random legal streams under stretched timings,
+  ``DRAMSystem.earliest_issue_cycle`` must name exactly the oracle's limit:
+  never earlier (an illegal schedule), never later (a slowdown no rule
+  asks for);
 * the simulator under the oracle — whole runs across every registered
   mitigation x scheduler x row policy, plus the refresh policies, must
   issue a legal command stream.  The golden runs are checked where they
@@ -11,10 +16,12 @@ Two halves:
   ``tests/test_fastpath_identity.py``).
 """
 
+import copy
 import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from golden_runs import MIX4
 from oracle_commands import (
@@ -22,6 +29,7 @@ from oracle_commands import (
     CommandStreamChecker,
     checked_runs,
     command_line,
+    issue,
 )
 from repro.controller.policies import (
     ControllerPolicySpec,
@@ -30,6 +38,7 @@ from repro.controller.policies import (
 )
 from repro.dram.commands import Command, CommandKind
 from repro.dram.config import small_test_config
+from repro.dram.dram_system import DRAMSystem
 from repro.experiment.execute import execute_spec
 from repro.experiment.registry import mitigation_names
 from repro.experiment.spec import (
@@ -163,28 +172,36 @@ def test_trc_is_its_own_rule():
     ]
 
 
-def test_wtr_l_holds_across_an_intervening_write_to_another_bank_group():
-    # WR bg0, WR bg1, RD bg0: the read is bound by bg0's write (tWTR_L),
-    # not only by the most recent write (tWTR_S).
-    first_end = 26 + _WR_END
-    stream = [
+#: WR bg0, WR bg1, then RD bg0/ba1: the read is bound by bg0's write
+#: (tWTR_L), not only by the most recent write (tWTR_S).
+_WTR_L_ACROSS_WRITE = (
+    [(0, act(0, 0)), (4, act(1, 0)), (10, act(0, 1)), (26, wr(0, 0)), (30, wr(1, 0))],
+    26 + _WR_END + _T.tWTR_L,
+)
+#: WR bg0, RD bg1, then RD bg0/ba1: still bound by bg0's write.
+_WTR_L_ACROSS_READ = (
+    [
         (0, act(0, 0)),
         (4, act(1, 0)),
         (10, act(0, 1)),
-        (26, wr(0, 0)),
-        (30, wr(1, 0)),
-    ]
-    assert check(stream + [(first_end + _T.tWTR_L, rd(0, 1))]) == []
-    flagged = check(stream + [(first_end + _T.tWTR_L - 1, rd(0, 1))])
+        (22, wr(0, 0)),
+        (22 + _WR_END + _T.tWTR_S, rd(1, 0)),
+    ],
+    22 + _WR_END + _T.tWTR_L,
+)
+
+
+def test_wtr_l_holds_across_an_intervening_write_to_another_bank_group():
+    stream, earliest = _WTR_L_ACROSS_WRITE
+    assert check(stream + [(earliest, rd(0, 1))]) == []
+    flagged = check(stream + [(earliest - 1, rd(0, 1))])
     assert any(": tWTR_L " in v for v in flagged), flagged
 
 
 def test_wtr_l_holds_across_an_intervening_read():
-    end = 22 + _WR_END
-    stream = [(0, act(0, 0)), (4, act(1, 0)), (10, act(0, 1)), (22, wr(0, 0))]
-    stream.append((end + _T.tWTR_S, rd(1, 0)))
-    assert check(stream + [(end + _T.tWTR_L, rd(0, 1))]) == []
-    flagged = check(stream + [(end + _T.tWTR_L - 1, rd(0, 1))])
+    stream, earliest = _WTR_L_ACROSS_READ
+    assert check(stream + [(earliest, rd(0, 1))]) == []
+    flagged = check(stream + [(earliest - 1, rd(0, 1))])
     assert any(": tWTR_L " in v for v in flagged), flagged
 
 
@@ -289,6 +306,144 @@ def test_recorder_hash_covers_every_field():
     assert command_line(7, Command(PRE, metadata={"policy_close": True})) == (
         "7 PRE ch0 ra0 bg0 ba0 policy_close=True"
     )
+
+
+# --------------------------------------------------------------------------- #
+# The simulator's timing model against the oracle
+# --------------------------------------------------------------------------- #
+def _rule_case(rule):
+    build, earliest = RULES[rule]
+    *prefix, (_, command) = build(earliest)
+    return _NO_REFRESH, prefix, command, earliest
+
+
+def _stretched(**timing):
+    return replace(_NO_REFRESH, timing=replace(_T, **timing))
+
+
+#: case -> (config, prefix stream, constrained command, its earliest legal
+#: cycle).  Beyond every rule of RULES: the two tWTR_L streams, tRC, and
+#: tCCD_L/tRRD_L stretched so far that a same-bank-group command older than
+#: the last one binds (with DDR4-2400's tCCD_L <= 2 tCCD_S and tRRD_L <=
+#: 2 tRRD_S the last command always decides).
+EXACT = {
+    **{rule: _rule_case(rule) for rule in RULES},
+    "tWTR_L across a write": (
+        _NO_REFRESH, _WTR_L_ACROSS_WRITE[0], rd(0, 1), _WTR_L_ACROSS_WRITE[1]
+    ),
+    "tWTR_L across a read": (
+        _NO_REFRESH, _WTR_L_ACROSS_READ[0], rd(0, 1), _WTR_L_ACROSS_READ[1]
+    ),
+    "tRC": (
+        _stretched(tRC=_T.tRAS + _T.tRP + 5),
+        [(0, act(0, 0)), (_T.tRAS, pre(0, 0))],
+        act(0, 0),
+        _T.tRAS + _T.tRP + 5,
+    ),
+    "tCCD_L before the last column command": (
+        _stretched(tCCD_L=11),
+        [
+            (0, act(0, 0)),
+            (4, act(1, 0)),
+            (10, act(0, 1)),
+            (30, rd(0, 0)),
+            (34, rd(1, 0)),
+        ],
+        rd(0, 1),
+        41,
+    ),
+    "tRRD_L before the last ACT": (
+        _stretched(tRRD_L=11),
+        [(0, act(0, 0)), (4, act(1, 0))],
+        act(0, 1),
+        11,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT))
+def test_earliest_issue_cycle_is_the_oracle_limit(case):
+    config, prefix, command, earliest = EXACT[case]
+    # The oracle puts the limit exactly here ...
+    assert check(prefix + [(earliest, command)], config) == []
+    assert check(prefix + [(earliest - 1, command)], config) != []
+    # ... and so does the simulator, after the same prefix.
+    dram = DRAMSystem(config)
+    for cycle, prior in prefix:
+        issue(dram, prior, cycle)
+    assert dram.earliest_issue_cycle(command, 0) == earliest
+
+
+#: 2 bank groups x 2 banks: enough for every same/other bank-group rule.
+_FUZZ_CONFIG = replace(
+    small_test_config(rows_per_bank=256, banks_per_bankgroup=2, bankgroups_per_rank=2),
+    refresh_enabled=False,
+)
+
+
+@st.composite
+def stretched_timings(draw):
+    """DDR4-2400 with every same-bank-group/turnaround rule stretched up to
+    3x its short form, so an older command than the last one can bind."""
+
+    def upto_3x(short):
+        return draw(st.integers(min_value=short, max_value=3 * short))
+
+    return replace(
+        _T,
+        tRRD_L=upto_3x(_T.tRRD_S),
+        tCCD_L=upto_3x(_T.tCCD_S),
+        tWTR_L=upto_3x(_T.tWTR_S),
+        tRTW=upto_3x(_T.tRTW),
+        tFAW=upto_3x(_T.tFAW),
+    )
+
+
+def _legal_commands(dram):
+    """Every command the bank state machine allows next on rank 0."""
+    rank = dram.rank(0, 0)
+    commands = []
+    for (bg, bank), state in rank.banks.items():
+        if state.is_closed():
+            commands.append(act(bg, bank, row=1 + bank))
+            commands.append(
+                Command(RFM, bankgroup=bg, bank=bank, metadata={"trfm": 60})
+            )
+        else:
+            commands.extend((pre(bg, bank), rd(bg, bank), wr(bg, bank)))
+    if rank.all_banks_closed():
+        commands.append(Command(REF))
+    return commands
+
+
+@settings(max_examples=100, deadline=None)
+@given(timing=stretched_timings(), data=st.data())
+def test_fuzzed_timings_earliest_cycles_are_exact(timing, data):
+    # Random legal streams, each command issued at earliest_issue_cycle:
+    # the oracle must stay clean (sound), and an ACT/PRE/RD/WR the model
+    # holds back must be flagged by the oracle one cycle earlier (exact).
+    # REF and RFM are checked for soundness only: they wait for next_act,
+    # which includes tRC, where the oracle asks for tRP.
+    config = replace(_FUZZ_CONFIG, timing=timing)
+    dram = DRAMSystem(config)
+    checker = CommandStreamChecker(config)
+    cycle = 0
+    for _ in range(data.draw(st.integers(1, 60), label="commands")):
+        command = data.draw(st.sampled_from(_legal_commands(dram)))
+        cycle += data.draw(st.integers(0, 3), label="gap")
+        earliest = dram.earliest_issue_cycle(command, cycle)
+        if earliest > cycle and command.kind in (ACT, PRE, RD, WR):
+            early = copy.deepcopy(checker)
+            early(earliest - 1, command)
+            assert early.violation_count, (
+                f"{command_line(earliest, command)}: the oracle allows it a "
+                f"cycle earlier ({timing})"
+            )
+        checker(earliest, command)
+        dram.apply(command, earliest)
+        cycle = earliest
+    checker.finish()
+    assert checker.violations == []
 
 
 # --------------------------------------------------------------------------- #

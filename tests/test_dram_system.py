@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from oracle_commands import issue
 from repro.dram.bank import TimingViolation
 from repro.dram.commands import Command, CommandKind
 from repro.dram.dram_system import DRAMSystem
@@ -123,35 +124,35 @@ class TestCommandValidation:
 class TestBasicSequences:
     def test_act_read_pre_sequence(self, system, tiny_dram_config):
         timing = tiny_dram_config.timing
-        system.issue(act(row=3), 0)
-        data_end = system.issue(rd(column=0), timing.tRCD)
+        issue(system, act(row=3), 0)
+        data_end = issue(system, rd(column=0), timing.tRCD)
         assert data_end == timing.tRCD + timing.tCL + timing.tBURST
         pre_cycle = max(timing.tRAS, timing.tRCD + timing.tRTP)
-        system.issue(pre(), pre_cycle)
+        issue(system, pre(), pre_cycle)
         assert system.stats.acts == 1
         assert system.stats.reads == 1
         assert system.stats.pres == 1
 
     def test_earliest_issue_respects_trcd(self, system, tiny_dram_config):
         timing = tiny_dram_config.timing
-        system.issue(act(row=3), 0)
+        issue(system, act(row=3), 0)
         assert system.earliest_issue_cycle(rd(), 0) == timing.tRCD
 
     def test_early_command_raises(self, system):
-        system.issue(act(row=3), 0)
+        issue(system, act(row=3), 0)
         with pytest.raises(TimingViolation):
-            system.issue(rd(), 1)
+            issue(system, rd(), 1)
 
     def test_write_then_read_turnaround(self, system, tiny_dram_config):
         timing = tiny_dram_config.timing
-        system.issue(act(row=3), 0)
+        issue(system, act(row=3), 0)
         write_cycle = timing.tRCD
-        system.issue(wr(), write_cycle)
+        issue(system, wr(), write_cycle)
         earliest_read = system.earliest_issue_cycle(rd(), write_cycle + 1)
         assert earliest_read >= write_cycle + timing.tCWL + timing.tBURST + timing.tWTR_L
 
     def test_command_bus_one_command_per_cycle(self, system, tiny_dram_config):
-        system.issue(act(row=3, bank=0), 0)
+        issue(system, act(row=3, bank=0), 0)
         other_bank_act = act(row=3, bank=1)
         assert system.earliest_issue_cycle(other_bank_act, 0) >= 1
 
@@ -159,7 +160,7 @@ class TestBasicSequences:
 class TestInterBankConstraints:
     def test_trrd_between_activations(self, system, tiny_dram_config):
         timing = tiny_dram_config.timing
-        system.issue(act(row=1, bankgroup=0, bank=0), 0)
+        issue(system, act(row=1, bankgroup=0, bank=0), 0)
         same_group = act(row=1, bankgroup=0, bank=1)
         other_group = act(row=1, bankgroup=1, bank=0)
         assert system.earliest_issue_cycle(same_group, 0) >= timing.tRRD_L
@@ -175,7 +176,7 @@ class TestInterBankConstraints:
             bank = i // config.bankgroups_per_rank
             command = act(row=1, bankgroup=bankgroup, bank=bank)
             cycle = system.earliest_issue_cycle(command, cycle)
-            system.issue(command, cycle)
+            issue(system, command, cycle)
             issued.append(cycle)
             cycle += 1
         # A fifth activation (to a different bank) must wait for the tFAW window.
@@ -184,37 +185,37 @@ class TestInterBankConstraints:
 
     def test_data_bus_serializes_reads_across_banks(self, system, tiny_dram_config):
         timing = tiny_dram_config.timing
-        system.issue(act(row=1, bankgroup=0, bank=0), 0)
+        issue(system, act(row=1, bankgroup=0, bank=0), 0)
         second_act = act(row=1, bankgroup=1, bank=0)
         act2_cycle = system.earliest_issue_cycle(second_act, 0)
-        system.issue(second_act, act2_cycle)
+        issue(system, second_act, act2_cycle)
         first_rd_cycle = system.earliest_issue_cycle(rd(bankgroup=0, bank=0), 0)
-        end1 = system.issue(rd(bankgroup=0, bank=0), first_rd_cycle)
+        end1 = issue(system, rd(bankgroup=0, bank=0), first_rd_cycle)
         second_rd = rd(bankgroup=1, bank=0)
         second_cycle = system.earliest_issue_cycle(second_rd, first_rd_cycle)
-        end2 = system.issue(second_rd, second_cycle)
+        end2 = issue(system, second_rd, second_cycle)
         assert end2 >= end1 + timing.tBURST
 
 
 class TestRefresh:
     def test_refresh_blocks_rank(self, system, tiny_dram_config):
         timing = tiny_dram_config.timing
-        result = system.issue(Command(CommandKind.REF, rank=0), 0)
+        result = issue(system, Command(CommandKind.REF, rank=0), 0)
         assert result == timing.tRFC
         assert system.earliest_issue_cycle(act(row=0), 0) >= timing.tRFC
 
     def test_refresh_with_open_bank_rejected(self, system):
-        system.issue(act(row=1), 0)
+        issue(system, act(row=1), 0)
         with pytest.raises(TimingViolation):
-            system.issue(Command(CommandKind.REF, rank=0), 10)
+            issue(system, Command(CommandKind.REF, rank=0), 10)
 
     def test_refresh_advances_row_pointer(self, system, tiny_dram_config):
         timing = tiny_dram_config.timing
         rank = system.rank(0, 0)
         assert rank.refresh_row_pointer == 0
-        system.issue(Command(CommandKind.REF, rank=0), 0)
+        issue(system, Command(CommandKind.REF, rank=0), 0)
         assert rank.refresh_row_pointer == tiny_dram_config.rows_per_refresh
-        system.issue(Command(CommandKind.REF, rank=0), timing.tRFC)
+        issue(system, Command(CommandKind.REF, rank=0), timing.tRFC)
         assert rank.refresh_row_pointer == 2 * tiny_dram_config.rows_per_refresh
 
 
@@ -222,33 +223,33 @@ class TestObservers:
     def test_activation_observer_called(self, system):
         seen = []
         system.add_activation_observer(lambda cycle, addr, prev: seen.append((cycle, addr.row, prev)))
-        system.issue(act(row=9), 0)
+        issue(system, act(row=9), 0)
         assert seen == [(0, 9, False)]
 
     def test_preventive_act_notifies_row_refresh(self, system):
         refreshed = []
         system.add_row_refresh_observer(lambda cycle, addr: refreshed.append(addr.row))
-        system.issue(act(row=9, preventive=True), 0)
+        issue(system, act(row=9, preventive=True), 0)
         assert refreshed == [9]
 
     def test_refresh_observer_reports_row_range(self, system, tiny_dram_config):
         seen = []
         system.add_refresh_observer(lambda cycle, rank, start, count: seen.append((rank, start, count)))
-        system.issue(Command(CommandKind.REF, rank=0), 0)
+        issue(system, Command(CommandKind.REF, rank=0), 0)
         assert seen == [((0, 0), 0, tiny_dram_config.rows_per_refresh)]
 
 
 class TestStatistics:
     def test_row_activation_counts(self, system, tiny_dram_config):
         timing = tiny_dram_config.timing
-        system.issue(act(row=5), 0)
-        system.issue(pre(), timing.tRAS)
-        system.issue(act(row=5), timing.tRC)
+        issue(system, act(row=5), 0)
+        issue(system, pre(), timing.tRAS)
+        issue(system, act(row=5), timing.tRC)
         counts = system.row_activation_counts()
         assert counts[(0, 0, 0, 0, 5)] == 2
 
     def test_stats_as_dict(self, system):
-        system.issue(act(row=1), 0)
+        issue(system, act(row=1), 0)
         stats = system.stats.as_dict()
         assert stats["acts"] == 1
         assert stats["reads"] == 0
