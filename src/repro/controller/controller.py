@@ -148,11 +148,16 @@ class _BankPending:
     the old full-queue scan first encountered each bank.
     """
 
-    __slots__ = ("requests", "min_seq", "row_counts")
+    __slots__ = ("requests", "min_seq", "row_counts", "seq_ordered")
 
     def __init__(self) -> None:
         self.requests: List[MemoryRequest] = []
         self.min_seq: int = NEVER
+        #: True while ``requests`` is also in enqueue-sequence order, i.e.
+        #: every request so far was appended (sequence numbers only grow),
+        #: so the smallest sequence number is the head's.  Cleared by an
+        #: out-of-order insert; set again once the bank has drained.
+        self.seq_ordered = True
         #: Pending-request count per row.  The FR-FCFS hit scan only has to
         #: walk ``requests`` when the open row actually has a pending
         #: request (``open_row in row_counts``); under a hammering pattern
@@ -171,20 +176,28 @@ class _BankPending:
             # Out-of-order arrival (a retried request that was created before
             # requests that beat it into the queue): keep the list sorted.
             insort(requests, request, key=_request_sort_key)
+            self.seq_ordered = False
 
     def remove(self, request: MemoryRequest) -> None:
-        self.requests.remove(request)
+        requests = self.requests
+        requests.remove(request)
         row = request.address.row
         count = self.row_counts[row] - 1
         if count:
             self.row_counts[row] = count
         else:
             del self.row_counts[row]
-        if getattr(request, "_enqueue_seq", NEVER) == self.min_seq:
-            self.min_seq = min(
-                (getattr(r, "_enqueue_seq", NEVER) for r in self.requests),
-                default=NEVER,
-            )
+        if not requests:
+            self.min_seq = NEVER
+            self.seq_ordered = True
+        elif getattr(request, "_enqueue_seq", NEVER) == self.min_seq:
+            if self.seq_ordered:
+                self.min_seq = requests[0]._enqueue_seq
+            else:
+                self.min_seq = min(
+                    (getattr(r, "_enqueue_seq", NEVER) for r in requests),
+                    default=NEVER,
+                )
 
 
 def _merge_pending(

@@ -18,8 +18,9 @@ that clock domain.  IPC is reported in CPU cycles.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, Deque, Optional, Sequence, Union
 
 from repro.controller.controller import MemoryController
 from repro.controller.policies import NEVER
@@ -44,12 +45,22 @@ class CoreConfig:
         return self.width * self.cpu_to_mem_ratio
 
 
-@dataclass
 class _OutstandingRead:
-    """Book-keeping for one in-flight read."""
+    """Book-keeping for one in-flight read, and its completion callback.
 
-    dispatched_instructions: int
-    completion_cycle: Optional[float] = None
+    The controller calls the record itself as the request's ``on_complete``,
+    so a read needs no per-request closure.
+    """
+
+    __slots__ = ("core", "dispatched_instructions", "completion_cycle")
+
+    def __init__(self, core: "Core", dispatched_instructions: int) -> None:
+        self.core = core
+        self.dispatched_instructions = dispatched_instructions
+        self.completion_cycle: Optional[float] = None
+
+    def __call__(self, request: MemoryRequest, cycle: int) -> None:
+        self.core._on_read_complete(self, cycle)
 
 
 @dataclass
@@ -85,7 +96,7 @@ class Core:
         self._cursor = 0
         self._front_cycle = 0.0
         self._dispatched_instructions = 0
-        self._outstanding: List[_OutstandingRead] = []
+        self._outstanding: Deque[_OutstandingRead] = deque()
         self._blocked_on_queue: Optional[MemoryRequest] = None
         self._last_completion_cycle = 0.0
         self._trace_exhausted = len(trace) == 0
@@ -163,6 +174,12 @@ class Core:
     def _dispatch_cycle_for_next_entry(self) -> Union[int, float]:
         entry = self.trace[self._cursor]
         candidate = self._front_cycle + entry.bubble_count / self.config.issue_rate_per_mem_cycle
+        # Exact shortcut: filtering only drops reads, and the survivors'
+        # ``dispatched_instructions`` are no smaller than the head's (they
+        # were dispatched in program order), so when the unfiltered reads
+        # already pass both checks the filtered ones do too.
+        if self._constraints_ok(self._outstanding, entry.bubble_count + 1):
+            return candidate
         outstanding = list(self._outstanding)
         while True:
             outstanding = [
@@ -180,7 +197,9 @@ class Core:
             candidate = max(candidate, oldest.completion_cycle)
             outstanding.pop(0)
 
-    def _constraints_ok(self, outstanding: List[_OutstandingRead], new_instructions: int) -> bool:
+    def _constraints_ok(
+        self, outstanding: Sequence[_OutstandingRead], new_instructions: int
+    ) -> bool:
         if len(outstanding) >= self.config.max_outstanding_reads:
             return False
         if outstanding:
@@ -198,7 +217,7 @@ class Core:
         while self._outstanding:
             oldest = self._outstanding[0]
             if oldest.completion_cycle is not None and oldest.completion_cycle <= cycle:
-                self._outstanding.pop(0)
+                self._outstanding.popleft()
             else:
                 break
 
@@ -223,14 +242,14 @@ class Core:
             self._send_read(address, cycle)
 
     def _send_read(self, address: int, cycle: float) -> None:
-        record = _OutstandingRead(dispatched_instructions=self._dispatched_instructions)
+        record = _OutstandingRead(self, self._dispatched_instructions)
         self._outstanding.append(record)
         request = MemoryRequest(
             request_type=RequestType.READ,
             address=self.mapper.decode(address),
             physical_address=address,
             core_id=self.core_id,
-            on_complete=lambda req, done, rec=record: self._on_read_complete(rec, done),
+            on_complete=record,
         )
         self.stats.memory_reads += 1
         if not self.controller.enqueue(request, int(cycle)):
@@ -308,7 +327,7 @@ class Core:
         self._dispatched_instructions = state["dispatched_instructions"]
         self._last_completion_cycle = state["last_completion_cycle"]
         self._trace_exhausted = state["trace_exhausted"]
-        self._outstanding = []
+        self._outstanding = deque()
         self._blocked_on_queue = None
         self._dispatch_memo = None
         for key, value in state["stats"].items():

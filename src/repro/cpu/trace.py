@@ -8,28 +8,37 @@ use and is what the workload generators in :mod:`repro.workloads` produce.
 Traces can be saved to / loaded from a simple text format (one entry per
 line: ``bubble_count address [W]``) so that generated workloads can be
 inspected and reused across experiments.
+
+:class:`TraceEntry` is a tuple-backed immutable record: the generators build
+one per synthesized access, and a tuple costs a fraction of a frozen
+dataclass to construct.  Like any named tuple it compares equal to a plain
+tuple with the same fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    """One trace record: ``bubble_count`` compute instructions then a memory access."""
-
+class _TraceRecord(NamedTuple):
     bubble_count: int
     address: int
     is_write: bool = False
 
-    def __post_init__(self) -> None:
-        if self.bubble_count < 0:
+
+class TraceEntry(_TraceRecord):
+    """One trace record: ``bubble_count`` compute instructions then a memory access."""
+
+    __slots__ = ()
+
+    def __new__(cls, bubble_count: int, address: int, is_write: bool = False):
+        if bubble_count < 0:
             raise ValueError("bubble_count must be non-negative")
-        if self.address < 0:
+        if address < 0:
             raise ValueError("address must be non-negative")
+        return tuple.__new__(cls, (bubble_count, address, is_write))
 
 
 @dataclass

@@ -7,6 +7,10 @@ banks before touching rank and row bits — the standard
 ``Row:Rank:BankGroup:Bank:Column:Channel`` style mapping that maximizes
 bank-level parallelism for streaming workloads, matching the behaviour that
 Ramulator's default DDR4 mapping gives the paper's workloads.
+
+Each :class:`AddressMapper` computes its layout once, at construction, so
+encoding and decoding are a few shifts and masks: every trace generator
+calls :meth:`AddressMapper.address_for_row` once per synthesized access.
 """
 
 from __future__ import annotations
@@ -119,19 +123,52 @@ class AddressMapper:
     which interleaves consecutive cache lines across channels and banks
     (maximizing parallelism) while keeping a row's cache lines contiguous in
     the column bits (preserving row-buffer locality within a row).
+
+    The layout is computed once, at construction: each field's bit offset
+    and mask, plus the rank|bankgroup|bank bits of every flat bank index.
+    :meth:`encode`, :meth:`decode` and :meth:`address_for_row` are then
+    plain shift-and-mask arithmetic.  :func:`validate_mappable_geometry` is
+    what makes the masks exact: every field spans a power-of-two range.
     """
 
     def __init__(self, config: DRAMConfig) -> None:
         validate_mappable_geometry(config)
         self.config = config
         org = config.organization
-        self._offset_bits = _bits(org.cacheline_bytes)
-        self._channel_bits = _bits(org.channels)
-        self._bankgroup_bits = _bits(org.bankgroups_per_rank)
-        self._bank_bits = _bits(org.banks_per_bankgroup)
-        self._column_bits = _bits(org.columns_per_row // org.columns_per_cacheline)
-        self._rank_bits = _bits(org.ranks_per_channel)
-        self._row_bits = _bits(org.rows_per_bank)
+        self._channels = org.channels
+        self._rows = org.rows_per_bank
+        self._columns_per_row = org.columns_per_row
+        self._columns_per_cacheline = org.columns_per_cacheline
+        self._banks = org.ranks_per_channel * org.banks_per_rank
+        # Each field's absolute bit offset, least significant first.
+        shift = _bits(org.cacheline_bytes)
+        fields = {}
+        for name, count in (
+            ("channel", org.channels),
+            ("bankgroup", org.bankgroups_per_rank),
+            ("bank", org.banks_per_bankgroup),
+            ("column", org.columns_per_row // org.columns_per_cacheline),
+            ("rank", org.ranks_per_channel),
+            ("row", org.rows_per_bank),
+        ):
+            fields[name] = (shift, count - 1)
+            shift += _bits(count)
+        self._channel_shift, self._channel_mask = fields["channel"]
+        self._bankgroup_shift, self._bankgroup_mask = fields["bankgroup"]
+        self._bank_shift, self._bank_mask = fields["bank"]
+        self._column_shift, self._column_mask = fields["column"]
+        self._rank_shift, self._rank_mask = fields["rank"]
+        self._row_shift, self._row_mask = fields["row"]
+        # The rank|bankgroup|bank bits of every flat bank index (rank-major,
+        # as :meth:`address_for_row` enumerates them).
+        self._bank_index_bits: List[int] = [
+            (rank << self._rank_shift)
+            | (bankgroup << self._bankgroup_shift)
+            | (bank << self._bank_shift)
+            for rank in range(org.ranks_per_channel)
+            for bankgroup in range(org.bankgroups_per_rank)
+            for bank in range(org.banks_per_bankgroup)
+        ]
         # Decoded-address memo: workloads re-touch the same cache lines
         # (hammering patterns by construction, benign traces through
         # locality), DRAMAddress is frozen, and decode is pure — so decoding
@@ -157,48 +194,30 @@ class AddressMapper:
     def _decode_slow(self, physical_address: int) -> DRAMAddress:
         if physical_address < 0:
             raise ValueError("physical address must be non-negative")
-        org = self.config.organization
-        value = physical_address >> self._offset_bits
-        value, channel = self._take(value, self._channel_bits, org.channels)
-        value, bankgroup = self._take(value, self._bankgroup_bits, org.bankgroups_per_rank)
-        value, bank = self._take(value, self._bank_bits, org.banks_per_bankgroup)
-        value, column = self._take(
-            value, self._column_bits, org.columns_per_row // org.columns_per_cacheline
-        )
-        value, rank = self._take(value, self._rank_bits, org.ranks_per_channel)
-        row = value % org.rows_per_bank
         return DRAMAddress(
-            channel=channel,
-            rank=rank,
-            bankgroup=bankgroup,
-            bank=bank,
-            row=row,
-            column=column * org.columns_per_cacheline,
+            (physical_address >> self._channel_shift) & self._channel_mask,
+            (physical_address >> self._rank_shift) & self._rank_mask,
+            (physical_address >> self._bankgroup_shift) & self._bankgroup_mask,
+            (physical_address >> self._bank_shift) & self._bank_mask,
+            (physical_address >> self._row_shift) & self._row_mask,
+            ((physical_address >> self._column_shift) & self._column_mask)
+            * self._columns_per_cacheline,
         )
 
     def encode(self, address: DRAMAddress) -> int:
-        """Inverse of :meth:`decode` (returns a cache-line-aligned byte address)."""
-        org = self.config.organization
-        value = address.row
-        value = self._put(value, self._rank_bits, address.rank)
-        value = self._put(
-            value, self._column_bits, address.column // org.columns_per_cacheline
+        """Inverse of :meth:`decode` (returns a cache-line-aligned byte address).
+
+        Fields are not range-checked: an out-of-range field's high bits OR
+        into the fields above it.
+        """
+        return (
+            (address.row << self._row_shift)
+            | (address.rank << self._rank_shift)
+            | ((address.column // self._columns_per_cacheline) << self._column_shift)
+            | (address.bank << self._bank_shift)
+            | (address.bankgroup << self._bankgroup_shift)
+            | (address.channel << self._channel_shift)
         )
-        value = self._put(value, self._bank_bits, address.bank)
-        value = self._put(value, self._bankgroup_bits, address.bankgroup)
-        value = self._put(value, self._channel_bits, address.channel)
-        return value << self._offset_bits
-
-    @staticmethod
-    def _take(value: int, bits: int, limit: int) -> Tuple[int, int]:
-        if bits == 0:
-            return value, 0
-        field = value & ((1 << bits) - 1)
-        return value >> bits, field % limit
-
-    @staticmethod
-    def _put(value: int, bits: int, field: int) -> int:
-        return (value << bits) | field
 
     # ------------------------------------------------------------------ #
     # Convenience constructors used by workload generators
@@ -210,26 +229,22 @@ class AddressMapper:
 
         ``bank_index`` enumerates (rank, bankgroup, bank) triples in
         rank-major order; workload and attack generators use this to target
-        specific banks and rows directly.
+        specific banks and rows directly.  Every argument wraps around its
+        dimension (``row`` modulo the rows per bank, and so on).
         """
-        org = self.config.organization
-        rank, remainder = divmod(bank_index, org.banks_per_rank)
-        bankgroup, bank = divmod(remainder, org.banks_per_bankgroup)
-        return self.encode(
-            DRAMAddress(
-                channel=channel % org.channels,
-                rank=rank % org.ranks_per_channel,
-                bankgroup=bankgroup,
-                bank=bank,
-                row=row % org.rows_per_bank,
-                column=column % org.columns_per_row,
+        return (
+            ((row % self._rows) << self._row_shift)
+            | self._bank_index_bits[bank_index % self._banks]
+            | (
+                (column % self._columns_per_row // self._columns_per_cacheline)
+                << self._column_shift
             )
+            | ((channel % self._channels) << self._channel_shift)
         )
 
     def all_bank_indices(self) -> List[int]:
         """Flat bank indices for every bank in one channel."""
-        org = self.config.organization
-        return list(range(org.ranks_per_channel * org.banks_per_rank))
+        return list(range(self._banks))
 
     def iter_rows(self, bank_index: int, start: int, count: int) -> Iterator[int]:
         """Yield physical addresses for ``count`` consecutive rows of a bank."""

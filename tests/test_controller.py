@@ -1,10 +1,12 @@
 """Tests for the FR-FCFS memory controller."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.controller.controller import ControllerConfig, MemoryController
-from repro.controller.policies import ControllerPolicySpec
+from repro.controller.controller import ControllerConfig, MemoryController, _BankPending
+from repro.controller.policies import NEVER, ControllerPolicySpec
 from repro.controller.request import MemoryRequest, RequestType
+from repro.dram.address import DRAMAddress
 from repro.dram.commands import Command, CommandKind
 from repro.experiment.execute import build_workload_traces
 from repro.experiment.spec import (
@@ -410,3 +412,37 @@ class TestDemandPrechargeReuse:
                 assert not command.is_preventive
         if row_policy == "closed_page":
             assert sum(c.stats.policy_precharges for c in controllers) > 0
+
+
+class TestBankPendingMinSeq:
+    """``_BankPending.min_seq`` is the smallest enqueue sequence number among
+    the bank's requests, through in-order appends, out-of-order inserts
+    (retried requests with an older arrival) and removals in any order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 40), st.integers(0, 30)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_min_seq_is_the_smallest_pending_sequence(self, ops):
+        pending = _BankPending()
+        seq = 0
+        for is_add, arrival, pick in ops:
+            if is_add or not pending.requests:
+                request = MemoryRequest(
+                    request_type=RequestType.READ,
+                    address=DRAMAddress(0, 0, 0, 0, arrival % 3, 0),
+                    arrival_cycle=arrival,
+                )
+                request.__dict__["_enqueue_seq"] = seq
+                pending.add(request, seq)
+                seq += 1
+            else:
+                pending.remove(pending.requests[pick % len(pending.requests)])
+            expected = min(
+                (r._enqueue_seq for r in pending.requests), default=NEVER
+            )
+            assert pending.min_seq == expected
