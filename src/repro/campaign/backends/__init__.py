@@ -1,16 +1,12 @@
-"""Registered :class:`~repro.campaign.queue.WorkQueue` implementations.
-
-Importing this package registers all three backends:
+"""The two :class:`~repro.campaign.queue.WorkQueue` implementations.
 
 * ``memory`` — in-process FIFO/priority heap; fastest, not persistent.
-* ``directory`` — one JSON file per item, claims via atomic ``os.rename``;
-  any process (or NFS-sharing host) pointed at the directory can steal work.
 * ``sqlite`` — single-file SQLite database, claims inside ``BEGIN
-  IMMEDIATE`` transactions; the recommended multi-process backend.
+  IMMEDIATE`` transactions; survives a kill and is shared by every runner
+  process pointed at the same file.
 """
 
-from repro.campaign.backends.directory import DirectoryQueue
 from repro.campaign.backends.memory import MemoryQueue
 from repro.campaign.backends.sqlite import SqliteQueue
 
-__all__ = ["DirectoryQueue", "MemoryQueue", "SqliteQueue"]
+__all__ = ["MemoryQueue", "SqliteQueue"]

@@ -3,7 +3,9 @@
 The local-run backend: no persistence (a killed process loses its queue,
 though never its *results* — those live in the store), but exact conformance
 semantics, so a campaign developed against ``memory`` behaves identically
-on ``directory`` or ``sqlite``.
+on ``sqlite``.  It is the default queue of
+:class:`~repro.campaign.runner.CampaignRunner` and
+:meth:`~repro.experiment.session.Session.campaign`.
 """
 
 from __future__ import annotations
@@ -13,22 +15,13 @@ import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.campaign.queue import (
-    DEFAULT_LEASE,
-    QueueCounts,
-    WorkItem,
-    WorkQueue,
-    register_backend,
-)
+from repro.campaign.queue import DEFAULT_LEASE, QueueCounts, WorkItem, WorkQueue
 
 
-@register_backend
 class MemoryQueue(WorkQueue):
     """Heap-ordered in-process queue (higher priority first, FIFO within)."""
 
     name = "memory"
-    description = "in-process FIFO/priority heap; fastest, single-process only"
-    persistent = False
 
     def __init__(self, clock: Callable[[], float] = time.time) -> None:
         super().__init__(clock)

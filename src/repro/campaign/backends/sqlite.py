@@ -1,9 +1,10 @@
 """SQLite-backed work queue: one database file, transactional claims.
 
-The recommended multi-process backend: claims run inside ``BEGIN
-IMMEDIATE`` transactions, so SQLite's file locking serializes concurrent
-claimers across threads, processes and (local-filesystem) hosts — no two
-workers are ever issued the same item.  Every operation opens a short-lived
+The persistent backend, and the default of ``repro campaign run``: claims
+run inside ``BEGIN IMMEDIATE`` transactions, so SQLite's file locking
+serializes concurrent claimers across threads and processes on one host —
+no two workers are ever issued the same item, and a killed runner's queue
+survives for the next one to resume.  Every operation opens a short-lived
 connection, which keeps the backend safe to use from any thread or from
 forked workers without connection hand-me-down hazards.
 """
@@ -16,13 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from repro.campaign.queue import (
-    DEFAULT_LEASE,
-    QueueCounts,
-    WorkItem,
-    WorkQueue,
-    register_backend,
-)
+from repro.campaign.queue import DEFAULT_LEASE, QueueCounts, WorkItem, WorkQueue
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS items (
@@ -38,16 +33,10 @@ CREATE INDEX IF NOT EXISTS idx_items_state ON items (state, priority DESC, seq A
 """
 
 
-@register_backend
 class SqliteQueue(WorkQueue):
     """Single-file transactional queue (multi-process work stealing)."""
 
     name = "sqlite"
-    description = (
-        "single-file SQLite database, claims in BEGIN IMMEDIATE "
-        "transactions; the recommended multi-process backend"
-    )
-    persistent = True
 
     def __init__(
         self, path: Union[str, Path], clock: Callable[[], float] = time.time

@@ -1,4 +1,4 @@
-"""The pluggable work-queue backend interface and its registry.
+"""The campaign work-queue interface.
 
 A campaign is drained through a :class:`WorkQueue`: the runner ``put``\\ s
 one :class:`WorkItem` per missing grid cell, any number of workers ``claim``
@@ -9,11 +9,11 @@ pending set and another worker re-executes it (results are deterministic,
 so re-execution is always safe — at-least-once delivery is the contract,
 exactly-once *storage* comes from the store's content addressing).
 
-Backends register under a short name (``memory`` / ``directory`` /
-``sqlite``) via :func:`register_backend` and are constructed through
-:func:`create_backend` — the frontera pattern: one interface, many
-interchangeable implementations, one shared conformance suite
-(``tests/test_campaign_queue.py``) that every backend must pass.
+Two backends implement it: ``memory`` (in-process) and ``sqlite``
+(persistent, shared by every runner process pointed at one file).
+:class:`~repro.campaign.runner.CampaignRunner` maps those names to
+instances.  One shared conformance suite (``tests/test_campaign_queue.py``)
+pins both to the same semantics — the frontera pattern.
 
 Ordering contract (shared by every backend):
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Type
+from typing import Callable, Iterable, NamedTuple, Optional
 
 #: Default lease duration (seconds) a claimed item is protected for.
 DEFAULT_LEASE = 60.0
@@ -71,18 +71,13 @@ class QueueCounts(NamedTuple):
 class WorkQueue(abc.ABC):
     """Abstract claim/ack work queue with lease-based crash recovery.
 
-    Subclasses set the class attributes (``name`` registers the backend,
-    ``persistent`` says whether items survive process death — the
-    multi-process backends) and implement the five primitives.  ``clock``
-    is injectable so lease expiry is testable without sleeping.
+    Subclasses set ``name`` (recorded as the ``"backend"`` of a campaign
+    checkpoint) and implement the five primitives.  ``clock`` is
+    injectable so lease expiry is testable without sleeping.
     """
 
-    #: Registry name (e.g. ``"memory"``); set by subclasses.
+    #: Backend name (``"memory"`` or ``"sqlite"``); set by subclasses.
     name: str = ""
-    #: One-line description for the ``repro list`` catalog.
-    description: str = ""
-    #: Whether queue contents survive process death (multi-process safe).
-    persistent: bool = False
 
     def __init__(self, clock: Callable[[], float] = time.time) -> None:
         self._clock = clock
@@ -119,74 +114,10 @@ class WorkQueue(abc.ABC):
     def counts(self) -> QueueCounts:
         """Current pending/claimed/done populations."""
 
-    # ------------------------------------------------------------------ #
-    # Conveniences
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self.counts().pending
-
-    @staticmethod
-    def order_key(item: WorkItem) -> tuple:
-        """Sort key implementing the shared ordering contract."""
-        return (-item.priority, item.seq)
-
-
-# --------------------------------------------------------------------------- #
-# Backend registry
-# --------------------------------------------------------------------------- #
-_BACKENDS: Dict[str, Type[WorkQueue]] = {}
-
-
-def register_backend(cls: Type[WorkQueue]) -> Type[WorkQueue]:
-    """Class decorator registering a :class:`WorkQueue` implementation."""
-    if not cls.name:
-        raise ValueError(f"backend {cls.__name__} must set a registry name")
-    if cls.name in _BACKENDS:
-        raise ValueError(f"queue backend {cls.name!r} is already registered")
-    _BACKENDS[cls.name] = cls
-    return cls
-
-
-def queue_backend_names() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(_BACKENDS)
-
-
-def queue_backend_catalog() -> List[Dict[str, object]]:
-    """One catalog row per backend (the ``repro list`` section)."""
-    return [
-        {
-            "backend": name,
-            "persistent": _BACKENDS[name].persistent,
-            "description": _BACKENDS[name].description,
-        }
-        for name in queue_backend_names()
-    ]
-
-
-def create_backend(name: str, **kwargs) -> WorkQueue:
-    """Instantiate a registered backend by name.
-
-    ``kwargs`` are forwarded to the backend constructor (``path`` for the
-    persistent backends, ``clock`` everywhere).
-    """
-    try:
-        cls = _BACKENDS[name]
-    except KeyError:
-        known = ", ".join(queue_backend_names())
-        raise KeyError(
-            f"unknown queue backend {name!r}; registered backends: {known}"
-        ) from None
-    return cls(**kwargs)
-
 
 __all__ = [
     "DEFAULT_LEASE",
     "QueueCounts",
     "WorkItem",
     "WorkQueue",
-    "create_backend",
-    "queue_backend_catalog",
-    "queue_backend_names",
-    "register_backend",
 ]

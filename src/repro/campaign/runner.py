@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from repro.campaign.queue import DEFAULT_LEASE, WorkItem, WorkQueue, create_backend
+from repro.campaign.backends import MemoryQueue, SqliteQueue
+from repro.campaign.queue import DEFAULT_LEASE, WorkItem, WorkQueue
 from repro.campaign.store import ResultStore
 from repro.experiment.spec import CampaignSpec, ExperimentSpec
 from repro.sim.pool import shared_pool
@@ -90,11 +91,10 @@ class CampaignRunner:
     store:
         A :class:`ResultStore` or a path to create one at.
     queue:
-        A :class:`WorkQueue` instance, or a registered backend name
-        (``memory`` / ``directory`` / ``sqlite``).  Named persistent
-        backends default their path to ``<store>/queue`` /
-        ``<store>/queue.sqlite``, so one ``--store`` flag is a complete
-        campaign address.
+        A :class:`WorkQueue` instance, or a backend name: ``"memory"``
+        (in-process) or ``"sqlite"``.  A named ``sqlite`` queue lives at
+        ``queue_path``, by default ``<store>/queue.sqlite``, so one
+        ``--store`` flag is a complete campaign address.
     max_workers:
         Worker processes; ``0``/``1`` executes inline, ``None`` uses
         ``os.cpu_count()``.
@@ -141,12 +141,13 @@ class CampaignRunner:
         clock: Callable[[], float],
     ) -> WorkQueue:
         if name == "memory":
-            return create_backend(name, clock=clock)
-        if queue_path is None:
-            queue_path = self.store.root / (
-                "queue.sqlite" if name == "sqlite" else "queue"
-            )
-        return create_backend(name, path=queue_path, clock=clock)
+            return MemoryQueue(clock=clock)
+        if name == "sqlite":
+            path = queue_path or self.store.root / "queue.sqlite"
+            return SqliteQueue(path, clock=clock)
+        raise ValueError(
+            f"unknown queue backend {name!r}; expected 'memory' or 'sqlite'"
+        )
 
     # ------------------------------------------------------------------ #
     # Enqueue / checkpoint

@@ -53,8 +53,8 @@ through a :class:`~repro.experiment.session.Session`.
 ``python -m repro.cli campaign run --name nightly --workloads 429.mcf --mitigations comet para --nrh 250 125 --store DIR --backend sqlite``
     Run (or resume) a persistent campaign: grid cells missing from the
     content-addressed result store are queued through the chosen backend
-    and fanned across workers; a killed run resumes with zero
-    recomputation of completed cells.
+    (``memory`` or ``sqlite``) and fanned across workers; a killed run
+    resumes with zero recomputation of completed cells.
 
 ``python -m repro.cli campaign status --store DIR``
     Report completed/total progress for every campaign checkpointed in a
@@ -422,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_campaign_store_arguments(crun)
     crun.add_argument(
-        "--backend", default="sqlite", choices=_campaign_backend_names(),
-        help="work-queue backend (default: sqlite; see `repro list`)",
+        "--backend", default="sqlite", choices=("memory", "sqlite"),
+        help="work-queue backend (default: sqlite)",
     )
     crun.add_argument(
         "--workers", type=int, default=None,
@@ -471,12 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     area_parser.add_argument("--nrh", type=int, default=125, help="RowHammer threshold")
 
     return parser
-
-
-def _campaign_backend_names():
-    from repro.campaign import queue_backend_names
-
-    return queue_backend_names()
 
 
 def _add_campaign_store_arguments(parser: argparse.ArgumentParser) -> None:
@@ -558,15 +552,6 @@ def _command_list(_args: argparse.Namespace) -> str:
         format_table(
             policy_rows,
             title="controller policies (--scheduler / --row-policy / --refresh-policy)",
-        )
-    )
-
-    from repro.campaign import queue_backend_catalog
-
-    sections.append(
-        format_table(
-            queue_backend_catalog(),
-            title="campaign queue backends (repro campaign run --backend)",
         )
     )
     return "\n\n".join(sections)

@@ -1,8 +1,7 @@
-"""Crash-safe filesystem primitives shared by the on-disk caches and stores.
+"""Crash-safe file writes for the result store.
 
-Every byte the result store (:mod:`repro.campaign.store`) or the
-``directory`` queue backend persists goes through
-:func:`atomic_write_bytes`: the payload lands in a same-directory temporary
+Every byte :mod:`repro.campaign.store` persists goes through
+:func:`atomic_write_text`: the payload lands in a same-directory temporary
 file first and is published with :func:`os.replace`, which POSIX guarantees
 to be atomic.  A reader therefore only ever sees a complete file or no file
 — never a torn write from a worker that was killed mid-``write``.
@@ -15,8 +14,10 @@ from pathlib import Path
 from typing import Union
 
 
-def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> Path:
-    """Write ``payload`` to ``path`` atomically (temp file + ``os.replace``).
+def atomic_write_text(
+    path: Union[str, Path], text: str, encoding: str = "utf-8"
+) -> Path:
+    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
 
     The temporary file lives in the target directory (``os.replace`` must
     not cross filesystems) and carries the writer's PID so concurrent
@@ -29,7 +30,7 @@ def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> Path:
     tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
     try:
         with tmp.open("wb") as handle:
-            handle.write(payload)
+            handle.write(text.encode(encoding))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -41,11 +42,4 @@ def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> Path:
     return path
 
 
-def atomic_write_text(
-    path: Union[str, Path], text: str, encoding: str = "utf-8"
-) -> Path:
-    """Text-mode convenience wrapper over :func:`atomic_write_bytes`."""
-    return atomic_write_bytes(path, text.encode(encoding))
-
-
-__all__ = ["atomic_write_bytes", "atomic_write_text"]
+__all__ = ["atomic_write_text"]

@@ -37,7 +37,6 @@ from repro.experiment.spec import (
     PlatformSpec,
     SampledConfig,
     WorkloadSpec,
-    expand_grid,
 )
 from repro.sim.pool import shared_pool
 from repro.sim.system import SimulationResult
@@ -258,10 +257,12 @@ class Session:
         ``campaign`` is a :class:`~repro.experiment.spec.CampaignSpec`;
         ``store`` a :class:`~repro.campaign.store.ResultStore` or path
         (defaults to this session's store, which must then be set);
-        ``backend`` a queue backend name (``memory`` / ``directory`` /
-        ``sqlite``) or instance.  Execution fans across this session's
-        worker count and lands in the store; re-invoking with the same
-        arguments resumes, recomputing nothing that already completed.
+        ``backend`` a queue backend name (``"memory"``, in-process, or
+        ``"sqlite"``, at ``<store>/queue.sqlite``) or a
+        :class:`~repro.campaign.queue.WorkQueue` instance.  Execution fans
+        across this session's worker count and lands in the store;
+        re-invoking with the same arguments resumes, recomputing nothing
+        that already completed.
         Returns the final :class:`~repro.campaign.runner.CampaignStatus`.
         """
         from repro.campaign.runner import CampaignRunner
@@ -311,6 +312,3 @@ class Session:
             "from_cache": from_cache,
         }
         return RunRecord(spec=spec, result=result, provenance=provenance)
-
-    #: Grid expansion without execution (alias of :func:`expand_grid`).
-    grid = staticmethod(expand_grid)

@@ -121,12 +121,3 @@ def _percentile(ordered: Sequence[float], fraction: float) -> float:
     weight = position - lower
     return ordered[lower] * (1 - weight) + ordered[upper] * weight
 
-
-def overhead_percent(normalized_value: float) -> float:
-    """Convert a normalized IPC (<= 1) to a performance-overhead percentage."""
-    return (1.0 - normalized_value) * 100.0
-
-
-def energy_overhead_percent(normalized_energy: float) -> float:
-    """Convert a normalized energy (>= 1) to an energy-overhead percentage."""
-    return (normalized_energy - 1.0) * 100.0

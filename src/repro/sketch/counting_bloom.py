@@ -17,7 +17,7 @@ active filter (see :class:`DualCountingBloomFilter`).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
 from repro.sketch.hashes import ShiftMaskHashFamily
 
@@ -192,20 +192,3 @@ class DualCountingBloomFilter:
         self.active_index = state["active_index"]
         self.epoch = state["epoch"]
 
-
-def false_positive_rate(
-    tracker_estimate,
-    keys: Sequence[int],
-    true_counts: dict,
-    threshold: int,
-) -> float:
-    """Fraction of keys flagged by the tracker that are *not* truly above threshold.
-
-    ``tracker_estimate`` is a callable mapping a key to its estimated count.
-    Used by the Figure 17 analysis for both CoMeT's CT and BlockHammer's CBF.
-    """
-    flagged = [k for k in keys if tracker_estimate(k) >= threshold]
-    if not flagged:
-        return 0.0
-    false = [k for k in flagged if true_counts.get(k, 0) < threshold]
-    return len(false) / len(flagged)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import List, Sequence
+from typing import List
 
 _MASK64 = (1 << 64) - 1
 
@@ -186,34 +186,3 @@ class TabulationHashFamily(HashFamily):
             k >>= 8
         return value % self.num_buckets
 
-
-def make_hash_family(
-    kind: str, num_hashes: int, num_buckets: int, seed: int = 0
-) -> HashFamily:
-    """Factory for hash families by name (``shift_mask``, ``multiply_shift``, ``tabulation``)."""
-    families = {
-        "shift_mask": ShiftMaskHashFamily,
-        "multiply_shift": MultiplyShiftHashFamily,
-        "tabulation": TabulationHashFamily,
-    }
-    if kind not in families:
-        raise ValueError(f"unknown hash family {kind!r}; expected one of {sorted(families)}")
-    return families[kind](num_hashes, num_buckets, seed)
-
-
-def collision_rate(family: HashFamily, keys: Sequence[int]) -> float:
-    """Fraction of key pairs that collide on *all* hash functions of ``family``.
-
-    Used by tests and the false-positive analysis to sanity-check that a hash
-    family spreads realistic row-address streams.
-    """
-    signature_counts: dict = {}
-    for key in keys:
-        signature = tuple(family.hash_all(key))
-        signature_counts[signature] = signature_counts.get(signature, 0) + 1
-    n = len(keys)
-    total_pairs = n * (n - 1) // 2
-    if total_pairs == 0:
-        return 0.0
-    colliding_pairs = sum(c * (c - 1) // 2 for c in signature_counts.values())
-    return colliding_pairs / total_pairs

@@ -18,16 +18,7 @@ that growth is what drives Graphene's area explosion at low thresholds
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
-
-
-@dataclass
-class MisraGriesEntry:
-    """One tagged counter entry of a Misra-Gries table."""
-
-    key: int
-    count: int
 
 
 class MisraGriesSummary:

@@ -2,22 +2,16 @@
 
 One shared test class defines the queue contract — FIFO order, priority
 order, claim/ack, lease-based reclaim, dedup-by-key, no double issue under
-concurrent claimers — and every registered backend subclasses it (the
-frontera pattern: interchangeable implementations proven interchangeable
-by running identical tests against each).
+concurrent claimers — and both backends (``memory`` and ``sqlite``)
+subclass it (the frontera pattern: interchangeable implementations proven
+interchangeable by running identical tests against each).
 """
 
 import threading
 
 import pytest
 
-from repro.campaign import (
-    WorkItem,
-    WorkQueue,
-    create_backend,
-    queue_backend_catalog,
-    queue_backend_names,
-)
+from repro.campaign import MemoryQueue, SqliteQueue, WorkItem, WorkQueue
 
 
 class FakeClock:
@@ -43,8 +37,6 @@ def make_items(n, priority=0, prefix="cell"):
 class QueueContract:
     """The behavior every backend must exhibit; subclasses pick the backend."""
 
-    backend = ""
-
     def make_queue(self, tmp_path, clock) -> WorkQueue:
         raise NotImplementedError
 
@@ -55,16 +47,6 @@ class QueueContract:
     @pytest.fixture
     def queue(self, tmp_path, clock):
         return self.make_queue(tmp_path, clock)
-
-    # ------------------------------------------------------------------ #
-    # Registry
-    # ------------------------------------------------------------------ #
-    def test_backend_is_registered(self):
-        assert self.backend in queue_backend_names()
-        row = next(
-            r for r in queue_backend_catalog() if r["backend"] == self.backend
-        )
-        assert row["description"]
 
     # ------------------------------------------------------------------ #
     # Ordering
@@ -113,7 +95,6 @@ class QueueContract:
         assert queue.ack(item.key, "w0") is False
         assert queue.ack("no-such-key", "w0") is False
         assert queue.counts() == (1, 0, 1)
-        assert len(queue) == 1
 
     def test_claim_empty_returns_none(self, queue):
         assert queue.claim("w0") is None
@@ -186,14 +167,12 @@ class QueueContract:
 
 
 class TestMemoryQueue(QueueContract):
-    backend = "memory"
-
     def make_queue(self, tmp_path, clock):
-        return create_backend("memory", clock=clock)
+        return MemoryQueue(clock=clock)
 
 
 class PersistentQueueContract(QueueContract):
-    """Extra contract for the multi-process backends: state survives reopen."""
+    """Extra contract for the persistent backend: state survives reopen."""
 
     def test_pending_items_survive_reopen(self, tmp_path, clock):
         queue = self.make_queue(tmp_path, clock)
@@ -220,48 +199,6 @@ class PersistentQueueContract(QueueContract):
         assert reopened.claim("w1").key == "cell-000"
 
 
-class TestDirectoryQueue(PersistentQueueContract):
-    backend = "directory"
-
-    def make_queue(self, tmp_path, clock):
-        return create_backend("directory", path=tmp_path / "queue", clock=clock)
-
-
 class TestSqliteQueue(PersistentQueueContract):
-    backend = "sqlite"
-
     def make_queue(self, tmp_path, clock):
-        return create_backend("sqlite", path=tmp_path / "queue.sqlite", clock=clock)
-
-
-class TestRegistry:
-    def test_all_three_backends_registered(self):
-        assert queue_backend_names() == ["directory", "memory", "sqlite"]
-
-    def test_unknown_backend_is_a_clean_error(self):
-        with pytest.raises(KeyError, match="registered backends"):
-            create_backend("rabbitmq")
-
-    def test_duplicate_registration_rejected(self):
-        from repro.campaign.queue import register_backend
-
-        class Dup(WorkQueue):
-            name = "memory"
-
-            def put(self, items):  # pragma: no cover - never called
-                return 0
-
-            def claim(self, worker, lease=60.0):  # pragma: no cover
-                return None
-
-            def ack(self, key, worker):  # pragma: no cover
-                return False
-
-            def reclaim_expired(self):  # pragma: no cover
-                return 0
-
-            def counts(self):  # pragma: no cover
-                return None
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(Dup)
+        return SqliteQueue(tmp_path / "queue.sqlite", clock=clock)

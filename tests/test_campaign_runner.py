@@ -89,6 +89,7 @@ class TestResume:
         }
         # ... and the resume executed exactly the missing cells.
         assert final.executed == total - k
+        assert store2.load_campaign(GRID.campaign_id())["backend"] == "sqlite"
 
     def test_finished_campaign_reruns_for_free(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -105,6 +106,14 @@ class TestResume:
         assert state is not None
         assert CampaignSpec.from_dict(state["campaign"]) == SMALL
         assert state["total"] == SMALL.total_cells()
+        assert state["backend"] == "memory"
+
+
+class TestQueueNames:
+    @pytest.mark.parametrize("name", ["directory", "rabbitmq"])
+    def test_unknown_queue_name_is_rejected(self, tmp_path, name):
+        with pytest.raises(ValueError, match="'memory' or 'sqlite'"):
+            CampaignRunner(SMALL, store=tmp_path / "store", queue=name)
 
 
 class TestDeterminism:
@@ -130,11 +139,11 @@ class TestDeterminism:
         root = tmp_path_factory.mktemp("killpoint")
         store = ResultStore(root / "store")
         partial = CampaignRunner(
-            SMALL, store=store, queue="directory", budget=kill_at
+            SMALL, store=store, queue="sqlite", budget=kill_at
         ).run()
         assert partial.executed == kill_at
 
-        resumed = CampaignRunner(store=store, queue="directory", campaign=SMALL).run()
+        resumed = CampaignRunner(store=store, queue="sqlite", campaign=SMALL).run()
         assert resumed.finished
         assert snapshot_records(store) == reference_small_store
 

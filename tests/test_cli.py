@@ -166,12 +166,16 @@ class TestCommands:
 
 
 class TestCampaignCommands:
-    def test_list_includes_queue_backends(self, capsys):
+    def test_list_shows_every_section(self, capsys):
         assert main(["list"]) == 0
         output = capsys.readouterr().out
-        assert "campaign queue backends" in output
-        for backend in ("memory", "directory", "sqlite"):
-            assert backend in output
+        for title in (
+            "registered mitigation mechanisms",
+            "registered workloads",
+            "controller policies",
+        ):
+            assert title in output
+        assert "campaign queue backends" not in output
 
     def test_campaign_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -184,8 +188,9 @@ class TestCampaignCommands:
         assert args.budget is None
 
     def test_campaign_run_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "run", "--backend", "rabbitmq"])
+        for backend in ("directory", "rabbitmq"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["campaign", "run", "--backend", backend])
 
     def test_campaign_run_status_query_round_trip(self, capsys, tmp_path):
         store = str(tmp_path / "store")

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.sim.metrics import (
-    energy_overhead_percent,
     geometric_mean,
     normalized_values,
     normalized_weighted_speedup,
-    overhead_percent,
     summarize_distribution,
     weighted_speedup,
 )
@@ -40,10 +38,6 @@ class TestNormalization:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             normalized_values([1], [1, 2])
-
-    def test_overhead_percent(self):
-        assert overhead_percent(0.96) == pytest.approx(4.0)
-        assert energy_overhead_percent(1.02) == pytest.approx(2.0)
 
 
 class TestWeightedSpeedup:

@@ -5,7 +5,6 @@ import pytest
 from repro.sketch.counting_bloom import (
     CountingBloomFilter,
     DualCountingBloomFilter,
-    false_positive_rate,
 )
 
 
@@ -112,19 +111,3 @@ class TestDualCountingBloomFilter:
         dual = DualCountingBloomFilter(num_counters=256, num_hashes=4, counter_width_bits=8)
         assert dual.storage_bits == 2 * 256 * 8
 
-
-class TestFalsePositiveHelper:
-    def test_no_flagged_keys(self):
-        rate = false_positive_rate(lambda k: 0, [1, 2, 3], {1: 5}, threshold=10)
-        assert rate == 0.0
-
-    def test_all_flagged_are_true_positives(self):
-        truth = {1: 20, 2: 30}
-        rate = false_positive_rate(lambda k: truth.get(k, 0), [1, 2], truth, threshold=10)
-        assert rate == 0.0
-
-    def test_mixed_false_positives(self):
-        estimates = {1: 20, 2: 20, 3: 2}
-        truth = {1: 20, 2: 3, 3: 2}
-        rate = false_positive_rate(lambda k: estimates[k], [1, 2, 3], truth, threshold=10)
-        assert rate == pytest.approx(0.5)
