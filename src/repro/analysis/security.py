@@ -112,6 +112,31 @@ class SecurityVerifier:
             self.dram.flush_activations()
 
     def _on_activation(self, cycle: int, address: DRAMAddress, is_preventive: bool) -> None:
+        """Add one unit of disturbance to each neighbour of the activated row."""
+        if self.blast_radius != 1:
+            self._disturb_within_radius(cycle, address)
+            return
+        # The blast-radius-1 form of observe_batch's loop, for one event.
+        # Keys are built from the fields rather than ``address.bank_key``,
+        # which would cache a tuple on every address the verifier sees.
+        disturbance = self._disturbance
+        nrh = self.nrh
+        channel, rank = address.channel, address.rank
+        bankgroup, bank = address.bankgroup, address.bank
+        row = address.row
+        for victim_row in (row - 1, row + 1):
+            if not 0 <= victim_row < self.rows_per_bank:
+                continue
+            key = (channel, rank, bankgroup, bank, victim_row)
+            value = disturbance.get(key, 0) + 1
+            disturbance[key] = value
+            if value > self._max_disturbance:
+                self._max_disturbance = value
+            if value >= nrh:
+                self._violate(cycle, key, value)
+
+    def _disturb_within_radius(self, cycle: int, address: DRAMAddress) -> None:
+        """:meth:`_on_activation` for any blast radius."""
         base = (address.channel, address.rank, address.bankgroup, address.bank)
         for distance in range(1, self.blast_radius + 1):
             for direction in (-1, 1):
@@ -124,15 +149,17 @@ class SecurityVerifier:
                 if value > self._max_disturbance:
                     self._max_disturbance = value
                 if value >= self.nrh:
-                    self._violation_count += 1
-                    if self._first_violation_cycle is None:
-                        self._first_violation_cycle = cycle
-                    if self.record_violations:
-                        self._violations.append(
-                            SecurityViolation(
-                                cycle=cycle, victim=key, disturbance=value, nrh=self.nrh
-                            )
-                        )
+                    self._violate(cycle, key, value)
+
+    def _violate(self, cycle: int, key: RowKey, value: int) -> None:
+        """Count (and, when recording, keep) one violation of the invariant."""
+        self._violation_count += 1
+        if self._first_violation_cycle is None:
+            self._first_violation_cycle = cycle
+        if self.record_violations:
+            self._violations.append(
+                SecurityViolation(cycle=cycle, victim=key, disturbance=value, nrh=self.nrh)
+            )
 
     def observe_batch(self, cycles, addresses, flags) -> None:
         """Batched form of :meth:`_on_activation` (same math, hoisted loop).
@@ -143,6 +170,10 @@ class SecurityVerifier:
         demand ACTs (the refreshed victim row is cleared separately through
         the row-refresh observer).
         """
+        if self.blast_radius != 1:
+            for cycle, address in zip(cycles, addresses):
+                self._disturb_within_radius(cycle, address)
+            return
         disturbance = self._disturbance
         get = disturbance.get
         nrh = self.nrh
@@ -151,35 +182,32 @@ class SecurityVerifier:
         max_disturbance = self._max_disturbance
         violation_count = self._violation_count
         first_violation = self._first_violation_cycle
-        if self.blast_radius == 1:
-            for cycle, address in zip(cycles, addresses):
-                base = (address.channel, address.rank, address.bankgroup, address.bank)
-                row = address.row
-                for victim_row in (row - 1, row + 1):
-                    if not 0 <= victim_row < rows_per_bank:
-                        continue
-                    key = base + (victim_row,)
-                    value = get(key, 0) + 1
-                    disturbance[key] = value
-                    if value > max_disturbance:
-                        max_disturbance = value
-                    if value >= nrh:
-                        violation_count += 1
-                        if first_violation is None:
-                            first_violation = cycle
-                        if record:
-                            self._violations.append(
-                                SecurityViolation(
-                                    cycle=cycle, victim=key,
-                                    disturbance=value, nrh=nrh,
-                                )
+        for cycle, address in zip(cycles, addresses):
+            channel, rank = address.channel, address.rank
+            bankgroup, bank = address.bankgroup, address.bank
+            row = address.row
+            for victim_row in (row - 1, row + 1):
+                if not 0 <= victim_row < rows_per_bank:
+                    continue
+                key = (channel, rank, bankgroup, bank, victim_row)
+                value = get(key, 0) + 1
+                disturbance[key] = value
+                if value > max_disturbance:
+                    max_disturbance = value
+                if value >= nrh:
+                    violation_count += 1
+                    if first_violation is None:
+                        first_violation = cycle
+                    if record:
+                        self._violations.append(
+                            SecurityViolation(
+                                cycle=cycle, victim=key,
+                                disturbance=value, nrh=nrh,
                             )
-            self._max_disturbance = max_disturbance
-            self._violation_count = violation_count
-            self._first_violation_cycle = first_violation
-            return
-        for cycle, address, is_preventive in zip(cycles, addresses, flags):
-            self._on_activation(cycle, address, is_preventive)
+                        )
+        self._max_disturbance = max_disturbance
+        self._violation_count = violation_count
+        self._first_violation_cycle = first_violation
 
     def _on_row_refresh(self, cycle: int, address: DRAMAddress) -> None:
         key = (address.channel, address.rank, address.bankgroup, address.bank, address.row)

@@ -9,10 +9,18 @@ Operation on every row activation (Section 4.1):
    Table counter group.
 3. **Update / preventive refresh**: if the updated count reaches the
    preventive refresh threshold ``NPR = NRH / (k+1)``, CoMeT preventively
-   refreshes the row's two neighbours, saturates the row's CT counter group
-   at ``NPR`` and (re)allocates a RAT entry with counter 0; otherwise it
-   increments the RAT counter (if present) or the CT counter group
-   (conservative update).
+   refreshes the row's two neighbours and resets (RAT hit) or allocates
+   (RAT miss) the row's RAT entry with counter 0, saturating the row's CT
+   counter group at ``NPR`` on a miss; otherwise it increments the RAT
+   counter (if present) or the CT counter group (conservative update).
+
+   Below ``NPR`` an ACT costs one table look-up, as in the hardware: a RAT
+   hit never touches the CT (the row's CT group has been at ``NPR`` since
+   its entry was allocated, and only a reset of both tables lowers it), and
+   a RAT miss estimates and counts the ACT in one pass over the row's
+   counter group (:meth:`~repro.core.counter_table.CounterTable.record_activation`).
+   Only an aggressor that missed the RAT visits its counter group twice:
+   once to count, once to saturate.
 4. **Early preventive refresh** (Section 4.2): every RAT miss by a row whose
    CT counters were *already* at ``NPR`` is a capacity miss (the row was
    evicted from the RAT); if the RAT-miss history vector holds more capacity
@@ -68,6 +76,8 @@ class CoMeT(RowHammerMitigation):
         super().__init__(nrh=nrh, blast_radius=blast_radius)
         self.config = config or CoMeTConfig(nrh=nrh, blast_radius=blast_radius)
         self._banks: Dict[BankKey, _BankTracker] = {}
+        # Read once per ACT; the config is frozen.
+        self._npr = self.config.npr
         self._next_reset_cycle: Optional[int] = None
         self._reset_period: Optional[int] = None
 
@@ -95,52 +105,57 @@ class CoMeT(RowHammerMitigation):
         # Table counts every ACT command the scheduler issues, and a
         # preventively refreshed victim row disturbs *its* neighbours, so
         # skipping these would leave refresh storms unobserved.
-        self._maybe_periodic_reset(cycle)
+        next_reset = self._next_reset_cycle
+        if next_reset is not None and cycle >= next_reset:
+            self._periodic_reset(cycle)
         self.stats.observed_activations += 1
 
-        tracker = self.bank_tracker(address.bank_key)
+        bank_key = address.bank_key
+        tracker = self._banks.get(bank_key)
+        if tracker is None:
+            tracker = self.bank_tracker(bank_key)
         row = address.row
-        npr = self.config.npr
+        npr = self._npr
 
         # Step 2: activation count estimation (RAT wins over CT when present).
-        rat_value = tracker.rat.lookup(row)
-        in_rat = rat_value is not None
-        ct_estimate = tracker.counter_table.estimate(row)
-        estimate = rat_value if in_rat else ct_estimate
-        updated_count = estimate + 1
-
-        # Step 3: update counters / trigger a preventive refresh.
-        if updated_count >= npr:
-            self._handle_aggressor(cycle, address, tracker, in_rat, ct_estimate)
-        else:
-            if in_rat:
-                tracker.rat.increment(row)
+        # A RAT hit never touches the CT: the row's counter group has been at
+        # NPR since the entry was allocated, and only a reset of both tables
+        # lowers it.
+        rat = tracker.rat
+        rat_value = rat.lookup(row)
+        if rat_value is not None:
+            # Step 3 on a RAT hit.
+            if rat_value + 1 >= npr:
+                self.refresh_victims(cycle, address)
+                rat.set(row, 0)
             else:
-                tracker.counter_table.increment(row)
+                rat.increment(row)
+            return
+
+        # Steps 2 and 3 on a RAT miss, in one pass over the CT counter group:
+        # the estimate from before this ACT, and the conservative +1 unless
+        # the ACT makes the row an aggressor.
+        ct_estimate = tracker.counter_table.record_activation(row)
+        if ct_estimate + 1 >= npr:
+            self._handle_aggressor(cycle, address, tracker, ct_estimate)
 
     def _handle_aggressor(
         self,
         cycle: int,
         address: DRAMAddress,
         tracker: _BankTracker,
-        in_rat: bool,
         ct_estimate: int,
     ) -> None:
+        """Refresh the victims of a RAT-missing aggressor and give it a RAT entry."""
         row = address.row
-        npr = self.config.npr
-
         self.refresh_victims(cycle, address)
         tracker.counter_table.saturate(row)
 
-        if in_rat:
-            tracker.rat.set(row, 0)
-            return
-
-        # RAT miss: classify it for the early-preventive-refresh mechanism.
+        # Classify the RAT miss for the early-preventive-refresh mechanism.
         # A row whose CT counters were already at NPR before this activation
         # must have been identified as an aggressor earlier in this reset
         # period and then evicted from the RAT -> capacity miss.
-        capacity_miss = ct_estimate >= npr
+        capacity_miss = ct_estimate >= self._npr
         tracker.miss_history.append(1 if capacity_miss else 0)
         if capacity_miss:
             tracker.rat.stats.capacity_misses += 1
@@ -170,9 +185,9 @@ class CoMeT(RowHammerMitigation):
     # ------------------------------------------------------------------ #
     # Periodic counter reset (Section 4.3)
     # ------------------------------------------------------------------ #
-    def _maybe_periodic_reset(self, cycle: int) -> None:
-        if self._next_reset_cycle is None or cycle < self._next_reset_cycle:
-            return
+    def _periodic_reset(self, cycle: int) -> None:
+        """Clear every table; :meth:`on_activation` calls it once ``cycle``
+        reaches the next reset boundary."""
         while cycle >= self._next_reset_cycle:
             self._next_reset_cycle += self._reset_period
         for tracker in self._banks.values():

@@ -5,6 +5,14 @@ saturate at the preventive refresh threshold ``NPR``.  Each DRAM bank has its
 own CT (Section 7.2.1), and the CT is only ever reset in bulk — after a
 periodic counter reset or an early preventive refresh — never per row,
 because counters are shared between rows (Section 4).
+
+CoMeT consults the CT only for rows without a RAT entry, and then estimates
+and counts the ACT in one step: :meth:`CounterTable.record_activation`
+hashes the row once, returns the estimate from before the ACT and
+increments the counter group unless the ACT makes the row an aggressor.  An
+aggressor's group is saturated at NPR instead (:meth:`CounterTable.saturate`).
+:meth:`CounterTable.increment`, which counts up to NPR itself, serves the
+tracker comparison of Figure 17 (:mod:`repro.analysis.false_positive`).
 """
 
 from __future__ import annotations
@@ -38,6 +46,15 @@ class CounterTable:
     def estimate(self, row: int) -> int:
         """Min-counter estimate of the row's activation count (never underestimates)."""
         return self._sketch.estimate(row)
+
+    def record_activation(self, row: int) -> int:
+        """Count one ACT of ``row`` and return its estimate from before the ACT.
+
+        The group is incremented (conservative update) only when the new
+        estimate stays below NPR; at NPR the row is an aggressor and CoMeT
+        calls :meth:`saturate` instead.
+        """
+        return self._sketch.estimate_and_increment(row)
 
     def increment(self, row: int) -> int:
         """Conservative-update increment of the row's counter group."""

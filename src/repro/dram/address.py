@@ -49,9 +49,21 @@ class _cached_key:
         return value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class DRAMAddress:
-    """A fully decoded DRAM coordinate."""
+    """A fully decoded DRAM coordinate.
+
+    ``__init__`` is hand-written, like :class:`repro.dram.commands.Command`'s:
+    an address is built on every decode-memo miss, for every new row in the
+    DRAM model's ACT-address memo and twice per aggressor in
+    :meth:`AddressMapper.neighbors`, and the generated frozen-dataclass
+    ``__init__`` routes each field through ``object.__setattr__``, which
+    costs about three times as much as filling the instance ``__dict__``
+    directly.  Everything else stays generated and behaves as before:
+    ``__eq__``/ordering/``__hash__``/``__repr__`` over the six fields,
+    :class:`dataclasses.FrozenInstanceError` on assignment,
+    :func:`dataclasses.replace` and pickling.
+    """
 
     channel: int
     rank: int
@@ -59,6 +71,17 @@ class DRAMAddress:
     bank: int
     row: int
     column: int
+
+    def __init__(
+        self, channel: int, rank: int, bankgroup: int, bank: int, row: int, column: int
+    ) -> None:
+        state = self.__dict__
+        state["channel"] = channel
+        state["rank"] = rank
+        state["bankgroup"] = bankgroup
+        state["bank"] = bank
+        state["row"] = row
+        state["column"] = column
 
     # The keys are cached because the same address object is asked for them
     # many times: the FR-FCFS scheduler groups every queued request by
@@ -258,20 +281,14 @@ class AddressMapper:
         aggressor row; a larger blast radius models half-double style
         configurations used in some sensitivity tests.
         """
-        org = self.config.organization
+        channel, rank = address.channel, address.rank
+        bankgroup, bank = address.bankgroup, address.bank
         victims = []
         for distance in range(1, blast_radius + 1):
             for direction in (-1, 1):
                 victim_row = address.row + direction * distance
-                if 0 <= victim_row < org.rows_per_bank:
+                if 0 <= victim_row < self._rows:
                     victims.append(
-                        DRAMAddress(
-                            channel=address.channel,
-                            rank=address.rank,
-                            bankgroup=address.bankgroup,
-                            bank=address.bank,
-                            row=victim_row,
-                            column=0,
-                        )
+                        DRAMAddress(channel, rank, bankgroup, bank, victim_row, 0)
                     )
         return victims

@@ -1,10 +1,9 @@
 """Per-bank state machine and timing bookkeeping.
 
 Each :class:`Bank` tracks its open row, the earliest cycle at which each
-command type may legally be issued to it, per-row activation counters (used
-by the security verifier and by statistics), and row-buffer hit/miss/conflict
-counts.  The bank only owns the bank-scoped constraints (tRCD, tRAS, tRC,
-tRP, tRTP, tWR), plus the tRFC/tRFM block that a REF or RFM pushes into
+command type may legally be issued to it, and its command counts.  The
+bank only owns the bank-scoped constraints (tRCD, tRAS, tRC, tRP, tRTP,
+tWR), plus the tRFC/tRFM block that a REF or RFM pushes into
 ``next_act``.  Rank-scoped constraints (tRRD, tFAW, tCCD, tRTW, tWTR) are
 pushed at issue time into :class:`repro.dram.dram_system.Rank`'s
 per-bank-group ready lists, and the buses are
@@ -109,9 +108,6 @@ class Bank:
         self.table = table
         self.index = index
         self.stats = BankStatistics()
-        # Activation counts per row since the start of the simulation; the
-        # security verifier keys off of these through the DRAM system.
-        self.activation_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
     # Timing-table views (the attribute interface of the pre-SoA Bank)
@@ -195,7 +191,6 @@ class Bank:
         self.stats.activations += 1
         if preventive:
             self.stats.preventive_activations += 1
-        self.activation_counts[row] = self.activation_counts.get(row, 0) + 1
 
     def precharge(self, cycle: int) -> None:
         """Apply a PRE command at ``cycle``."""
@@ -256,8 +251,7 @@ class Bank:
     # Checkpointing
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict:
-        """Plain-data checkpoint: the bank's timing-table slot, statistics
-        and per-row activation counters."""
+        """Plain-data checkpoint: the bank's timing-table slot and statistics."""
         table, i = self.table, self.index
         return {
             "next_act": table.next_act[i],
@@ -267,7 +261,6 @@ class Bank:
             "open_row": table.open_row[i],
             "col_accesses": table.col_accesses[i],
             "stats": dict(vars(self.stats)),
-            "activation_counts": dict(self.activation_counts),
         }
 
     def restore(self, state: Dict) -> None:
@@ -281,7 +274,6 @@ class Bank:
         table.col_accesses[i] = state["col_accesses"]
         for key, value in state["stats"].items():
             setattr(self.stats, key, value)
-        self.activation_counts = dict(state["activation_counts"])
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -291,9 +283,6 @@ class Bank:
 
     def is_closed(self) -> bool:
         return self.table.open_row[self.index] is None
-
-    def activation_count(self, row: int) -> int:
-        return self.activation_counts.get(row, 0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -577,14 +577,7 @@ class DRAMSystem:
                 row_key = (channel, rank_id, bankgroup, bank, row)
                 address = act_addresses.get(row_key)
                 if address is None:
-                    address = DRAMAddress(
-                        channel=channel,
-                        rank=rank_id,
-                        bankgroup=bankgroup,
-                        bank=bank,
-                        row=row,
-                        column=0,
-                    )
+                    address = DRAMAddress(channel, rank_id, bankgroup, bank, row, 0)
                     if len(act_addresses) < act_memo_limit:
                         act_addresses[row_key] = address
                 deliver_activation(cycle, address, preventive)
@@ -676,11 +669,3 @@ class DRAMSystem:
     def total_activations(self) -> int:
         return self.stats.acts
 
-    def row_activation_counts(self) -> Dict[Tuple[int, int, int, int, int], int]:
-        """Ground-truth activation count per row (for analysis and verification)."""
-        counts: Dict[Tuple[int, int, int, int, int], int] = {}
-        for (channel, rank_id), rank in self.ranks.items():
-            for (bankgroup, bank_id), bank in rank.banks.items():
-                for row, count in bank.activation_counts.items():
-                    counts[(channel, rank_id, bankgroup, bank_id, row)] = count
-        return counts

@@ -105,7 +105,6 @@ def _warm_access(
         table.open_row[i] = row
         table.col_accesses[i] = 0
         bank.stats.activations += 1
-        bank.activation_counts[row] = bank.activation_counts.get(row, 0) + 1
         dram.stats.acts += 1
         # Observers receive the demand address as the ACT address.  Every
         # registered observer (mitigations, verifiers, controller stats)
@@ -179,9 +178,6 @@ def _functional_preventive_refresh(ctl, address: DRAMAddress, cycle: int) -> Non
     bank.stats.activations += 1
     bank.stats.preventive_activations += 1
     bank.stats.precharges += 1
-    bank.activation_counts[address.row] = (
-        bank.activation_counts.get(address.row, 0) + 1
-    )
     dram.stats.acts += 1
     dram.stats.preventive_acts += 1
     dram.stats.pres += 1

@@ -16,6 +16,14 @@ Both support counter saturation at a configurable ceiling (CoMeT's Counter
 Table saturates counters at the preventive refresh threshold and never resets
 individual counters) and bulk reset (CoMeT's periodic counter reset).
 
+CoMeT looks a row up and counts it in the same step (Section 4.1), so
+:meth:`ConservativeCountMinSketch.estimate_and_increment` does both in one
+pass over the row's counter group: it hashes the key once, returns the
+estimate from before the ACT, and applies the conservative +1 only while the
+incremented estimate stays below the saturation value.  At the saturation
+value CoMeT saturates the whole group itself (:meth:`CountMinSketch.set_group`),
+so ``total_updates`` counts exactly the increments that were applied.
+
 Counters live in a plain list of ``k`` per-hash lists of Python ints and are
 updated one key at a time, as the hardware does one ACT at a time; snapshots
 are those lists copied, so they pickle and serialise as JSON unchanged.
@@ -226,3 +234,23 @@ class ConservativeCountMinSketch(CountMinSketch):
         # The counters at the old minimum were just raised to ``target``, so
         # the group's new minimum — the estimate — is ``target`` itself.
         return target
+
+    def estimate_and_increment(self, key: int) -> int:
+        """Return ``key``'s estimate, then count one occurrence of ``key``.
+
+        Equal to ``estimate(key)`` followed by ``update(key, 1)`` when
+        ``estimate(key) + 1 < saturation_value``, and to ``estimate(key)``
+        alone otherwise (the group is left as it is and ``total_updates``
+        does not move) — but the key is hashed once and its counter group
+        read once.
+        """
+        indices = self.hash_family.hash_all(key)
+        counters = self._counters
+        minimum = min([row[column] for row, column in zip(counters, indices)])
+        target = minimum + 1
+        if target < self.saturation_value:
+            self.total_updates += 1
+            for row, column in zip(counters, indices):
+                if row[column] == minimum:
+                    row[column] = target
+        return minimum

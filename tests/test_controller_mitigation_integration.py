@@ -8,11 +8,13 @@ throttling delaying commands, REGA's timing rewrite, and CoMeT's early
 preventive refresh issuing real REF bursts.
 """
 
+from collections import Counter
 
 from repro.controller.controller import MemoryController
 from repro.controller.request import MemoryRequest, RequestType
 from repro.core.comet import CoMeT
 from repro.core.config import CoMeTConfig
+from repro.dram.commands import CommandKind
 from repro.mitigations.blockhammer import BlockHammer, BlockHammerConfig
 from repro.mitigations.graphene import Graphene
 from repro.mitigations.hydra import Hydra, HydraConfig
@@ -25,6 +27,19 @@ def drain(controller, cycle):
     while controller.has_work():
         cycle = controller.issue_next(cycle)
     return cycle
+
+
+def count_act_rows(controller):
+    """Per-row ACT counts of every command the controller issues from now on,
+    recounted from the command stream."""
+    counts = Counter()
+
+    def observe(cycle, command):
+        if command.kind is CommandKind.ACT:
+            counts[command.row] += 1
+
+    controller.dram.add_command_observer(observe)
+    return counts
 
 
 def hammer_rows(controller, rows, repeats, bank_index=0, start_cycle=0):
@@ -50,16 +65,11 @@ class TestCoMeTIntegration:
         comet = CoMeT(nrh=64, config=CoMeTConfig(nrh=64))
         controller = MemoryController(tiny_dram_config, mitigation=comet)
         npr = comet.config.npr
+        act_counts = count_act_rows(controller)
         hammer_rows(controller, rows=[50, 120], repeats=npr + 2)
         assert controller.dram.stats.preventive_acts > 0
         victims = {49, 51, 119, 121}
-        refreshed = {
-            row
-            for bank in controller.dram.iter_banks()
-            for row, count in bank.activation_counts.items()
-            if row in victims
-        }
-        assert refreshed & victims
+        assert set(act_counts) & victims
 
     def test_early_preventive_refresh_issues_ref_burst(self, small_dram_config):
         config = CoMeTConfig(
@@ -92,14 +102,14 @@ class TestHydraIntegration:
         hydra = Hydra(nrh=64, config=HydraConfig(nrh=64, rcc_entries=2, rows_per_group=8))
         controller = MemoryController(tiny_dram_config, mitigation=hydra)
         rows = list(range(0, 8))
+        act_counts = count_act_rows(controller)
         hammer_rows(controller, rows, repeats=hydra.config.group_threshold + 4)
         assert hydra.stats.mitigation_memory_requests > 0
         assert controller.stats.mitigation_requests > 0
         # Counter reads target the reserved region at the top of the bank.
         top_rows = {
             row
-            for bank in controller.dram.iter_banks()
-            for row in bank.activation_counts
+            for row in act_counts
             if row >= tiny_dram_config.organization.rows_per_bank - 8
         }
         assert top_rows

@@ -84,3 +84,15 @@ class TestCounterTable:
         snapshot = table.counters_snapshot()
         assert len(snapshot) == 2
         assert len(snapshot[0]) == 32
+
+    def test_record_activation_counts_below_npr_only(self, table):
+        """CoMeT's one-pass ACT: the estimate before the ACT is returned, and
+        the group stops one short of NPR, where CoMeT saturates it itself."""
+        npr = table.npr
+        assert [table.record_activation(4) for _ in range(npr + 2)] == (
+            list(range(npr)) + [npr - 1, npr - 1]
+        )
+        assert table.estimate(4) == npr - 1
+        table.saturate(4)
+        assert table.record_activation(4) == npr
+        assert table.estimate(4) == npr

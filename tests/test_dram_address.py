@@ -1,5 +1,8 @@
 """Tests for physical address <-> DRAM coordinate mapping."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.dram.address import AddressMapper, DRAMAddress
@@ -114,3 +117,76 @@ class TestDRAMAddress:
         a = DRAMAddress(0, 0, 0, 0, 5, 0)
         b = DRAMAddress(0, 0, 0, 0, 6, 0)
         assert a < b
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = DRAMAddress(0, 1, 2, 3, 7, 8)
+        keyword = DRAMAddress(channel=0, rank=1, bankgroup=2, bank=3, row=7, column=8)
+        assert positional == keyword
+        assert vars(positional) == {
+            "channel": 0, "rank": 1, "bankgroup": 2, "bank": 3, "row": 7, "column": 8,
+        }
+        with pytest.raises(TypeError):
+            DRAMAddress(0, 1, 2, 3, 7)
+
+    def test_assignment_is_rejected(self):
+        address = DRAMAddress(0, 1, 2, 3, 7, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            address.row = 8
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            address.bank_key = (9, 9, 9, 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del address.column
+
+    def test_equality_ordering_and_hash_cover_the_six_fields(self):
+        base = DRAMAddress(1, 0, 1, 1, 5, 0)
+        same = DRAMAddress(1, 0, 1, 1, 5, 0)
+        assert base == same and hash(base) == hash(same)
+        assert base != (1, 0, 1, 1, 5, 0)
+        # Ordering is the tuple ordering of (channel, rank, bankgroup, bank,
+        # row, column), each field a tie-breaker for the one before.
+        addresses = [
+            DRAMAddress(*fields)
+            for fields in [
+                (1, 0, 1, 1, 5, 1), (0, 1, 0, 0, 0, 0), (1, 0, 1, 1, 5, 0),
+                (1, 0, 0, 9, 0, 0), (0, 0, 9, 9, 9, 9), (1, 0, 1, 0, 7, 3),
+            ]
+        ]
+        assert sorted(addresses) == sorted(
+            addresses, key=lambda a: (a.channel, a.rank, a.bankgroup, a.bank, a.row, a.column)
+        )
+        assert len({base, same, DRAMAddress(1, 0, 1, 1, 5, 1)}) == 2
+
+    def test_cached_keys_stay_out_of_equality_and_hash(self):
+        warm = DRAMAddress(0, 1, 2, 3, 7, 0)
+        cold = DRAMAddress(0, 1, 2, 3, 7, 0)
+        hash_before = hash(warm)
+        assert warm.bank_key is warm.bank_key  # computed once, then cached
+        assert warm.row_key is warm.row_key
+        assert "bank_key" in vars(warm) and "bank_key" not in vars(cold)
+        assert warm == cold and hash(warm) == hash_before == hash(cold)
+        assert repr(warm) == repr(cold) == (
+            "DRAMAddress(channel=0, rank=1, bankgroup=2, bank=3, row=7, column=0)"
+        )
+
+    def test_pickle_round_trip(self):
+        for address in (DRAMAddress(0, 1, 2, 3, 7, 8), DRAMAddress(1, 0, 0, 1, 9, 0)):
+            address.row_key  # a warm cache must survive the round trip too
+            restored = pickle.loads(pickle.dumps(address))
+            assert restored == address and hash(restored) == hash(address)
+            assert restored.bank_key == address.bank_key
+            assert restored.row_key == address.row_key
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                restored.row = 1
+
+    def test_replace(self):
+        address = DRAMAddress(0, 1, 2, 3, 7, 8)
+        address.bank_key
+        moved = dataclasses.replace(address, row=9)
+        assert moved == DRAMAddress(0, 1, 2, 3, 9, 8)
+        assert moved.row_key == (0, 1, 2, 3, 9)
+        assert dataclasses.replace(address) == address
+        assert [f.name for f in dataclasses.fields(address)] == [
+            "channel", "rank", "bankgroup", "bank", "row", "column",
+        ]
+        with pytest.raises(TypeError):
+            dataclasses.replace(address, bank_key=(0, 0, 0, 0))

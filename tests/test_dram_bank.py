@@ -22,7 +22,6 @@ class TestActivate:
         assert bank.state is BankState.OPEN
         assert bank.open_row == 17
         assert bank.stats.activations == 1
-        assert bank.activation_count(17) == 1
 
     def test_activate_respects_trc(self, bank, timing):
         bank.activate(0, 1)
@@ -129,8 +128,8 @@ class TestAccounting:
             bank.activate(cycle, 9)
             bank.precharge(cycle + timing.tRAS)
             cycle += timing.tRC
-        assert bank.activation_count(9) == 5
-        assert bank.activation_count(10) == 0
+        assert bank.stats.activations == 5
+        assert bank.stats.preventive_activations == 0
 
     def test_is_row_hit(self, bank):
         bank.activate(0, 3)

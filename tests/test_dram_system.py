@@ -240,13 +240,16 @@ class TestObservers:
 
 
 class TestStatistics:
-    def test_row_activation_counts(self, system, tiny_dram_config):
+    def test_activation_statistics_count_every_act(self, system, tiny_dram_config):
         timing = tiny_dram_config.timing
         issue(system, act(row=5), 0)
         issue(system, pre(), timing.tRAS)
-        issue(system, act(row=5), timing.tRC)
-        counts = system.row_activation_counts()
-        assert counts[(0, 0, 0, 0, 5)] == 2
+        issue(system, act(row=5, preventive=True), timing.tRC)
+        bank = system.ranks[(0, 0)].banks[(0, 0)]
+        assert bank.stats.activations == 2
+        assert bank.stats.preventive_activations == 1
+        assert system.stats.acts == 2
+        assert system.stats.preventive_acts == 1
 
     def test_stats_as_dict(self, system):
         issue(system, act(row=1), 0)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sketch.count_min import ConservativeCountMinSketch, CountMinSketch, SketchConfig
 
@@ -178,6 +179,61 @@ class TestConservativeCountMinSketch:
         sketch = make_sketch(ConservativeCountMinSketch)
         sketch.update(9, 6)
         assert sketch.estimate(9) == 6
+
+
+class TestEstimateAndIncrement:
+    """``estimate_and_increment`` is ``estimate`` then, below saturation, a +1
+    ``update`` — one pass instead of two, same result and same state."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        num_hashes=st.integers(min_value=1, max_value=4),
+        counters_per_hash=st.sampled_from([1, 2, 4, 8]),
+        saturation=st.integers(min_value=1, max_value=6),
+        steps=st.lists(
+            st.tuples(st.sampled_from(["count", "saturate", "reset"]), st.integers(0, 40)),
+            max_size=120,
+        ),
+    )
+    def test_equals_estimate_then_conditional_update(
+        self, num_hashes, counters_per_hash, saturation, steps
+    ):
+        def build():
+            return make_sketch(
+                ConservativeCountMinSketch,
+                num_hashes=num_hashes,
+                counters_per_hash=counters_per_hash,
+                counter_width_bits=3,
+                saturation_value=saturation,
+            )
+
+        fused, reference = build(), build()
+        for op, key in steps:
+            if op == "count":
+                before = reference.estimate(key)
+                if before + 1 < reference.saturation_value:
+                    reference.update(key, 1)
+                assert fused.estimate_and_increment(key) == before
+            elif op == "saturate":
+                # What CoMeT does when the count reaches the saturation value.
+                fused.set_group(key, saturation)
+                reference.set_group(key, saturation)
+            else:
+                fused.reset()
+                reference.reset()
+            assert fused.counters_snapshot() == reference.counters_snapshot()
+            assert fused.total_updates == reference.total_updates
+
+    def test_saturated_group_is_left_alone(self):
+        sketch = make_sketch(ConservativeCountMinSketch, saturation_value=3)
+        assert [sketch.estimate_and_increment(5) for _ in range(4)] == [0, 1, 2, 2]
+        assert sketch.estimate(5) == 2
+        assert sketch.total_updates == 2
+        sketch.set_group(5, 3)
+        before = sketch.counters_snapshot()
+        assert sketch.estimate_and_increment(5) == 3
+        assert sketch.counters_snapshot() == before
+        assert sketch.total_updates == 2
 
 
 class TestSingleBackend:
