@@ -85,7 +85,14 @@ class SecurityVerifier:
         self._violation_count = 0
         self._first_violation_cycle: Optional[int] = None
         self._max_disturbance = 0
-        self.rows_per_bank = dram.config.organization.rows_per_bank
+        organization = dram.config.organization
+        self.rows_per_bank = organization.rows_per_bank
+        #: ``(bankgroup, bank)`` of every bank in a rank: the banks a REF covers.
+        self._rank_banks = [
+            (bankgroup, bank)
+            for bankgroup in range(organization.bankgroups_per_rank)
+            for bank in range(organization.banks_per_bankgroup)
+        ]
         # Streaming audits receive ACT events in batches at the model's
         # drain points (refresh boundaries, snapshot, window end) instead
         # of one callback per ACT; the verdict is
@@ -217,15 +224,31 @@ class SecurityVerifier:
     def _on_rank_refresh(
         self, cycle: int, rank_key: Tuple[int, int], start_row: int, count: int
     ) -> None:
+        """Clear the rows a REF covers in every bank of the refreshed rank.
+
+        Walks whichever is smaller: the tracked victims, or the rank's banks
+        x covered rows (one ``dict.pop`` each), so a REF costs the rows it
+        covers on a large footprint and a short scan on a small one.  Both
+        delete the same keys, so the dict's order, snapshots and verdicts
+        do not depend on the choice.
+        """
         channel, rank = rank_key
-        end_row = start_row + count
-        stale = [
-            key
-            for key in self._disturbance
-            if key[0] == channel and key[1] == rank and start_row <= key[4] < end_row
-        ]
-        for key in stale:
-            del self._disturbance[key]
+        disturbance = self._disturbance
+        end_row = min(start_row + count, self.rows_per_bank)
+        if len(disturbance) <= (end_row - start_row) * len(self._rank_banks):
+            stale = [
+                key
+                for key in disturbance
+                if key[0] == channel and key[1] == rank and start_row <= key[4] < end_row
+            ]
+            for key in stale:
+                del disturbance[key]
+            return
+        pop = disturbance.pop
+        rows = range(start_row, end_row)
+        for bankgroup, bank in self._rank_banks:
+            for row in rows:
+                pop((channel, rank, bankgroup, bank, row), None)
 
     # ------------------------------------------------------------------ #
     # Checkpointing

@@ -114,6 +114,12 @@ class WorkQueue(abc.ABC):
     def counts(self) -> QueueCounts:
         """Current pending/claimed/done populations."""
 
+    def close(self) -> None:
+        """Release this process's handles on the queue (a no-op by default).
+
+        The queue stays usable: a later operation reopens what it needs.
+        """
+
 
 __all__ = [
     "DEFAULT_LEASE",

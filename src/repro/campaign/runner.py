@@ -120,10 +120,11 @@ class CampaignRunner:
     ) -> None:
         self.campaign = campaign
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
+        #: A queue built here from a backend name is closed by ``run``; a
+        #: queue instance passed in belongs to the caller.
+        self._owns_queue = not isinstance(queue, WorkQueue)
         self.queue = (
-            queue
-            if isinstance(queue, WorkQueue)
-            else self._make_queue(queue, queue_path, clock)
+            self._make_queue(queue, queue_path, clock) if self._owns_queue else queue
         )
         self.max_workers = (
             (os.cpu_count() or 1) if max_workers is None else max_workers
@@ -202,7 +203,8 @@ class CampaignRunner:
         claim.  When nothing is claimable but claims are outstanding —
         a previous runner died holding leases — it waits for expiry and
         reclaims.  Returns when the queue is drained or the budget is
-        exhausted (in-flight cells always run to completion).
+        exhausted (in-flight cells always run to completion).  A queue the
+        runner built from a backend name is closed on the way out.
         """
         #: Kept for introspection: how enqueue split the grid this run.
         self.last_enqueue = self.enqueue()
@@ -249,6 +251,7 @@ class CampaignRunner:
                     # Claims held by a dead (or foreign) worker: wait for
                     # their leases to run out, then steal the work back.
                     time.sleep(self.poll_interval)
+            return self.status(executed=executed)
         finally:
             if inflight:
                 # Abandoning mid-run (an exception): let the claimed cells
@@ -257,7 +260,8 @@ class CampaignRunner:
                 # it stays hot for the next campaign (atexit owns it).
                 for future in inflight:
                     future.cancel()
-        return self.status(executed=executed)
+            if self._owns_queue:
+                self.queue.close()
 
     def _complete(
         self, item: WorkItem, spec: ExperimentSpec, result: SimulationResult

@@ -287,11 +287,19 @@ class ResultStore:
     # Campaign checkpoints
     # ------------------------------------------------------------------ #
     def save_campaign(self, campaign_id: str, state: Dict[str, Any]) -> Path:
-        """Checkpoint a campaign's declarative state (atomic, overwrites)."""
-        return atomic_write_text(
-            self.campaigns_dir / f"{campaign_id}.json",
-            json.dumps(state, sort_keys=True, indent=2) + "\n",
-        )
+        """Checkpoint a campaign's declarative state (atomic, overwrites).
+
+        A checkpoint that already holds the same bytes is left as it is, so
+        a resume pass pays one read instead of a write, fsync and replace.
+        """
+        path = self.campaigns_dir / f"{campaign_id}.json"
+        text = json.dumps(state, sort_keys=True, indent=2) + "\n"
+        try:
+            if path.read_text(encoding="utf-8") == text:
+                return path
+        except (OSError, ValueError):
+            pass
+        return atomic_write_text(path, text)
 
     def load_campaign(self, campaign_id: str) -> Optional[Dict[str, Any]]:
         try:

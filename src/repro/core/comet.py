@@ -238,13 +238,3 @@ class CoMeT(RowHammerMitigation):
             "history_KiB": history_bits / 8 / 1024,
             "total_KiB": total / 8 / 1024,
         }
-
-    # ------------------------------------------------------------------ #
-    # Introspection used by tests and analysis
-    # ------------------------------------------------------------------ #
-    def estimate(self, bank_key: BankKey, row: int) -> int:
-        """Current activation-count estimate for a row (RAT first, then CT)."""
-        tracker = self.bank_tracker(bank_key)
-        if tracker.rat.contains(row):
-            return tracker.rat.entries_snapshot()[row]
-        return tracker.counter_table.estimate(row)

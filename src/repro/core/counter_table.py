@@ -64,10 +64,6 @@ class CounterTable:
         """Set every counter in the row's group to NPR (after a preventive refresh)."""
         self._sketch.set_group(row, self.config.npr)
 
-    def is_saturated(self, row: int) -> bool:
-        """True when the row's estimate has reached NPR."""
-        return self._sketch.estimate(row) >= self.config.npr
-
     def reset(self) -> None:
         """Bulk reset (periodic reset or early preventive refresh)."""
         self._sketch.reset()

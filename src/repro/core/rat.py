@@ -105,9 +105,6 @@ class RecentAggressorTable:
     def is_full(self) -> bool:
         return len(self._entries) >= self.num_entries
 
-    def entries_snapshot(self) -> Dict[int, int]:
-        return dict(self._entries)
-
     def snapshot(self) -> dict:
         """Plain-data checkpoint: entries (ordered), RNG state and statistics.
 

@@ -168,10 +168,6 @@ class CountMinSketch:
     # ------------------------------------------------------------------ #
     # Introspection helpers
     # ------------------------------------------------------------------ #
-    def is_saturated(self, key: int) -> bool:
-        """True when every counter in ``key``'s group is at the saturation value."""
-        return self.estimate(key) >= self.saturation_value
-
     def counters_snapshot(self) -> List[List[int]]:
         """Deep copy of the counter array."""
         return [list(row) for row in self._counters]

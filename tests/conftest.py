@@ -119,3 +119,11 @@ def make_address(
         row=row % config.organization.rows_per_bank,
         column=column,
     )
+
+
+def comet_estimate(comet, bank_key, row: int) -> int:
+    """A row's activation-count estimate in CoMeT: its RAT counter when it
+    has one, else its Counter Table estimate."""
+    tracker = comet.bank_tracker(bank_key)
+    value = tracker.rat.lookup(row)
+    return value if value is not None else tracker.counter_table.estimate(row)

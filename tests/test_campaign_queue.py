@@ -7,6 +7,9 @@ subclass it (the frontera pattern: interchangeable implementations proven
 interchangeable by running identical tests against each).
 """
 
+import multiprocessing
+import os
+import sqlite3
 import threading
 
 import pytest
@@ -199,6 +202,138 @@ class PersistentQueueContract(QueueContract):
         assert reopened.claim("w1").key == "cell-000"
 
 
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+
+
+def _open_at_barrier(path, barrier):
+    """Open ``path`` as a queue the moment every party is ready; put one item."""
+    barrier.wait(timeout=60)
+    queue = SqliteQueue(path)
+    queue.put(make_items(1, prefix=f"pid{os.getpid()}-{threading.get_ident()}"))
+    queue.close()
+
+
+def _claim_in_child(queue, results):
+    """Forked child: claim through the inherited queue, report what it saw."""
+    inherited = queue._local.conn
+    item = queue.claim("child", lease=300.0)
+    results.put((item.key, queue._local.conn is not inherited))
+
+
 class TestSqliteQueue(PersistentQueueContract):
     def make_queue(self, tmp_path, clock):
         return SqliteQueue(tmp_path / "queue.sqlite", clock=clock)
+
+    def test_file_runs_in_wal_mode_with_full_sync(self, queue):
+        conn = queue._connection()
+        assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        # 2 == FULL: every commit is fsynced before it returns.
+        assert conn.execute("PRAGMA synchronous").fetchone()[0] == 2
+
+    def test_close_removes_the_log_and_the_queue_reopens(self, tmp_path, queue):
+        queue.put(make_items(2))
+        assert (tmp_path / "queue.sqlite-wal").exists()
+        queue.close()
+        assert not (tmp_path / "queue.sqlite-wal").exists()
+        assert not (tmp_path / "queue.sqlite-shm").exists()
+        # The next operation opens a fresh connection.
+        assert queue.claim("w0").key == "cell-000"
+        queue.close()
+
+    @needs_fork
+    def test_concurrent_opens_of_a_fresh_file_all_succeed(self, tmp_path):
+        """Threads and processes opening one new file at the same moment race
+        on the switch to WAL mode; every one of them must get through.
+
+        Two processes lose that race most of the time without the retry, so
+        a few rounds of them make a reliable check."""
+        context = multiprocessing.get_context("fork")
+        rounds = [(2, 2)] + [(0, 2)] * 6
+        for attempt, (n_threads, n_processes) in enumerate(rounds):
+            path = tmp_path / f"race-{attempt}.sqlite"
+            barrier = context.Barrier(n_threads + n_processes)
+            processes = [
+                context.Process(target=_open_at_barrier, args=(path, barrier))
+                for _ in range(n_processes)
+            ]
+            for process in processes:
+                process.start()
+            errors = []
+
+            def opener():
+                try:
+                    _open_at_barrier(path, barrier)
+                except Exception as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=opener) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for process in processes:
+                process.join(timeout=60)
+            assert errors == []
+            assert [process.exitcode for process in processes] == [0] * n_processes
+            queue = SqliteQueue(path)
+            assert queue.counts() == (n_threads + n_processes, 0, 0)
+            queue.close()
+
+    def test_exception_inside_a_transaction_rolls_back(self, queue, clock):
+        """An exception mid-transaction must not leave the cached connection
+        inside an open transaction: the next claim works."""
+
+        def items_then_failure():
+            yield from make_items(2)
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError):
+            queue.put(items_then_failure())
+        assert queue.counts() == (0, 0, 0)
+
+        queue.put(make_items(2))
+
+        def broken_clock():
+            raise RuntimeError("clock failed")
+
+        queue._clock = broken_clock
+        with pytest.raises(RuntimeError):
+            queue.claim("w0")
+        queue._clock = clock
+        assert queue.counts() == (2, 0, 0)
+        assert queue.claim("w0").key == "cell-000"
+        assert queue.ack("cell-000", "w0")
+
+    @needs_fork
+    def test_forked_child_opens_its_own_connection(self, queue):
+        """A child forked from a process holding an open connection claims
+        through a connection of its own, and never gets the parent's item."""
+        queue.put(make_items(3))
+        held = queue.claim("parent", lease=300.0)
+        context = multiprocessing.get_context("fork")
+        results = context.Queue()
+        child = context.Process(target=_claim_in_child, args=(queue, results))
+        child.start()
+        key, own_connection = results.get(timeout=60)
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        assert own_connection
+        assert key != held.key
+        assert queue.counts() == (1, 2, 0)
+        # The parent's connection is untouched by the child.
+        assert queue.ack(held.key, "parent")
+        assert queue.claim("parent").key not in (held.key, key)
+
+    def test_each_thread_has_its_own_connection(self, queue):
+        connections = []
+        thread = threading.Thread(
+            target=lambda: connections.append(queue._connection())
+        )
+        thread.start()
+        thread.join()
+        assert connections[0] is not queue._connection()
+        with pytest.raises(sqlite3.ProgrammingError):
+            connections[0].execute("SELECT 1")

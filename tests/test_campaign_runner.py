@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign import CampaignRunner, MemoryQueue, ResultStore
+from repro.campaign import CampaignRunner, MemoryQueue, ResultStore, SqliteQueue
 from repro.experiment.session import Session
 from repro.experiment.spec import CampaignSpec
 
@@ -274,6 +274,46 @@ class TestStatus:
         assert row["completed"] == f"{SMALL.total_cells()}/{SMALL.total_cells()}"
         assert len(row["campaign"]) == 12
 
+    def test_reenqueue_leaves_an_identical_checkpoint_untouched(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        CampaignRunner(SMALL, store=store, budget=0).enqueue()
+        path = store.campaigns_dir / f"{SMALL.campaign_id()}.json"
+        before = path.stat()
+        CampaignRunner(SMALL, store=store, budget=0).enqueue()
+        after = path.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_changed_state_rewrites_the_checkpoint(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        CampaignRunner(SMALL, store=store, budget=0).enqueue()
+        path = store.campaigns_dir / f"{SMALL.campaign_id()}.json"
+        before = path.stat()
+        CampaignRunner(SMALL, store=store, queue="sqlite", budget=0).enqueue()
+        assert path.stat().st_ino != before.st_ino
+        assert store.load_campaign(SMALL.campaign_id())["backend"] == "sqlite"
+
     def test_worker_id_defaults_to_host_and_pid(self, tmp_path):
         runner = CampaignRunner(SMALL, store=ResultStore(tmp_path / "s"))
         assert str(os.getpid()) in runner.worker_id
+
+
+class TestQueueOwnership:
+    def test_a_queue_built_from_a_name_is_closed_by_run(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        runner = CampaignRunner(SMALL, store=store, queue="sqlite", budget=1)
+        runner.run()
+        # Closing the last connection checkpoints and removes the log.
+        assert (store.root / "queue.sqlite").exists()
+        assert not (store.root / "queue.sqlite-wal").exists()
+        assert not (store.root / "queue.sqlite-shm").exists()
+        # A closed queue reopens on use.
+        assert runner.status().pending == SMALL.total_cells() - 1
+
+    def test_a_queue_passed_in_stays_open(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        queue = SqliteQueue(tmp_path / "queue.sqlite")
+        CampaignRunner(SMALL, store=store, queue=queue, budget=1).run()
+        assert (tmp_path / "queue.sqlite-wal").exists()
+        assert queue.counts().done == 1
+        queue.close()
+        assert not (tmp_path / "queue.sqlite-wal").exists()

@@ -261,6 +261,15 @@ class TestCampaignCheckpoints:
         assert store.load_campaign("deadbeef") == state
         assert store.list_campaigns() == ["deadbeef"]
 
+    def test_identical_save_skips_the_write(self, store):
+        path = store.save_campaign("deadbeef", {"total": 4})
+        inode = path.stat().st_ino
+        assert store.save_campaign("deadbeef", {"total": 4}) == path
+        assert path.stat().st_ino == inode
+        store.save_campaign("deadbeef", {"total": 5})
+        assert path.stat().st_ino != inode
+        assert store.load_campaign("deadbeef") == {"total": 5}
+
 
 class TestDefaults:
     def test_default_store_dir_env_override(self, monkeypatch, tmp_path):

@@ -18,7 +18,6 @@ class TestCounterTable:
         for _ in range(100):
             table.increment(5)
         assert table.estimate(5) == table.npr
-        assert table.is_saturated(5)
 
     def test_increment_and_estimate(self, table):
         for i in range(1, 11):

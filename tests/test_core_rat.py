@@ -89,9 +89,3 @@ class TestRAT:
         with pytest.raises(ValueError):
             RecentAggressorTable(num_entries=0)
 
-    def test_entries_snapshot_is_copy(self):
-        rat = RecentAggressorTable(num_entries=4)
-        rat.allocate(1, 5)
-        snapshot = rat.entries_snapshot()
-        snapshot[1] = 99
-        assert rat.lookup(1) == 5

@@ -25,7 +25,7 @@ from repro.dram.config import small_test_config
 from repro.sketch.count_min import ConservativeCountMinSketch, CountMinSketch, SketchConfig
 from repro.sketch.counting_bloom import CountingBloomFilter
 from repro.sketch.misra_gries import MisraGriesSummary
-from tests.conftest import FakeController, make_address
+from tests.conftest import FakeController, comet_estimate, make_address
 
 # Keep row ids in a modest range so streams actually collide in the sketches.
 row_ids = st.integers(min_value=0, max_value=4000)
@@ -142,7 +142,7 @@ class TestCoMeTNeverUnderestimates:
             if len(controller.preventive_refreshes) > before:
                 since_trigger[row] = 0
         for row, count in since_trigger.items():
-            estimate = comet.estimate((0, 0, 0, 0), row)
+            estimate = comet_estimate(comet, (0, 0, 0, 0), row)
             assert estimate >= count
 
     @settings(max_examples=30, deadline=None)

@@ -12,9 +12,10 @@ pinned from three directions:
   ``blast_radius=1`` verifier on the same stream.
 * **Streaming mode**: ``record_violations=False`` must agree with the
   recording mode on the verdict, count, first-violation cycle and maximum.
-* **Channel scoping** (the PR-2 fabric semantics): a periodic REF clears
+* **Channel scoping**: a periodic REF clears
   rows in every bank of the refreshed rank *of that channel only* — both at
-  the observer level and end-to-end on a two-channel fabric.
+  the observer level and end-to-end on a two-channel fabric — and
+  (hypothesis) leaves exactly what a full scan of the tracked victims keeps.
 """
 
 from collections import defaultdict
@@ -58,6 +59,29 @@ acts = st.tuples(st.just("act"), st.integers(0, ROWS - 1), st.integers(0, 1))
 row_refreshes = st.tuples(st.just("rowref"), st.integers(0, ROWS - 1), st.integers(0, 1))
 rank_refreshes = st.tuples(st.just("ref"), st.integers(0, ROWS - 1), st.just(8))
 events = st.lists(st.one_of(acts, row_refreshes, rank_refreshes), min_size=1, max_size=250)
+
+
+# Every victim key of a 2-channel, 2-rank, 2x2-bank fabric.
+ALL_VICTIMS = [
+    (channel, rank, bankgroup, bank, row)
+    for channel in (0, 1)
+    for rank in (0, 1)
+    for bankgroup in (0, 1)
+    for bank in (0, 1)
+    for row in range(ROWS)
+]
+
+
+def full_scan_refresh(disturbance, channel, rank, start_row, count):
+    """Reference REF: keep every victim outside the rank's covered rows."""
+    return {
+        key: value
+        for key, value in disturbance.items()
+        if not (
+            key[0] == channel and key[1] == rank
+            and start_row <= key[4] < start_row + count
+        )
+    }
 
 
 def apply_stream(verifier, stream, channel=0):
@@ -190,6 +214,37 @@ class TestChannelScoping:
                     verifier.disturbance_of(address(11, bank=bank, bankgroup=bankgroup))
                     == 0
                 )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        order=st.permutations(ALL_VICTIMS),
+        tracked=st.integers(0, len(ALL_VICTIMS)),
+        channel=st.integers(0, 1),
+        rank=st.integers(0, 1),
+        start_row=st.integers(0, ROWS - 1),
+        count=st.integers(1, ROWS),
+    )
+    def test_rank_refresh_matches_a_full_scan(
+        self, order, tracked, channel, rank, start_row, count
+    ):
+        """A REF leaves exactly the victims a full scan keeps, in the same
+        order, whether the map is smaller or larger than the rows covered."""
+        victims = [(key, 1 + index % 5) for index, key in enumerate(order[:tracked])]
+        verifier = make_verifier(channels=2)
+        verifier.restore(
+            {
+                "disturbance": victims,
+                "violations": [],
+                "violation_count": 0,
+                "first_violation_cycle": None,
+                "max_disturbance": 0,
+            }
+        )
+        expected = full_scan_refresh(
+            dict(victims), channel, rank, start_row, count
+        )
+        verifier._on_rank_refresh(0, (channel, rank), start_row, count)
+        assert verifier.snapshot()["disturbance"] == list(expected.items())
 
     def test_two_channel_fabric_isolates_attack_disturbance(self):
         """End to end: an attack confined to channel 1 of a 2-channel fabric
