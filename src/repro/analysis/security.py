@@ -94,7 +94,7 @@ class SecurityVerifier:
             for bank in range(organization.banks_per_bankgroup)
         ]
         # Streaming audits receive ACT events in batches at the model's
-        # drain points (refresh boundaries, snapshot, window end) instead
+        # drain points (refresh notifications, result reads) instead
         # of one callback per ACT; the verdict is
         # bit-identical because event order is preserved and the model
         # drains the buffer before any refresh notification.  Every public
@@ -229,8 +229,8 @@ class SecurityVerifier:
         Walks whichever is smaller: the tracked victims, or the rank's banks
         x covered rows (one ``dict.pop`` each), so a REF costs the rows it
         covers on a large footprint and a short scan on a small one.  Both
-        delete the same keys, so the dict's order, snapshots and verdicts
-        do not depend on the choice.
+        delete the same keys, so the dict's order and the verdicts do not
+        depend on the choice.
         """
         channel, rank = rank_key
         disturbance = self._disturbance
@@ -249,40 +249,6 @@ class SecurityVerifier:
         for bankgroup, bank in self._rank_banks:
             for row in rows:
                 pop((channel, rank, bankgroup, bank, row), None)
-
-    # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict:
-        """Plain-data checkpoint of the disturbance state and verdict."""
-        self._flush()
-        return {
-            "disturbance": list(self._disturbance.items()),
-            "violations": [
-                dict(vars(violation)) for violation in self._violations
-            ],
-            "violation_count": self._violation_count,
-            "first_violation_cycle": self._first_violation_cycle,
-            "max_disturbance": self._max_disturbance,
-        }
-
-    def restore(self, state: Dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        self._disturbance = {
-            tuple(key): value for key, value in state["disturbance"]
-        }
-        self._violations = [
-            SecurityViolation(
-                cycle=violation["cycle"],
-                victim=tuple(violation["victim"]),
-                disturbance=violation["disturbance"],
-                nrh=violation["nrh"],
-            )
-            for violation in state["violations"]
-        ]
-        self._violation_count = state["violation_count"]
-        self._first_violation_cycle = state["first_violation_cycle"]
-        self._max_disturbance = state["max_disturbance"]
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -323,12 +289,6 @@ class SecurityVerifier:
         self._flush()
         key = (address.channel, address.rank, address.bankgroup, address.bank, address.row)
         return self._disturbance.get(key, 0)
-
-    def worst_victims(self, top: int = 10) -> List[Tuple[RowKey, int]]:
-        """The ``top`` victims with the highest current disturbance."""
-        self._flush()
-        ordered = sorted(self._disturbance.items(), key=lambda item: item[1], reverse=True)
-        return ordered[:top]
 
     def report(self) -> Dict[str, object]:
         return {

@@ -746,9 +746,9 @@ class MemoryController:
         default through a dict lookup on every call, a positional one by a
         copy, and ``select`` is only ever called as ``select(cycle)``.
         Everything bound is construction-stable: the timing-table
-        lists, bus dicts and refresh-due dicts are mutated in place (never
-        reassigned — see ``DRAMSystem.restore``/``MemoryController.restore``),
-        and the queues/indexes/caches live for the controller's lifetime.
+        lists, bus dicts and refresh-due dicts are created once and only
+        ever mutated in place, and the queues/indexes/caches live for the
+        controller's lifetime.
         The mitigation's ACT throttle is pre-resolved to ``None`` when it is
         the base-class no-op (CoMeT, PARA, Hydra...) so only real throttlers
         (BlockHammer) pay the per-candidate call.
@@ -1236,78 +1236,3 @@ class MemoryController:
             return issue_cycle
 
         return issue
-
-    # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict:
-        """Plain-data checkpoint of the controller and everything it owns.
-
-        Valid only at a *drained point*: in-flight :class:`MemoryRequest`
-        objects carry completion closures that cannot round-trip through
-        plain data, so all queues must be empty.  The composed snapshot
-        covers the DRAM device state (timing table, activation counters,
-        statistics) and the attached mitigation, making it a full
-        memory-system checkpoint.
-        """
-        if self.pending_requests() > 0:
-            raise RuntimeError(
-                "MemoryController.snapshot() requires empty queues "
-                f"({self.pending_requests()} requests still pending)"
-            )
-        stats = dict(vars(self.stats))
-        stats["per_core_read_latency"] = dict(self.stats.per_core_read_latency)
-        stats["per_core_reads"] = dict(self.stats.per_core_reads)
-        return {
-            "next_refresh_due": list(self.next_refresh_due.items()),
-            "extra_rank_refreshes": list(self.extra_rank_refreshes.items()),
-            "draining_writes": self._draining_writes,
-            "current_cycle": self.current_cycle,
-            "enqueue_seq": self._enqueue_seq,
-            "stats": stats,
-            "dram": self.dram.snapshot(),
-            "mitigation": (
-                self.mitigation.snapshot() if self.mitigation is not None else None
-            ),
-            "refresh_policy": (
-                self.refresh_policy.snapshot() if self._refresh_policy_rfm else None
-            ),
-        }
-
-    def restore(self, state: Dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        # In-place: the select and issue closures bind these dicts at
-        # construction.
-        self.next_refresh_due.clear()
-        self.next_refresh_due.update(
-            (tuple(key), due) for key, due in state["next_refresh_due"]
-        )
-        self.extra_rank_refreshes.clear()
-        self.extra_rank_refreshes.update(
-            (tuple(key), count) for key, count in state["extra_rank_refreshes"]
-        )
-        self._draining_writes = state["draining_writes"]
-        self.current_cycle = state["current_cycle"]
-        self._enqueue_seq = state["enqueue_seq"]
-        for key, value in state["stats"].items():
-            if key == "per_core_read_latency":
-                self.stats.per_core_read_latency = defaultdict(int, value)
-            elif key == "per_core_reads":
-                self.stats.per_core_reads = defaultdict(int, value)
-            else:
-                setattr(self.stats, key, value)
-        self.dram.restore(state["dram"])
-        if self.mitigation is not None and state["mitigation"] is not None:
-            self.mitigation.restore(state["mitigation"])
-        # ``.get``: snapshots written before active refresh policies existed
-        # carry no policy state (and passive policies have none to restore).
-        policy_state = state.get("refresh_policy")
-        if self._refresh_policy_rfm and policy_state is not None:
-            self.refresh_policy.restore(policy_state)
-        self.read_queue.clear()
-        self.write_queue.clear()
-        self.preventive_queue.clear()
-        self._bank_reads.clear()
-        self._bank_writes.clear()
-        self._merged_cache.clear()
-        self.mutations += 1

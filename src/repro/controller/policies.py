@@ -284,9 +284,8 @@ class RefreshPolicy:
     controller then calls :meth:`attach` once after the DRAM system is built
     (the policy registers its own ACT/REF observers there), folds the banks
     reported by :meth:`rfm_pending` into command selection ahead of
-    preventive and demand traffic, reports each issued RFM through
-    :meth:`on_rfm`, and carries :meth:`snapshot`/:meth:`restore` in its
-    checkpoint.
+    preventive and demand traffic, and reports each issued RFM through
+    :meth:`on_rfm`.
     """
 
     name = "base"
@@ -308,13 +307,6 @@ class RefreshPolicy:
 
     def on_rfm(self, cycle: int, bank_key: Tuple[int, int, int, int]) -> None:
         """An RFM command to ``bank_key`` was issued at ``cycle``."""
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Plain-data checkpoint of the policy's mutable state."""
-        return {}
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
 
 
 # --------------------------------------------------------------------------- #
@@ -575,8 +567,7 @@ class RFMRefreshPolicy(RefreshPolicy):
     last serviced (refreshing its +-1 neighbours through
     :meth:`~repro.dram.dram_system.DRAMSystem.notify_row_refresh`, which
     the security verifier observes) and clears the row's entry.  Ties pick
-    the lowest row index, keeping the policy deterministic and
-    restore-order independent.
+    the lowest row index, keeping the policy deterministic.
     """
 
     PARAMS = ("raaimt", "raammt", "trfm")
@@ -674,28 +665,6 @@ class RFMRefreshPolicy(RefreshPolicy):
         if raa < self.raaimt:
             self._due.discard(bank_key)
         return raa
-
-    # -- checkpointing -----------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "raa": [
-                [list(key), value] for key, value in sorted(self._raa.items())
-            ],
-            "row_acts": [
-                [list(key), [list(item) for item in sorted(rows.items())]]
-                for key, rows in sorted(self._row_acts.items())
-            ],
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        self._raa = {tuple(key): value for key, value in state["raa"]}
-        self._row_acts = {
-            tuple(key): {row: acts for row, acts in rows}
-            for key, rows in state["row_acts"]
-        }
-        self._due = {
-            key for key, raa in self._raa.items() if raa >= self.raaimt
-        }
 
 
 # --------------------------------------------------------------------------- #

@@ -195,32 +195,6 @@ class CoMeT(RowHammerMitigation):
         self.stats.counter_resets += 1
 
     # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def _snapshot_state(self) -> Dict:
-        return {
-            "banks": {
-                bank_key: {
-                    "counter_table": tracker.counter_table.snapshot(),
-                    "rat": tracker.rat.snapshot(),
-                    "miss_history": list(tracker.miss_history),
-                }
-                for bank_key, tracker in self._banks.items()
-            },
-            "next_reset_cycle": self._next_reset_cycle,
-        }
-
-    def _restore_state(self, state: Dict) -> None:
-        self._banks = {}
-        for bank_key, bank_state in state["banks"].items():
-            tracker = self.bank_tracker(tuple(bank_key))
-            tracker.counter_table.restore(bank_state["counter_table"])
-            tracker.rat.restore(bank_state["rat"])
-            tracker.miss_history.clear()
-            tracker.miss_history.extend(bank_state["miss_history"])
-        self._next_reset_cycle = state["next_reset_cycle"]
-
-    # ------------------------------------------------------------------ #
     # Storage model (Section 7.2 / Table 4)
     # ------------------------------------------------------------------ #
     def storage_bits_per_bank(self) -> int:

@@ -77,17 +77,6 @@ class CounterTable:
     def num_saturated_counters(self) -> int:
         return self._sketch.num_saturated_counters()
 
-    def counters_snapshot(self) -> List[List[int]]:
-        return self._sketch.counters_snapshot()
-
-    def snapshot(self) -> dict:
-        """Plain-data checkpoint (delegates to the underlying sketch)."""
-        return self._sketch.snapshot()
-
-    def restore(self, state: dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        self._sketch.restore(state)
-
     @property
     def npr(self) -> int:
         return self.config.npr

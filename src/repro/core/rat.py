@@ -62,9 +62,6 @@ class RecentAggressorTable:
             self.stats.hits += 1
         return value
 
-    def contains(self, row: int) -> bool:
-        return row in self._entries
-
     def increment(self, row: int) -> int:
         """Increment an existing entry; raises KeyError when absent."""
         self._entries[row] += 1
@@ -100,29 +97,6 @@ class RecentAggressorTable:
     @property
     def occupancy(self) -> int:
         return len(self._entries)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._entries) >= self.num_entries
-
-    def snapshot(self) -> dict:
-        """Plain-data checkpoint: entries (ordered), RNG state and statistics.
-
-        The RNG state is included because random eviction draws from it —
-        restoring must reproduce the identical eviction sequence.
-        """
-        return {
-            "entries": list(self._entries.items()),
-            "rng_state": self._rng.getstate(),
-            "stats": dict(vars(self.stats)),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        self._entries = {row: count for row, count in state["entries"]}
-        self._rng.setstate(state["rng_state"])
-        for key, value in state["stats"].items():
-            setattr(self.stats, key, value)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -125,22 +125,6 @@ class LastLevelCache:
             hit=False, fill_address=fill_address, writeback_address=writeback_address
         )
 
-    # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """Plain-data checkpoint: per-set (tag, dirty) pairs in LRU order."""
-        return {
-            "sets": [list(ways.items()) for ways in self._sets],
-            "stats": dict(vars(self.stats)),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        self._sets = [OrderedDict(pairs) for pairs in state["sets"]]
-        for key, value in state["stats"].items():
-            setattr(self.stats, key, value)
-
     def contains(self, address: int) -> bool:
         set_index, tag = self._index_and_tag(address)
         return tag in self._sets[set_index]

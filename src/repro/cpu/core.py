@@ -297,43 +297,6 @@ class Core:
         return self._blocked_on_queue is not None
 
     # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> dict:
-        """Plain-data checkpoint; valid only at a drained point.
-
-        Outstanding reads and queue-blocked requests hold completion closures
-        that cannot round-trip through plain data, so checkpoints are taken
-        between detailed windows, after the event kernel ran the system to
-        quiescence.
-        """
-        if self._outstanding or self._blocked_on_queue is not None:
-            raise RuntimeError(
-                "Core.snapshot() requires a drained core (no in-flight reads)"
-            )
-        return {
-            "cursor": self._cursor,
-            "front_cycle": self._front_cycle,
-            "dispatched_instructions": self._dispatched_instructions,
-            "last_completion_cycle": self._last_completion_cycle,
-            "trace_exhausted": self._trace_exhausted,
-            "stats": dict(vars(self.stats)),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        self._cursor = state["cursor"]
-        self._front_cycle = state["front_cycle"]
-        self._dispatched_instructions = state["dispatched_instructions"]
-        self._last_completion_cycle = state["last_completion_cycle"]
-        self._trace_exhausted = state["trace_exhausted"]
-        self._outstanding = deque()
-        self._blocked_on_queue = None
-        self._dispatch_memo = None
-        for key, value in state["stats"].items():
-            setattr(self.stats, key, value)
-
-    # ------------------------------------------------------------------ #
     # Results
     # ------------------------------------------------------------------ #
     def completion_cycle(self) -> float:

@@ -16,7 +16,7 @@ calls :meth:`AddressMapper.address_for_row` once per synthesized access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dram.config import DRAMConfig
 
@@ -268,11 +268,6 @@ class AddressMapper:
     def all_bank_indices(self) -> List[int]:
         """Flat bank indices for every bank in one channel."""
         return list(range(self._banks))
-
-    def iter_rows(self, bank_index: int, start: int, count: int) -> Iterator[int]:
-        """Yield physical addresses for ``count`` consecutive rows of a bank."""
-        for offset in range(count):
-            yield self.address_for_row(start + offset, bank_index=bank_index)
 
     def neighbors(self, address: DRAMAddress, blast_radius: int = 1) -> Sequence[DRAMAddress]:
         """Victim rows physically adjacent to ``address`` (within ``blast_radius``).

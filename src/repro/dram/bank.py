@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.dram.config import DRAMTiming
 
@@ -248,38 +248,8 @@ class Bank:
             table.next_act[i] = until
 
     # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict:
-        """Plain-data checkpoint: the bank's timing-table slot and statistics."""
-        table, i = self.table, self.index
-        return {
-            "next_act": table.next_act[i],
-            "next_pre": table.next_pre[i],
-            "next_read": table.next_read[i],
-            "next_write": table.next_write[i],
-            "open_row": table.open_row[i],
-            "col_accesses": table.col_accesses[i],
-            "stats": dict(vars(self.stats)),
-        }
-
-    def restore(self, state: Dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        table, i = self.table, self.index
-        table.next_act[i] = state["next_act"]
-        table.next_pre[i] = state["next_pre"]
-        table.next_read[i] = state["next_read"]
-        table.next_write[i] = state["next_write"]
-        table.open_row[i] = state["open_row"]
-        table.col_accesses[i] = state["col_accesses"]
-        for key, value in state["stats"].items():
-            setattr(self.stats, key, value)
-
-    # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def is_row_hit(self, row: int) -> bool:
-        return self.table.open_row[self.index] == row
 
     def is_closed(self) -> bool:
         return self.table.open_row[self.index] is None

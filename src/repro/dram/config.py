@@ -57,10 +57,6 @@ class DRAMOrganization:
     def columns_per_cacheline(self) -> int:
         return self.burst_length
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.total_rows * self.row_size_bytes
-
 
 @dataclass(frozen=True)
 class DRAMTiming:

@@ -49,8 +49,8 @@ CommandObserver = Callable[[int, Command], None]
 BatchActivationObserver = Callable[[List[int], List[DRAMAddress], List[bool]], None]
 
 #: Flush the batched-ACT buffer once it holds this many events even if no
-#: natural drain point (refresh boundary, snapshot, run end) arrives first —
-#: bounds buffer memory and keeps batch sizes cache-friendly.
+#: natural drain point (a refresh notification, a verifier result read)
+#: arrives first — bounds buffer memory and keeps batch sizes cache-friendly.
 _BATCH_FLUSH_LIMIT = 256
 
 
@@ -65,8 +65,8 @@ class DRAMStatistics:
     rows the device refreshed itself during RFM/ABO service) and
     ``counter_updates`` (PRAC per-row counter read-modify-writes).  They
     are deliberately *not* part of :meth:`as_dict` — the seven-key report
-    shape is pinned by the golden records — but they snapshot/restore and
-    aggregate across channels like every other field.
+    shape is pinned by the golden records — but they aggregate across
+    channels like every other field.
     """
 
     acts: int = 0
@@ -255,31 +255,6 @@ class Rank:
             )
         return data_end
 
-    # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict:
-        """Plain-data checkpoint of the rank-scoped state plus its banks."""
-        return {
-            "act_ready": list(self.act_ready),
-            "read_ready": list(self.read_ready),
-            "write_ready": list(self.write_ready),
-            "recent_act_cycles": list(self.recent_act_cycles),
-            "refresh_row_pointer": self.refresh_row_pointer,
-            "banks": {key: bank.snapshot() for key, bank in self.banks.items()},
-        }
-
-    def restore(self, state: Dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        self.act_ready[:] = state["act_ready"]
-        self.read_ready[:] = state["read_ready"]
-        self.write_ready[:] = state["write_ready"]
-        self.recent_act_cycles.clear()
-        self.recent_act_cycles.extend(state["recent_act_cycles"])
-        self.refresh_row_pointer = state["refresh_row_pointer"]
-        for key, bank_state in state["banks"].items():
-            self.banks[tuple(key)].restore(bank_state)
-
     def apply_refresh(self, cycle: int) -> Tuple[int, int]:
         """Apply a rank-level REF; returns the (start_row, row_count) refreshed.
 
@@ -419,9 +394,10 @@ class DRAMSystem:
         the command stream (scheduling preventive refreshes, throttling)
         must use :meth:`add_activation_observer`, which stays synchronous.
         Drain points: refresh notifications (REF, RFM victim sweeps,
-        preventive ACTs via :meth:`notify_row_refresh`), :meth:`snapshot`,
-        explicit :meth:`flush_activations` calls (the simulation flushes at
-        window end), and the ``_BATCH_FLUSH_LIMIT`` size cap.
+        preventive ACTs via :meth:`notify_row_refresh`, and the sampled
+        fast-forward's functional REFs), explicit :meth:`flush_activations`
+        calls (the security verifier flushes before every result read), and
+        the ``_BATCH_FLUSH_LIMIT`` size cap.
         """
         self._batch_act_observers.append(observer)
 
@@ -477,11 +453,6 @@ class DRAMSystem:
     def bank_for(self, address: DRAMAddress) -> Bank:
         return self.bank(address.channel, address.rank, address.bankgroup, address.bank)
 
-    def iter_banks(self):
-        for rank in self.ranks.values():
-            for bank in rank.banks.values():
-                yield bank
-
     # ------------------------------------------------------------------ #
     # Timing queries
     # ------------------------------------------------------------------ #
@@ -526,8 +497,8 @@ class DRAMSystem:
         """Build :attr:`apply` with every construction-stable input pre-bound.
 
         Positional defaults, as in the controller's select: the rank dict,
-        the bus dicts, the statistics and the observer lists are mutated in
-        place for the system's lifetime (see :meth:`restore`).  The ACT-event
+        the bus dicts, the statistics and the observer lists are created
+        once at construction and only ever mutated in place.  The ACT-event
         :class:`DRAMAddress` is memoized per row, since hammering workloads
         re-activate the same rows by construction.
         """
@@ -629,39 +600,6 @@ class DRAMSystem:
             raise ValueError(f"unknown command kind {kind}")
 
         return apply
-
-    # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict:
-        """Plain-data checkpoint: every rank (with its banks), the per-channel
-        bus state and the global statistics.  Observers are wiring, not
-        state, and are not captured; buffered batch events are drained first
-        so a restored system never replays them."""
-        self.flush_activations()
-        return {
-            "ranks": {key: rank.snapshot() for key, rank in self.ranks.items()},
-            "data_bus_free": dict(self._data_bus_free),
-            "command_bus_free": dict(self._command_bus_free),
-            "stats": dict(vars(self.stats)),
-            "current_cycle": self.current_cycle,
-        }
-
-    def restore(self, state: Dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        self._batch_cycles = []
-        self._batch_addresses = []
-        self._batch_flags = []
-        for key, rank_state in state["ranks"].items():
-            self.ranks[tuple(key)].restore(rank_state)
-        # In-place updates: apply and the controller's demand scan bind
-        # these dicts once at construction, so the objects must stay
-        # identical.
-        self._data_bus_free.update(state["data_bus_free"])
-        self._command_bus_free.update(state["command_bus_free"])
-        for key, value in state["stats"].items():
-            setattr(self.stats, key, value)
-        self.current_cycle = state["current_cycle"]
 
     # ------------------------------------------------------------------ #
     # Aggregate statistics

@@ -149,40 +149,6 @@ class RowHammerMitigation(ABC):
         return channels * org.ranks_per_channel * org.banks_per_rank
 
     # ------------------------------------------------------------------ #
-    # Checkpointing (the sampled-fidelity Checkpoint protocol)
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict:
-        """Plain-data checkpoint of the mechanism's mutable state.
-
-        The base capture covers the shared statistics; mechanisms with
-        internal tracking state (sketches, tables, RNGs, reset timers)
-        override :meth:`_snapshot_state`/:meth:`_restore_state` — keeping
-        the stats plumbing in one place.  ``restore(snapshot())`` on an
-        identically constructed and attached instance must reproduce
-        identical subsequent behavior (pinned by
-        ``tests/test_snapshot_restore.py``).
-        """
-        stats = dict(vars(self.stats))
-        stats["extra"] = dict(self.stats.extra)
-        return {"stats": stats, "state": self._snapshot_state()}
-
-    def restore(self, data: Dict) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        for key, value in data["stats"].items():
-            if key == "extra":
-                self.stats.extra = dict(value)
-            else:
-                setattr(self.stats, key, value)
-        self._restore_state(data["state"])
-
-    def _snapshot_state(self) -> Dict:
-        """Mechanism-specific mutable state (default: none)."""
-        return {}
-
-    def _restore_state(self, state: Dict) -> None:
-        """Restore mechanism-specific state (default: nothing to restore)."""
-
-    # ------------------------------------------------------------------ #
     # Area/storage modelling
     # ------------------------------------------------------------------ #
     def storage_bits_per_bank(self) -> int:

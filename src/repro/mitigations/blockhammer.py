@@ -144,29 +144,6 @@ class BlockHammer(RowHammerMitigation):
         self._last_blacklisted_act.clear()
 
     # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def _snapshot_state(self) -> Dict:
-        return {
-            "filters": {
-                bank_key: cbf.snapshot()
-                for bank_key, cbf in self._filters.items()
-            },
-            "last_blacklisted_act": list(self._last_blacklisted_act.items()),
-            "next_epoch_cycle": self._next_epoch_cycle,
-        }
-
-    def _restore_state(self, state: Dict) -> None:
-        self._filters = {}
-        for bank_key, cbf_state in state["filters"].items():
-            self._filter_for(tuple(bank_key)).restore(cbf_state)
-        self._last_blacklisted_act = {
-            (tuple(bank_key), row): act_cycle
-            for (bank_key, row), act_cycle in state["last_blacklisted_act"]
-        }
-        self._next_epoch_cycle = state["next_epoch_cycle"]
-
-    # ------------------------------------------------------------------ #
     # Storage model
     # ------------------------------------------------------------------ #
     def storage_bits_per_bank(self) -> int:

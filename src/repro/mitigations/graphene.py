@@ -127,29 +127,6 @@ class Graphene(RowHammerMitigation):
         self.stats.counter_resets += 1
 
     # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def _snapshot_state(self) -> Dict:
-        return {
-            "tables": {
-                bank_key: table.snapshot()
-                for bank_key, table in self._tables.items()
-            },
-            "last_refresh_trigger": list(self._last_refresh_trigger.items()),
-            "next_reset_cycle": self._next_reset_cycle,
-        }
-
-    def _restore_state(self, state: Dict) -> None:
-        self._tables = {}
-        for bank_key, table_state in state["tables"].items():
-            self._table_for(tuple(bank_key)).restore(table_state)
-        self._last_refresh_trigger = {
-            (tuple(bank_key), row): trigger
-            for (bank_key, row), trigger in state["last_refresh_trigger"]
-        }
-        self._next_reset_cycle = state["next_reset_cycle"]
-
-    # ------------------------------------------------------------------ #
     # Storage model (Table 1)
     # ------------------------------------------------------------------ #
     def storage_bits_per_bank(self) -> int:

@@ -189,30 +189,6 @@ class Hydra(RowHammerMitigation):
         self.stats.counter_resets += 1
 
     # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def _snapshot_state(self) -> Dict:
-        return {
-            "gct": list(self._gct.items()),
-            "tracked_groups": list(self._tracked_groups.items()),
-            "rct": list(self._rct.items()),
-            # Insertion order IS the LRU order; a plain pair list keeps it.
-            "rcc": list(self._rcc.items()),
-            "next_reset_cycle": self._next_reset_cycle,
-        }
-
-    def _restore_state(self, state: Dict) -> None:
-        self._gct = {tuple(key): count for key, count in state["gct"]}
-        self._tracked_groups = {
-            tuple(key): flag for key, flag in state["tracked_groups"]
-        }
-        self._rct = {tuple(key): count for key, count in state["rct"]}
-        self._rcc = OrderedDict(
-            (tuple(key), dirty) for key, dirty in state["rcc"]
-        )
-        self._next_reset_cycle = state["next_reset_cycle"]
-
-    # ------------------------------------------------------------------ #
     # Storage model (Table 4)
     # ------------------------------------------------------------------ #
     def storage_bits_per_bank(self) -> int:

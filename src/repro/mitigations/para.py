@@ -99,14 +99,6 @@ class PARA(RowHammerMitigation):
         if self._rng.random() < self.probability:
             self.refresh_victims(cycle, address)
 
-    def _snapshot_state(self) -> dict:
-        # PARA's only mutable state is the coin-flip RNG; capturing it makes
-        # restore() reproduce the identical refresh decision sequence.
-        return {"rng_state": self._rng.getstate()}
-
-    def _restore_state(self, state: dict) -> None:
-        self._rng.setstate(state["rng_state"])
-
     def storage_bits_per_bank(self) -> int:
         # PARA is stateless (Section 7.3.1 of the paper).
         return 0

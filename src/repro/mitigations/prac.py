@@ -132,26 +132,6 @@ class PRAC(RowHammerMitigation):
         return self._abo_until
 
     # ------------------------------------------------------------------ #
-    # Checkpointing
-    # ------------------------------------------------------------------ #
-    def _snapshot_state(self) -> Dict:
-        return {
-            "counters": [
-                [list(key), [list(item) for item in sorted(rows.items())]]
-                for key, rows in sorted(self._counters.items())
-                if rows
-            ],
-            "abo_until": self._abo_until,
-        }
-
-    def _restore_state(self, state: Dict) -> None:
-        self._counters = {
-            tuple(key): {row: count for row, count in rows}
-            for key, rows in state["counters"]
-        }
-        self._abo_until = state["abo_until"]
-
-    # ------------------------------------------------------------------ #
     # Storage model
     # ------------------------------------------------------------------ #
     def storage_bits_per_bank(self) -> int:

@@ -14,7 +14,9 @@ through alternating phases:
   :class:`~repro.sim.engine.EventKernel`, bit-exactly like a full run, with
   each core's :attr:`~repro.cpu.core.Core.window_limit` bounding how many
   trace entries it may replay before the window closes (outstanding reads
-  drain, queues empty — the system reaches a checkpointable drained point).
+  drain, queues empty — the system reaches a drained point, and every
+  component's state stays live in the one :class:`System` for the
+  fast-forward phase that follows).
 * **Fast-forward phases** advance the remaining trace entries *functionally*:
   every skipped access still updates the row-buffer state, per-row
   activation counters, DRAM/controller statistics and — crucially — fires

@@ -25,14 +25,13 @@ value CoMeT saturates the whole group itself (:meth:`CountMinSketch.set_group`),
 so ``total_updates`` counts exactly the increments that were applied.
 
 Counters live in a plain list of ``k`` per-hash lists of Python ints and are
-updated one key at a time, as the hardware does one ACT at a time; snapshots
-are those lists copied, so they pickle and serialise as JSON unchanged.
+updated one key at a time, as the hardware does one ACT at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.sketch.hashes import HashFamily, ShiftMaskHashFamily
 
@@ -168,30 +167,6 @@ class CountMinSketch:
     # ------------------------------------------------------------------ #
     # Introspection helpers
     # ------------------------------------------------------------------ #
-    def counters_snapshot(self) -> List[List[int]]:
-        """Deep copy of the counter array."""
-        return [list(row) for row in self._counters]
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Plain-data checkpoint of the mutable sketch state.
-
-        Geometry, hashing and the saturation ceiling are construction-time
-        constants and are not captured; ``restore`` assumes an identically
-        configured instance.
-        """
-        return {
-            "counters": self.counters_snapshot(),
-            "total_updates": self.total_updates,
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        self._counters = [list(row) for row in state["counters"]]
-        self.total_updates = state["total_updates"]
-
-    def max_counter(self) -> int:
-        """Largest counter value currently stored."""
-        return max(max(row) for row in self._counters)
 
     def num_saturated_counters(self) -> int:
         """Number of counters currently at the saturation value."""

@@ -17,7 +17,7 @@ active filter (see :class:`DualCountingBloomFilter`).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import List
 
 from repro.sketch.hashes import ShiftMaskHashFamily
 
@@ -95,21 +95,6 @@ class CountingBloomFilter:
         self._counters = [0] * self.num_counters
         self.total_updates = 0
 
-    def counters_snapshot(self) -> List[int]:
-        return list(self._counters)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Plain-data checkpoint of the mutable filter state."""
-        return {
-            "counters": self.counters_snapshot(),
-            "total_updates": self.total_updates,
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        self._counters = list(state["counters"])
-        self.total_updates = state["total_updates"]
-
     @property
     def storage_bits(self) -> int:
         return self.num_counters * self.counter_width_bits
@@ -176,19 +161,3 @@ class DualCountingBloomFilter:
     @property
     def storage_bits(self) -> int:
         return sum(f.storage_bits for f in self.filters)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Plain-data checkpoint: both filters plus the epoch bookkeeping."""
-        return {
-            "filters": [f.snapshot() for f in self.filters],
-            "active_index": self.active_index,
-            "epoch": self.epoch,
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        for f, sub in zip(self.filters, state["filters"]):
-            f.restore(sub)
-        self.active_index = state["active_index"]
-        self.epoch = state["epoch"]
-

@@ -18,7 +18,7 @@ that growth is what drives Graphene's area explosion at low thresholds
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 
 class MisraGriesSummary:
@@ -91,19 +91,11 @@ class MisraGriesSummary:
             return self._entries[key]
         return self.spillover
 
-    def is_tracked(self, key: int) -> bool:
-        return key in self._entries
-
     def reset(self) -> None:
         """Clear the table (Graphene's periodic reset every tREFW/k)."""
         self._entries.clear()
         self.spillover = 0
         self.total_updates = 0
-
-    def reset_key(self, key: int) -> None:
-        """Reset one tracked entry to the spillover value (after a preventive refresh)."""
-        if key in self._entries:
-            self._entries[key] = self.spillover
 
     # ------------------------------------------------------------------ #
     # Introspection and storage modelling
@@ -111,27 +103,6 @@ class MisraGriesSummary:
     @property
     def occupancy(self) -> int:
         return len(self._entries)
-
-    def tracked_items(self) -> Dict[int, int]:
-        return dict(self._entries)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Plain-data checkpoint of the mutable summary state.
-
-        Entry insertion order is preserved (``_find_entry_at_spillover``
-        scans in insertion order, so it is behaviorally significant).
-        """
-        return {
-            "entries": list(self._entries.items()),
-            "spillover": self.spillover,
-            "total_updates": self.total_updates,
-        }
-
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Restore the state captured by :meth:`snapshot`."""
-        self._entries = {key: count for key, count in state["entries"]}
-        self.spillover = state["spillover"]
-        self.total_updates = state["total_updates"]
 
     @property
     def storage_bits(self) -> int:

@@ -101,13 +101,6 @@ class TestSecurityVerifier:
         assert report["is_secure"] is True
         assert report["max_disturbance"] == 3
 
-    def test_worst_victims_sorted(self, tiny_dram_config):
-        dram, verifier = self.make(tiny_dram_config, nrh=100)
-        self.hammer(dram, row=5, times=4)
-        self.hammer(dram, row=50, times=2)
-        worst = verifier.worst_victims(top=2)
-        assert worst[0][1] >= worst[1][1]
-
     def test_invalid_nrh(self, tiny_dram_config):
         dram = DRAMSystem(tiny_dram_config)
         with pytest.raises(ValueError):

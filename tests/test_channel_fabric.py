@@ -110,7 +110,8 @@ class TestAddressMappingMultiChannel:
     def test_decode_encode_is_cacheline_stable(self, channels, raw):
         config = small_test_config(rows_per_bank=256, channels=channels)
         mapper = AddressMapper(config)
-        physical = raw % config.organization.capacity_bytes
+        organization = config.organization
+        physical = raw % (organization.total_rows * organization.row_size_bytes)
         decoded = mapper.decode(physical)
         assert 0 <= decoded.channel < channels
         cacheline = config.organization.cacheline_bytes

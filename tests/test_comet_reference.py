@@ -170,29 +170,29 @@ class ReferenceCoMeT:
 
 
 def _assert_same_state(comet: CoMeT, controller: FakeController, reference: ReferenceCoMeT):
-    snapshot = comet.snapshot()
-    stats = snapshot["stats"]
+    stats = comet.stats
     for name in (
         "observed_activations",
         "preventive_refreshes",
         "early_refresh_operations",
         "counter_resets",
     ):
-        assert stats[name] == reference.stats[name], name
-    assert stats["extra"].get("rat_evictions", 0) == reference.stats["rat_evictions"]
-    assert snapshot["state"]["next_reset_cycle"] == reference.next_reset
+        assert getattr(stats, name) == reference.stats[name], name
+    assert stats.extra.get("rat_evictions", 0) == reference.stats["rat_evictions"]
+    assert comet._next_reset_cycle == reference.next_reset
 
-    banks = snapshot["state"]["banks"]
-    assert set(banks) == set(reference.banks)
-    for bank_key, bank in banks.items():
+    assert set(comet._banks) == set(reference.banks)
+    for bank_key, tracker in comet._banks.items():
         expected = reference.banks[bank_key]
-        assert bank["counter_table"]["counters"] == expected.ct, bank_key
-        assert bank["counter_table"]["total_updates"] == expected.ct_updates, bank_key
-        assert dict(bank["rat"]["entries"]) == expected.rat, bank_key
-        assert bank["rat"]["rng_state"] == expected.rng.getstate(), bank_key
-        rat_stats = {key: value for key, value in bank["rat"]["stats"].items() if value}
+        sketch = tracker.counter_table._sketch
+        assert sketch._counters == expected.ct, bank_key
+        assert sketch.total_updates == expected.ct_updates, bank_key
+        rat = tracker.rat
+        assert rat._entries == expected.rat, bank_key
+        assert rat._rng.getstate() == expected.rng.getstate(), bank_key
+        rat_stats = {key: value for key, value in vars(rat.stats).items() if value}
         assert rat_stats == dict(+expected.rat_stats), bank_key
-        assert bank["miss_history"] == expected.history, bank_key
+        assert list(tracker.miss_history) == expected.history, bank_key
 
     queued = [(address.row_key, cycle) for address, cycle in controller.preventive_refreshes]
     assert queued == reference.victims

@@ -533,41 +533,6 @@ class TestRFMRefreshPolicy:
         policy_obj._observe_refresh(100, (address.channel, address.rank), 0, 8)
         assert policy_obj._raa[bank_key] == 0
 
-    def test_snapshot_round_trip_mid_accumulation(self, tiny_dram_config):
-        """A restored twin owes the same RFMs and picks the same victim."""
-        import pickle
-
-        from repro.controller.policies import RFMRefreshPolicy
-
-        def build():
-            p = RFMRefreshPolicy(raaimt=4, raammt=8)
-            p.attach(make_controller(tiny_dram_config))
-            return p
-
-        original = build()
-        mapper = original._controller.mapper
-        rows = [7, 7, 9, 7, 11, 9, 7]
-        for i, row in enumerate(rows):
-            address = mapper.decode(mapper.address_for_row(row, bank_index=0))
-            original._observe_activation(i, address, False)
-        state = pickle.loads(pickle.dumps(original.snapshot()))
-
-        restored = build()
-        restored.restore(state)
-        assert restored._raa == original._raa
-        assert restored._row_acts == original._row_acts
-        assert list(restored.rfm_pending()) == list(original.rfm_pending())
-        # Service the owed RFM on both: same victim row chosen, same payback.
-        (bank_key,) = original.rfm_pending()
-        original.on_rfm(100, bank_key)
-        restored.on_rfm(100, bank_key)
-        assert restored._raa == original._raa
-        assert restored._row_acts == original._row_acts
-        assert (
-            original._controller.dram.stats.in_dram_refresh_rows
-            == restored._controller.dram.stats.in_dram_refresh_rows
-        )
-
     def test_rfm_end_to_end_secure_at_low_nrh(self):
         """The scaling-study contract in miniature: NRH-scaled RFM holds
         the invariant against blacksmith at NRH=64 (see repro.security

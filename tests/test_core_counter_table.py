@@ -79,10 +79,10 @@ class TestCounterTable:
         different = sum(1 for row in rows if a.counter_group(row) != b.counter_group(row))
         assert different > 100
 
-    def test_snapshot_shape(self, table):
-        snapshot = table.counters_snapshot()
-        assert len(snapshot) == 2
-        assert len(snapshot[0]) == 32
+    def test_counter_array_shape(self, table):
+        counters = table._sketch._counters
+        assert len(counters) == 2
+        assert len(counters[0]) == 32
 
     def test_record_activation_counts_below_npr_only(self, table):
         """CoMeT's one-pass ACT: the estimate before the ACT is returned, and

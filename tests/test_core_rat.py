@@ -9,7 +9,6 @@ class TestRAT:
     def test_allocate_and_lookup(self):
         rat = RecentAggressorTable(num_entries=4)
         rat.allocate(10, 0)
-        assert rat.contains(10)
         assert rat.lookup(10) == 0
         assert rat.stats.hits == 1
 
@@ -52,10 +51,11 @@ class TestRAT:
         rat = RecentAggressorTable(num_entries=3, seed=7)
         for row in range(3):
             assert rat.allocate(row, 0) is None
-        assert rat.is_full
+        assert rat.occupancy == rat.num_entries
         evicted = rat.allocate(99, 0)
         assert evicted in {0, 1, 2}
-        assert rat.contains(99)
+        assert rat.lookup(99) == 0
+        assert rat.lookup(evicted) is None
         assert rat.occupancy == 3
         assert rat.stats.evictions == 1
 
@@ -73,7 +73,7 @@ class TestRAT:
         rat.allocate(1, 0)
         rat.reset()
         assert rat.occupancy == 0
-        assert not rat.contains(1)
+        assert rat.lookup(1) is None
 
     def test_occupancy_pressure(self):
         rat = RecentAggressorTable(num_entries=2)

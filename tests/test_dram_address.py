@@ -81,11 +81,6 @@ class TestAddressForRow:
         org = mapper.config.organization
         assert len(mapper.all_bank_indices()) == org.ranks_per_channel * org.banks_per_rank
 
-    def test_iter_rows(self, mapper):
-        addresses = list(mapper.iter_rows(bank_index=0, start=10, count=5))
-        rows = [mapper.decode(a).row for a in addresses]
-        assert rows == [10, 11, 12, 13, 14]
-
 
 class TestNeighbors:
     def test_middle_row_has_two_victims(self, mapper):

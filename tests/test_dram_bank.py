@@ -131,11 +131,6 @@ class TestAccounting:
         assert bank.stats.activations == 5
         assert bank.stats.preventive_activations == 0
 
-    def test_is_row_hit(self, bank):
-        bank.activate(0, 3)
-        assert bank.is_row_hit(3)
-        assert not bank.is_row_hit(4)
-
     def test_is_closed(self, bank, timing):
         assert bank.is_closed()
         bank.activate(0, 1)

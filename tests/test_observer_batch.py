@@ -2,13 +2,14 @@
 
 The DRAM model delivers ACT events to *pure* observers in
 batches — SoA columns handed to ``observe_batch`` at drain points
-(refresh boundaries, snapshots, window end) — instead of one callback per
-ACT.  The streaming :class:`~repro.analysis.security.SecurityVerifier` is
+(refresh notifications, verifier result reads, a size cap) — instead of
+one callback per ACT.  The streaming :class:`~repro.analysis.security.SecurityVerifier` is
 the only such observer; mitigation mechanisms feed back into the command
 stream and always observe ACTs synchronously.  That is only sound if the
 verifier's hoisted batch body is behaviorally identical to its per-event
 observer, which these tests pin for arbitrary event streams and arbitrary
-batch partitionings: same final snapshot, same verdict.
+batch partitionings: same disturbance map (in insertion order), same
+verdict.
 """
 
 from __future__ import annotations
@@ -123,7 +124,9 @@ class TestVerifierBatchEqualsSerial:
             )
             start += size
 
-        assert batched.snapshot() == serial.snapshot()
+        assert list(batched._disturbance.items()) == list(
+            serial._disturbance.items()
+        )
         assert batched.violation_count == serial.violation_count
         assert batched.max_disturbance == serial.max_disturbance
         assert batched.first_violation_cycle == serial.first_violation_cycle

@@ -114,7 +114,7 @@ class TestRATProperties:
         for row in rows:
             rat.allocate(row, 0)
             assert rat.occupancy <= 8
-            assert rat.contains(row)
+            assert rat.lookup(row) == 0
 
 
 class TestCoMeTNeverUnderestimates:

@@ -231,20 +231,12 @@ class TestChannelScoping:
         order, whether the map is smaller or larger than the rows covered."""
         victims = [(key, 1 + index % 5) for index, key in enumerate(order[:tracked])]
         verifier = make_verifier(channels=2)
-        verifier.restore(
-            {
-                "disturbance": victims,
-                "violations": [],
-                "violation_count": 0,
-                "first_violation_cycle": None,
-                "max_disturbance": 0,
-            }
-        )
+        verifier._disturbance.update(victims)
         expected = full_scan_refresh(
             dict(victims), channel, rank, start_row, count
         )
         verifier._on_rank_refresh(0, (channel, rank), start_row, count)
-        assert verifier.snapshot()["disturbance"] == list(expected.items())
+        assert list(verifier._disturbance.items()) == list(expected.items())
 
     def test_two_channel_fabric_isolates_attack_disturbance(self):
         """End to end: an attack confined to channel 1 of a 2-channel fabric

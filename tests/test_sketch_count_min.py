@@ -94,7 +94,7 @@ class TestCountMinSketch:
         for key in range(50):
             sketch.update(key)
         sketch.reset()
-        assert sketch.max_counter() == 0
+        assert all(value == 0 for row in sketch._counters for value in row)
         assert sketch.total_updates == 0
         assert all(sketch.estimate(key) == 0 for key in range(50))
 
@@ -220,7 +220,7 @@ class TestEstimateAndIncrement:
             else:
                 fused.reset()
                 reference.reset()
-            assert fused.counters_snapshot() == reference.counters_snapshot()
+            assert fused._counters == reference._counters
             assert fused.total_updates == reference.total_updates
 
     def test_saturated_group_is_left_alone(self):
@@ -229,9 +229,9 @@ class TestEstimateAndIncrement:
         assert sketch.estimate(5) == 2
         assert sketch.total_updates == 2
         sketch.set_group(5, 3)
-        before = sketch.counters_snapshot()
+        before = [list(row) for row in sketch._counters]
         assert sketch.estimate_and_increment(5) == 3
-        assert sketch.counters_snapshot() == before
+        assert sketch._counters == before
         assert sketch.total_updates == 2
 
 
