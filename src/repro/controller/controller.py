@@ -127,14 +127,6 @@ class ControllerStatistics:
             return 0.0
         return self.total_read_latency / self.completed_reads
 
-    def record_read_completion(self, request: MemoryRequest) -> None:
-        latency = request.latency or 0
-        self.total_read_latency += latency
-        self.completed_reads += 1
-        if request.core_id is not None:
-            self.per_core_read_latency[request.core_id] += latency
-            self.per_core_reads[request.core_id] += 1
-
 
 def _request_sort_key(request: MemoryRequest) -> Tuple[int, int]:
     return (request.arrival_cycle, request.request_id)
@@ -1107,9 +1099,11 @@ class MemoryController:
         One closure for all six command kinds.  It hands the command to
         :attr:`~repro.dram.dram_system.DRAMSystem.apply` — the device half:
         buses, bank and rank state, device statistics, observers — and then
-        does the controller's half: retire the served request, advance the
-        refresh schedule, count row hits, misses and conflicts, and call the
-        policy hooks.  No-op hooks are resolved away here (FR-FCFS, FCFS and
+        does the controller's half: retire the served request (a RD/WR
+        sets its completion cycle, calls its ``on_complete`` and adds a
+        read's latency to the statistics right here), advance the refresh
+        schedule, count row hits, misses and conflicts, and call the policy
+        hooks.  No-op hooks are resolved away here (FR-FCFS, FCFS and
         the open-page row policy observe nothing; BLISS keeps its
         ``on_issue`` streak tracking), and every construction-stable input
         is pre-bound as a positional default, as in :meth:`_build_select`.
@@ -1125,6 +1119,8 @@ class MemoryController:
             apply=self.dram.apply,
             dram_stats=self.dram.stats,
             ctl_stats=self.stats,
+            per_core_read_latency=self.stats.per_core_read_latency,
+            per_core_reads=self.stats.per_core_reads,
             on_act_hook=(
                 row_policy.on_act
                 if type(row_policy).on_act is not RowPolicy.on_act
@@ -1208,9 +1204,19 @@ class MemoryController:
                     queue = write_queue if request_type is WRITE else read_queue
                     queue.remove(request)
                     unindex_request(request)
-                    request.complete(result)
+                    # The request completes when its data burst ends.
+                    request.completion_cycle = result
+                    on_complete = request.on_complete
+                    if on_complete is not None:
+                        on_complete(request, result)
                     if request_type is READ and not request.is_mitigation_traffic:
-                        ctl_stats.record_read_completion(request)
+                        latency = result - request.arrival_cycle
+                        ctl_stats.total_read_latency += latency
+                        ctl_stats.completed_reads += 1
+                        core_id = request.core_id
+                        if core_id is not None:
+                            per_core_read_latency[core_id] += latency
+                            per_core_reads[core_id] += 1
                     # Served straight from the open row: a row-buffer hit.
                     ctl_stats.row_hits += 1
                     if on_issue_hook is not None:

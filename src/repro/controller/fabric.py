@@ -21,7 +21,7 @@ controller, plus aggregate statistics for result assembly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.controller.controller import (
     ControllerConfig,
@@ -159,20 +159,6 @@ class ChannelFabric:
         return sum_statistics(
             DRAMStatistics(), (ctl.dram.stats for ctl in self.controllers)
         )
-
-    def per_channel_summary(self) -> List[Dict[str, int]]:
-        """Per-channel load breakdown (used by reports and the fabric tests)."""
-        return [
-            {
-                "channel": index,
-                "read_requests": controller.stats.read_requests,
-                "write_requests": controller.stats.write_requests,
-                "preventive_refreshes": controller.stats.preventive_refreshes,
-                "acts": controller.dram.stats.acts,
-                "refreshes": controller.dram.stats.refreshes,
-            }
-            for index, controller in enumerate(self.controllers)
-        ]
 
     def __len__(self) -> int:
         return len(self.controllers)

@@ -74,9 +74,6 @@ class CounterTable:
     def counter_group(self, row: int) -> List[int]:
         return self._sketch.counter_group(row)
 
-    def num_saturated_counters(self) -> int:
-        return self._sketch.num_saturated_counters()
-
     @property
     def npr(self) -> int:
         return self.config.npr

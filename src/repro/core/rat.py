@@ -31,13 +31,6 @@ class RATStatistics:
     capacity_misses: int = 0
     compulsory_misses: int = 0
 
-    @property
-    def occupancy_pressure(self) -> float:
-        """Fraction of misses caused by capacity (vs. compulsory) misses."""
-        if self.misses == 0:
-            return 0.0
-        return self.capacity_misses / self.misses
-
 
 class RecentAggressorTable:
     """Per-bank table of tagged per-row activation counters with random eviction."""

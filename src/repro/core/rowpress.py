@@ -13,8 +13,8 @@ this package, since they all take an ``nrh`` parameter):
 
 * :func:`effective_rowhammer_threshold` converts a RowHammer threshold plus a
   maximum row-open time into the *effective* threshold a tracker must enforce;
-* :class:`RowPressAwareConfig` wraps the conversion and produces a
-  :class:`~repro.core.config.CoMeTConfig` configured for the reduced budget;
+* :class:`RowPressAwareConfig` wraps the conversion: its ``effective_nrh``
+  is the reduced budget to pass as any mitigation's ``nrh``;
 * :func:`row_open_time_cap_cycles` computes the row-open-time cap the memory
   controller should enforce (the paper's adaptation (i)), given DDR4 timings.
 
@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.config import CoMeTConfig
 from repro.dram.config import DRAMTiming
 
 #: (row open time in nanoseconds, threshold reduction factor) anchor points.
@@ -142,10 +141,6 @@ class RowPressAwareConfig:
     @property
     def effective_nrh(self) -> int:
         return effective_rowhammer_threshold(self.nrh, self.max_row_open_time_ns)
-
-    def comet_config(self, **overrides) -> CoMeTConfig:
-        """A CoMeTConfig protecting the RowPress-adjusted threshold."""
-        return CoMeTConfig(nrh=self.effective_nrh, **overrides)
 
     def describe(self) -> str:
         return (

@@ -52,18 +52,6 @@ class CacheStatistics:
     misses: int = 0
     writebacks: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
-    @property
-    def miss_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
 
 @dataclass
 class AccessResult:
@@ -124,21 +112,6 @@ class LastLevelCache:
         return AccessResult(
             hit=False, fill_address=fill_address, writeback_address=writeback_address
         )
-
-    def contains(self, address: int) -> bool:
-        set_index, tag = self._index_and_tag(address)
-        return tag in self._sets[set_index]
-
-    def flush(self) -> List[int]:
-        """Evict everything; returns the addresses of dirty lines written back."""
-        writebacks = []
-        for set_index, ways in enumerate(self._sets):
-            for tag, dirty in ways.items():
-                if dirty:
-                    writebacks.append(self._line_address(set_index, tag))
-            ways.clear()
-        self.stats.writebacks += len(writebacks)
-        return writebacks
 
     @property
     def occupancy(self) -> int:

@@ -92,6 +92,7 @@ class Core:
         self.cache = cache
         self.mapper: AddressMapper = controller.mapper
         self.stats = CoreStatistics()
+        self._issue_rate = self.config.issue_rate_per_mem_cycle
 
         self._cursor = 0
         self._front_cycle = 0.0
@@ -108,11 +109,15 @@ class Core:
         #: Set by the event kernel; called whenever a state change may move
         #: this core's next event earlier (a read completion arriving).
         self.kernel_wakeup: Optional[Callable[[], None]] = None
-        #: Memo for :meth:`_dispatch_cycle_for_next_entry`: the event kernel
-        #: asks for the next event cycle more than once between state
-        #: changes (once to schedule, again after unrelated controllers
-        #: advance), and the answer only moves when this core steps or a
-        #: read completes — the two sites that clear the memo.
+        #: Memo for :meth:`next_event_cycle`: the event kernel asks for the
+        #: next event cycle more than once between state changes (once to
+        #: schedule, again after unrelated controllers advance), and the
+        #: answer only moves when this core steps, a read completes, a
+        #: blocked request gets enqueued or something outside the core
+        #: moves its cursor, front cycle or ``window_limit`` (the sampled
+        #: executor) — every such site clears the memo.  It is set only
+        #: while the core is neither blocked, exhausted nor at its window
+        #: limit, so a set memo is the answer.
         self._dispatch_memo: Optional[Union[int, float]] = None
 
     # ------------------------------------------------------------------ #
@@ -137,15 +142,13 @@ class Core:
         sentinel, not ``float("inf")``) while the core waits on memory, so
         callers comparing against cycle counters stay in integer arithmetic.
         """
-        if self.finished:
-            return NEVER
+        memo = self._dispatch_memo
+        if memo is not None:
+            return memo
         if self._blocked_on_queue is not None:
             return NEVER
         if self._trace_exhausted or self._at_window_limit:
             return NEVER
-        memo = self._dispatch_memo
-        if memo is not None:
-            return memo
         memo = self._dispatch_cycle_for_next_entry()
         self._dispatch_memo = memo
         return memo
@@ -173,7 +176,7 @@ class Core:
     # ------------------------------------------------------------------ #
     def _dispatch_cycle_for_next_entry(self) -> Union[int, float]:
         entry = self.trace[self._cursor]
-        candidate = self._front_cycle + entry.bubble_count / self.config.issue_rate_per_mem_cycle
+        candidate = self._front_cycle + entry.bubble_count / self._issue_rate
         # Exact shortcut: filtering only drops reads, and the survivors'
         # ``dispatched_instructions`` are no smaller than the head's (they
         # were dispatched in program order), so when the unfiltered reads
@@ -270,11 +273,21 @@ class Core:
 
     def _on_read_complete(self, record: _OutstandingRead, cycle: int) -> None:
         self._dispatch_memo = None
-        record.completion_cycle = float(cycle)
-        self._last_completion_cycle = max(self._last_completion_cycle, float(cycle))
-        self.stats.finish_cycle = max(self.stats.finish_cycle, float(cycle))
-        # Drop completed reads from the head so `finished` becomes observable.
-        self._retire_completed(float(cycle))
+        cycle = float(cycle)
+        record.completion_cycle = cycle
+        if cycle > self._last_completion_cycle:
+            self._last_completion_cycle = cycle
+        stats = self.stats
+        if cycle > stats.finish_cycle:
+            stats.finish_cycle = cycle
+        # Drop completed reads from the head, in program order, so
+        # `finished` becomes observable.
+        outstanding = self._outstanding
+        while outstanding:
+            completion = outstanding[0].completion_cycle
+            if completion is None or completion > cycle:
+                break
+            outstanding.popleft()
         if self.kernel_wakeup is not None:
             self.kernel_wakeup()
 

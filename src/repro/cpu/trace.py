@@ -51,13 +51,6 @@ class TraceStatistics:
     num_writes: int
     unique_addresses: int
 
-    @property
-    def accesses_per_kilo_instruction(self) -> float:
-        """Memory accesses per thousand instructions (APKI ~ RBMPKI upper bound)."""
-        if self.total_instructions == 0:
-            return 0.0
-        return 1000.0 * self.num_entries / self.total_instructions
-
 
 class Trace:
     """An in-memory trace with iteration, slicing, repetition and file I/O."""

@@ -1,12 +1,13 @@
-"""Per-bank state machine and timing bookkeeping.
+"""Per-bank timing state.
 
-Each :class:`Bank` tracks its open row, the earliest cycle at which each
-command type may legally be issued to it, and its command counts.  The
-bank only owns the bank-scoped constraints (tRCD, tRAS, tRC, tRP, tRTP,
-tWR), plus the tRFC/tRFM block that a REF or RFM pushes into
-``next_act``.  Rank-scoped constraints (tRRD, tFAW, tCCD, tRTW, tWTR) are
-pushed at issue time into :class:`repro.dram.dram_system.Rank`'s
-per-bank-group ready lists, and the buses are
+Each bank has an open row and the earliest cycle at which each command
+type may legally be issued to it.  The bank slots hold only the
+bank-scoped constraints (tRCD, tRAS, tRC, tRP, tRTP, tWR), plus the
+tRFC/tRFM block that a REF or RFM pushes into ``next_act``.
+:attr:`repro.dram.dram_system.DRAMSystem.apply` checks and writes them for
+every ACT, PRE, RD and WR, and pushes the rank-scoped constraints (tRRD,
+tFAW, tCCD, tRTW, tWTR) into :class:`repro.dram.dram_system.Rank`'s
+per-bank-group ready lists at the same time; the buses are
 :class:`repro.dram.dram_system.DRAMSystem`'s.  Nothing here answers "when
 may this command issue?": readers take ``max`` over the table slot, the
 rank's ready list and the bus (``DRAMSystem.earliest_issue_cycle`` and the
@@ -16,22 +17,17 @@ The timing state itself lives in a :class:`BankTimingTable`, one
 struct-of-arrays earliest-cycle table shared by every bank of a
 :class:`~repro.dram.dram_system.DRAMSystem`: ``next_act[i]``,
 ``open_row[i]`` and friends are plain list slots indexed by the bank's
-dense index.  A :class:`Bank` is a *view* into its slot — its attribute
-interface (``bank.next_act``, ``bank.open_row``, ``bank.state``) is
-unchanged and remains the single source of truth — while the memory
-controller's demand scan reads the shared arrays directly and evaluates
-every candidate bank against one earliest-issue vector instead of chasing
-``ranks[...].banks[...]`` object chains per check.  A bank constructed
-standalone (unit tests) owns a private 1-slot table.
+dense index.  A :class:`Bank` is a *view* into its slot (``bank.next_act``,
+``bank.open_row``, ``bank.state`` read and write the table), while the
+memory controller's demand scan and :attr:`DRAMSystem.apply` read and
+write the shared arrays directly instead of chasing
+``ranks[...].banks[...]`` object chains per command.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import List, Optional
-
-from repro.dram.config import DRAMTiming
 
 
 class BankState(enum.Enum):
@@ -39,20 +35,6 @@ class BankState(enum.Enum):
 
     CLOSED = "closed"
     OPEN = "open"
-
-
-@dataclass
-class BankStatistics:
-    """Per-bank activity counters."""
-
-    activations: int = 0
-    precharges: int = 0
-    reads: int = 0
-    writes: int = 0
-    row_hits: int = 0
-    row_misses: int = 0
-    row_conflicts: int = 0
-    preventive_activations: int = 0
 
 
 class BankTimingTable:
@@ -84,30 +66,17 @@ class BankTimingTable:
 
 
 class Bank:
-    """One DRAM bank: open-row tracking plus bank-scoped timing constraints.
+    """One DRAM bank: a view of its slot in the shared timing table.
 
     ``table``/``index`` locate this bank's slot in the shared
-    :class:`BankTimingTable`; when omitted the bank owns a private 1-slot
-    table (standalone construction in unit tests).
+    :class:`BankTimingTable`; ``bank_key`` is its ``(channel, rank,
+    bankgroup, bank)`` coordinate.
     """
 
-    def __init__(
-        self,
-        timing: DRAMTiming,
-        rows: int,
-        bank_key: tuple = (),
-        table: Optional[BankTimingTable] = None,
-        index: int = 0,
-    ) -> None:
-        self.timing = timing
-        self.rows = rows
+    def __init__(self, bank_key: tuple, table: BankTimingTable, index: int) -> None:
         self.bank_key = bank_key
-        if table is None:
-            table = BankTimingTable(1)
-            index = 0
         self.table = table
         self.index = index
-        self.stats = BankStatistics()
 
     # ------------------------------------------------------------------ #
     # Timing-table views (the attribute interface of the pre-SoA Bank)
@@ -165,78 +134,8 @@ class Bank:
         self.table.col_accesses[self.index] = value
 
     # ------------------------------------------------------------------ #
-    # Command application
+    # Refresh
     # ------------------------------------------------------------------ #
-    def activate(self, cycle: int, row: int, preventive: bool = False) -> None:
-        """Apply an ACT command at ``cycle``; raises if the bank is not ready."""
-        table, i = self.table, self.index
-        if table.open_row[i] is not None or cycle < table.next_act[i]:
-            raise TimingViolation(
-                f"ACT to bank {self.bank_key} row {row} at cycle {cycle}: "
-                f"bank state={self.state.value}, next_act={table.next_act[i]}"
-            )
-        if not 0 <= row < self.rows:
-            raise ValueError(f"row {row} out of range for bank with {self.rows} rows")
-        timing = self.timing
-        table.open_row[i] = row
-        table.col_accesses[i] = 0
-        if cycle + timing.tRCD > table.next_read[i]:
-            table.next_read[i] = cycle + timing.tRCD
-        if cycle + timing.tRCD > table.next_write[i]:
-            table.next_write[i] = cycle + timing.tRCD
-        if cycle + timing.tRAS > table.next_pre[i]:
-            table.next_pre[i] = cycle + timing.tRAS
-        if cycle + timing.tRC > table.next_act[i]:
-            table.next_act[i] = cycle + timing.tRC
-        self.stats.activations += 1
-        if preventive:
-            self.stats.preventive_activations += 1
-
-    def precharge(self, cycle: int) -> None:
-        """Apply a PRE command at ``cycle``."""
-        table, i = self.table, self.index
-        if table.open_row[i] is None or cycle < table.next_pre[i]:
-            raise TimingViolation(
-                f"PRE to bank {self.bank_key} at cycle {cycle}: "
-                f"state={self.state.value}, next_pre={table.next_pre[i]}"
-            )
-        table.open_row[i] = None
-        table.col_accesses[i] = 0
-        if cycle + self.timing.tRP > table.next_act[i]:
-            table.next_act[i] = cycle + self.timing.tRP
-        self.stats.precharges += 1
-
-    def read(self, cycle: int, row: int) -> int:
-        """Apply a RD command; returns the cycle at which data transfer completes."""
-        table, i = self.table, self.index
-        if table.open_row[i] != row or cycle < table.next_read[i]:
-            raise TimingViolation(
-                f"RD to bank {self.bank_key} row {row} at cycle {cycle}: "
-                f"open_row={table.open_row[i]}, next_read={table.next_read[i]}"
-            )
-        timing = self.timing
-        if cycle + timing.tRTP > table.next_pre[i]:
-            table.next_pre[i] = cycle + timing.tRTP
-        self.stats.reads += 1
-        table.col_accesses[i] += 1
-        return cycle + timing.tCL + timing.tBURST
-
-    def write(self, cycle: int, row: int) -> int:
-        """Apply a WR command; returns the cycle at which data transfer completes."""
-        table, i = self.table, self.index
-        if table.open_row[i] != row or cycle < table.next_write[i]:
-            raise TimingViolation(
-                f"WR to bank {self.bank_key} row {row} at cycle {cycle}: "
-                f"open_row={table.open_row[i]}, next_write={table.next_write[i]}"
-            )
-        timing = self.timing
-        data_end = cycle + timing.tCWL + timing.tBURST
-        if data_end + timing.tWR > table.next_pre[i]:
-            table.next_pre[i] = data_end + timing.tWR
-        self.stats.writes += 1
-        table.col_accesses[i] += 1
-        return data_end
-
     def refresh_block(self, cycle: int, until: int) -> None:
         """Block the bank until ``until`` (rank-level REF under way)."""
         table, i = self.table, self.index
@@ -257,7 +156,7 @@ class Bank:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"Bank(key={self.bank_key}, state={self.state.value}, "
-            f"open_row={self.open_row}, acts={self.stats.activations})"
+            f"open_row={self.open_row})"
         )
 
 

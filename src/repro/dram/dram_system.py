@@ -7,16 +7,21 @@ turnaround, tRFC) and exposes two operations to the memory controller:
 * :meth:`DRAMSystem.earliest_issue_cycle` — the first cycle at or after a
   given cycle at which a command would be legal;
 * :attr:`DRAMSystem.apply` — apply a command, updating all state.  It is the
-  only code that changes the device for a command, for all six kinds, and
-  it does not check timing: the caller has already computed the earliest
-  legal cycle (the memory controller's select, or
+  only code that changes the device for a command, for all six kinds.  It
+  raises :class:`~repro.dram.bank.TimingViolation` when a command breaks a
+  bank's state or bank-scoped timing (an ACT to an open bank or before
+  tRC/tRP, a PRE to a closed bank or before tRAS/tRTP/tWR, a RD/WR to a
+  closed bank or before tRCD, a REF with a bank open), but it does not
+  check the rank rules or the buses: the caller has already computed the
+  earliest legal cycle (the memory controller's select, or
   :meth:`earliest_issue_cycle`).
 
 There is one timing model.  Bank-scoped rules live in the banks' shared
 :class:`~repro.dram.bank.BankTimingTable`; rank-scoped rules are pushed at
-issue time into the per-bank-group ready lists of :class:`Rank`; each
-channel's command and data bus is one "free from" cycle.  The controller's
-select reads the same table, lists and bus cycles.
+issue time, by :attr:`DRAMSystem.apply`, into the per-bank-group ready
+lists of :class:`Rank`; each channel's command and data bus is one
+"free from" cycle.  The controller's select reads the same table, lists
+and bus cycles.
 
 The model also maintains the ground-truth row activation bookkeeping that the
 security verifier and the RowHammer mitigations observe: observers can be
@@ -93,27 +98,18 @@ class DRAMStatistics:
         }
 
 
-def _push(ready: List[int], bankgroup: int, same: int, other: int) -> None:
-    """Raise ``ready[bankgroup]`` to at least ``same`` and every other bank
-    group's entry to at least ``other``; an entry is never lowered."""
-    for group, value in enumerate(ready):
-        floor = same if group == bankgroup else other
-        if floor > value:
-            ready[group] = floor
-
-
 class Rank:
     """One DRAM rank: a set of banks plus the rank-scoped timing rules.
 
     ``table``/``index_base`` place this rank's banks in the DRAM system's
     shared :class:`~repro.dram.bank.BankTimingTable` (dense, contiguous
-    slots); standalone construction creates a private table.
+    slots).
 
     The rank rules are pushed at issue time, not re-derived per query:
-    :meth:`apply_act` and :meth:`apply_column` raise three per-bank-group
-    lists of earliest cycles, so each rule is one lookup for every reader
-    (:meth:`earliest_act`, :meth:`earliest_column` and the memory
-    controller's select):
+    :attr:`DRAMSystem.apply` raises three per-bank-group lists of earliest
+    cycles on every ACT and column command, so each rule is one lookup for
+    every reader (:meth:`earliest_act`, :meth:`earliest_column` and the
+    memory controller's select):
 
     * ``act_ready[bg]`` — tRRD_L/tRRD_S after every ACT (same/other bank
       group) and, once four ACTs are recorded, the fourth-last ACT + tFAW;
@@ -133,8 +129,8 @@ class Rank:
         config: DRAMConfig,
         channel: int,
         rank: int,
-        table: Optional[BankTimingTable] = None,
-        index_base: int = 0,
+        table: BankTimingTable,
+        index_base: int,
     ) -> None:
         self.config = config
         self.timing = config.timing
@@ -142,9 +138,6 @@ class Rank:
         self.rank = rank
         org = config.organization
         num_banks = org.bankgroups_per_rank * org.banks_per_bankgroup
-        if table is None:
-            table = BankTimingTable(num_banks)
-            index_base = 0
         self.table = table
         self._bank_indices = range(index_base, index_base + num_banks)
         self.banks: Dict[Tuple[int, int], Bank] = {}
@@ -152,17 +145,11 @@ class Rank:
         for bankgroup in range(org.bankgroups_per_rank):
             for bank in range(org.banks_per_bankgroup):
                 key = (bankgroup, bank)
-                self.banks[key] = Bank(
-                    self.timing,
-                    org.rows_per_bank,
-                    bank_key=(channel, rank, bankgroup, bank),
-                    table=table,
-                    index=index,
-                )
+                self.banks[key] = Bank((channel, rank, bankgroup, bank), table, index)
                 index += 1
         # Earliest cycles per bank group, raised by every ACT and column
-        # command.  Mutated in place only: the controller's select binds
-        # these lists.
+        # command.  Mutated in place only: DRAMSystem.apply and the
+        # controller's select bind these lists.
         self.act_ready: List[int] = [0] * org.bankgroups_per_rank
         self.read_ready: List[int] = [0] * org.bankgroups_per_rank
         self.write_ready: List[int] = [0] * org.bankgroups_per_rank
@@ -211,50 +198,6 @@ class Rank:
     # ------------------------------------------------------------------ #
     # Command application
     # ------------------------------------------------------------------ #
-    def apply_act(self, cycle: int, bankgroup: int, bank: int, row: int, preventive: bool) -> None:
-        self.banks[(bankgroup, bank)].activate(cycle, row, preventive=preventive)
-        timing = self.timing
-        recent = self.recent_act_cycles
-        recent.append(cycle)
-        same = cycle + timing.tRRD_L
-        other = cycle + timing.tRRD_S
-        if len(recent) == recent.maxlen:
-            faw = recent[0] + timing.tFAW
-            same = max(same, faw)
-            other = max(other, faw)
-        _push(self.act_ready, bankgroup, same, other)
-
-    def apply_pre(self, cycle: int, bankgroup: int, bank: int) -> None:
-        self.banks[(bankgroup, bank)].precharge(cycle)
-
-    def apply_column(
-        self, cycle: int, bankgroup: int, bank: int, row: int, is_write: bool
-    ) -> int:
-        target = self.banks[(bankgroup, bank)]
-        timing = self.timing
-        same = cycle + timing.tCCD_L
-        other = cycle + timing.tCCD_S
-        if is_write:
-            data_end = target.write(cycle, row)
-            _push(self.write_ready, bankgroup, same, other)
-            _push(
-                self.read_ready,
-                bankgroup,
-                max(same, data_end + timing.tWTR_L),
-                max(other, data_end + timing.tWTR_S),
-            )
-        else:
-            data_end = target.read(cycle, row)
-            _push(self.read_ready, bankgroup, same, other)
-            turnaround = cycle + timing.tRTW
-            _push(
-                self.write_ready,
-                bankgroup,
-                max(same, turnaround),
-                max(other, turnaround),
-            )
-        return data_end
-
     def apply_refresh(self, cycle: int) -> Tuple[int, int]:
         """Apply a rank-level REF; returns the (start_row, row_count) refreshed.
 
@@ -349,10 +292,13 @@ class DRAMSystem:
         self._command_observers: List[CommandObserver] = []
         self.current_cycle = 0
         #: ``apply(command, cycle)``: THE device update, for every command
-        #: kind, with no timing check — the caller vouches that ``cycle`` is
-        #: legal (see :meth:`earliest_issue_cycle`).  Returns the data-completion
-        #: cycle for RD/WR, the end of the refresh block for REF/RFM and
-        #: ``None`` for ACT/PRE.  Built last: it binds the state above.
+        #: kind.  It raises :class:`~repro.dram.bank.TimingViolation` on every
+        #: bank-state and bank-timing violation, and ``ValueError`` for an
+        #: ACT row out of range; the rank rules and the buses are the
+        #: caller's to respect (see :meth:`earliest_issue_cycle`).  Returns
+        #: the data-completion cycle for RD/WR, the end of the refresh block
+        #: for REF/RFM and ``None`` for ACT/PRE.  Built last: it binds the
+        #: state above.
         self.apply = self._build_apply()
 
     # ------------------------------------------------------------------ #
@@ -496,17 +442,40 @@ class DRAMSystem:
     def _build_apply(self) -> Callable[[Command, int], Optional[int]]:
         """Build :attr:`apply` with every construction-stable input pre-bound.
 
-        Positional defaults, as in the controller's select: the rank dict,
-        the bus dicts, the statistics and the observer lists are created
-        once at construction and only ever mutated in place.  The ACT-event
-        :class:`DRAMAddress` is memoized per row, since hammering workloads
-        re-activate the same rows by construction.
+        One flat closure for all six command kinds.  ACT, PRE, RD and WR
+        check the bank-scoped rules and write the shared
+        :class:`~repro.dram.bank.BankTimingTable` slots and the rank's
+        ``act_ready``/``read_ready``/``write_ready`` lists here, with no
+        ``Rank``/``Bank`` method in between; REF and RFM go through
+        :meth:`Rank.apply_refresh` and :meth:`Rank.apply_rfm`.  Positional
+        defaults, as in the controller's select: the slot map, the table
+        lists, the ready lists, the bus dicts, the statistics and the
+        observer lists are created once at construction and only ever
+        mutated in place, and the timing constants never change.  The
+        ACT-event :class:`DRAMAddress` is memoized per row, since hammering
+        workloads re-activate the same rows by construction.
         """
+        table = self.timing_table
+        timing = self.config.timing
+        # (channel, rank, bankgroup, bank) -> the bank's table slot and its
+        # rank's per-bank-group ready lists and tFAW window.
+        slots = {
+            (rank.channel, rank.rank, bankgroup, bank): (
+                view.index,
+                rank.act_ready,
+                rank.read_ready,
+                rank.write_ready,
+                rank.recent_act_cycles,
+            )
+            for rank in self.ranks.values()
+            for (bankgroup, bank), view in rank.banks.items()
+        }
 
         def apply(
             command: Command,
             cycle: int,
             self=self,
+            slots=slots,
             ranks=self.ranks,
             stats=self.stats,
             command_bus_free=self._command_bus_free,
@@ -515,7 +484,30 @@ class DRAMSystem:
             refresh_observers=self._refresh_observers,
             deliver_activation=self.deliver_activation,
             notify_row_refresh=self.notify_row_refresh,
-            tRFC=self.config.timing.tRFC,
+            open_rows=table.open_row,
+            col_accesses=table.col_accesses,
+            next_act=table.next_act,
+            next_pre=table.next_pre,
+            next_read=table.next_read,
+            next_write=table.next_write,
+            rows=self.config.organization.rows_per_bank,
+            tRCD=timing.tRCD,
+            tRAS=timing.tRAS,
+            tRC=timing.tRC,
+            tRP=timing.tRP,
+            tRTP=timing.tRTP,
+            tWR=timing.tWR,
+            tRRD_L=timing.tRRD_L,
+            tRRD_S=timing.tRRD_S,
+            tFAW=timing.tFAW,
+            tCCD_L=timing.tCCD_L,
+            tCCD_S=timing.tCCD_S,
+            tWTR_L=timing.tWTR_L,
+            tWTR_S=timing.tWTR_S,
+            tRTW=timing.tRTW,
+            read_data=timing.tCL + timing.tBURST,
+            write_data=timing.tCWL + timing.tBURST,
+            tRFC=timing.tRFC,
             act_addresses={},
             act_memo_limit=1 << 20,
             ACT=CommandKind.ACT,
@@ -530,7 +522,6 @@ class DRAMSystem:
                     observer(cycle, command)
             channel = command.channel
             rank_id = command.rank
-            rank = ranks[(channel, rank_id)]
             if cycle > self.current_cycle:
                 self.current_cycle = cycle
             command_bus_free[channel] = cycle + 1
@@ -541,11 +532,47 @@ class DRAMSystem:
                 bank = command.bank
                 row = command.row
                 preventive = command.is_preventive
-                rank.apply_act(cycle, bankgroup, bank, row, preventive)
+                i, act_ready, _, _, recent = slots[(channel, rank_id, bankgroup, bank)]
+                if open_rows[i] is not None or cycle < next_act[i]:
+                    state = "closed" if open_rows[i] is None else "open"
+                    raise TimingViolation(
+                        f"ACT to bank {(channel, rank_id, bankgroup, bank)} row {row} "
+                        f"at cycle {cycle}: bank state={state}, next_act={next_act[i]}"
+                    )
+                if not 0 <= row < rows:
+                    raise ValueError(f"row {row} out of range for bank with {rows} rows")
+                open_rows[i] = row
+                col_accesses[i] = 0
+                ready = cycle + tRCD
+                if ready > next_read[i]:
+                    next_read[i] = ready
+                if ready > next_write[i]:
+                    next_write[i] = ready
+                ready = cycle + tRAS
+                if ready > next_pre[i]:
+                    next_pre[i] = ready
+                ready = cycle + tRC
+                if ready > next_act[i]:
+                    next_act[i] = ready
+                # tRRD_L/tRRD_S after every ACT and, once four are recorded,
+                # the fourth-last ACT + tFAW; a ready entry is never lowered.
+                recent.append(cycle)
+                same = cycle + tRRD_L
+                other = cycle + tRRD_S
+                if len(recent) == 4:
+                    faw = recent[0] + tFAW
+                    if faw > same:
+                        same = faw
+                    if faw > other:
+                        other = faw
+                for group, value in enumerate(act_ready):
+                    floor = same if group == bankgroup else other
+                    if floor > value:
+                        act_ready[group] = floor
                 stats.acts += 1
                 if preventive:
                     stats.preventive_acts += 1
-                row_key = (channel, rank_id, bankgroup, bank, row)
+                row_key = (i, row)
                 address = act_addresses.get(row_key)
                 if address is None:
                     address = DRAMAddress(channel, rank_id, bankgroup, bank, row, 0)
@@ -559,25 +586,76 @@ class DRAMSystem:
                 return None
 
             if kind is PRE:
-                rank.apply_pre(cycle, command.bankgroup, command.bank)
+                bankgroup = command.bankgroup
+                bank = command.bank
+                i = slots[(channel, rank_id, bankgroup, bank)][0]
+                if open_rows[i] is None or cycle < next_pre[i]:
+                    state = "closed" if open_rows[i] is None else "open"
+                    raise TimingViolation(
+                        f"PRE to bank {(channel, rank_id, bankgroup, bank)} at cycle "
+                        f"{cycle}: state={state}, next_pre={next_pre[i]}"
+                    )
+                open_rows[i] = None
+                col_accesses[i] = 0
+                ready = cycle + tRP
+                if ready > next_act[i]:
+                    next_act[i] = ready
                 stats.pres += 1
                 return None
 
             if kind is RD or kind is WR:
                 bankgroup = command.bankgroup
                 bank = command.bank
-                is_write = kind is WR
-                data_end = rank.apply_column(
-                    cycle, bankgroup, bank,
-                    rank.banks[(bankgroup, bank)].open_row, is_write,
-                )
-                data_bus_free[channel] = data_end
-                if is_write:
+                i, _, read_ready, write_ready, _ = slots[(channel, rank_id, bankgroup, bank)]
+                row = open_rows[i]
+                # tCCD_L/tCCD_S after every column command, plus tWTR_L/tWTR_S
+                # after a write burst's end and tRTW after a read.
+                same = cycle + tCCD_L
+                other = cycle + tCCD_S
+                if kind is WR:
+                    if row is None or cycle < next_write[i]:
+                        raise TimingViolation(
+                            f"WR to bank {(channel, rank_id, bankgroup, bank)} row {row} "
+                            f"at cycle {cycle}: open_row={row}, next_write={next_write[i]}"
+                        )
+                    data_end = cycle + write_data
+                    ready = data_end + tWR
+                    if ready > next_pre[i]:
+                        next_pre[i] = ready
+                    pushed, turned = write_ready, read_ready
+                    turn_same = data_end + tWTR_L
+                    turn_other = data_end + tWTR_S
                     stats.writes += 1
                 else:
+                    if row is None or cycle < next_read[i]:
+                        raise TimingViolation(
+                            f"RD to bank {(channel, rank_id, bankgroup, bank)} row {row} "
+                            f"at cycle {cycle}: open_row={row}, next_read={next_read[i]}"
+                        )
+                    data_end = cycle + read_data
+                    ready = cycle + tRTP
+                    if ready > next_pre[i]:
+                        next_pre[i] = ready
+                    pushed, turned = read_ready, write_ready
+                    turn_same = turn_other = cycle + tRTW
                     stats.reads += 1
+                col_accesses[i] += 1
+                if turn_same < same:
+                    turn_same = same
+                if turn_other < other:
+                    turn_other = other
+                for group, value in enumerate(pushed):
+                    floor = same if group == bankgroup else other
+                    if floor > value:
+                        pushed[group] = floor
+                for group, value in enumerate(turned):
+                    floor = turn_same if group == bankgroup else turn_other
+                    if floor > value:
+                        turned[group] = floor
+                data_bus_free[channel] = data_end
                 return data_end
 
+            rank = ranks[(channel, rank_id)]
             if kind is REF:
                 start_row, count = rank.apply_refresh(cycle)
                 stats.refreshes += 1

@@ -220,7 +220,9 @@ class EventKernel:
         command, with the same steps and command stream.
 
         The per-event work — the dirty-core flush, the controller pass and
-        the pop of the next live entry — runs inlined over locals.
+        the pop of the next live entry — runs inlined over locals, and it
+        reads a core's ``_blocked_on_queue`` slot rather than the
+        ``has_blocked_request`` property.
         Per-controller boundary inputs are pre-resolved once: the
         refresh-due dict (mutated in place for the controller's lifetime;
         empty with refresh off), and the scheduler's
@@ -277,7 +279,7 @@ class EventKernel:
                     index = dirty_cores.pop()
                     core = cores[index]
                     core_gen[index] += 1
-                    if core.has_blocked_request:
+                    if core._blocked_on_queue is not None:
                         time = max(ctl.current_cycle for ctl in controllers)
                     else:
                         time = core.next_event_cycle()
@@ -383,11 +385,11 @@ class EventKernel:
 
             if priority == _PRIORITY_CORE:
                 core = cores[index]
-                if core.has_blocked_request:
+                if core._blocked_on_queue is not None:
                     core.retry_blocked(now)
                 elif not core.finished:
                     core.step(now)
-                if core.has_blocked_request:
+                if core._blocked_on_queue is not None:
                     blocked_cores.add(index)
                 else:
                     blocked_cores.discard(index)

@@ -21,26 +21,55 @@ deterministic functions of the spec).
 Callers must NOT shut the shared pool down after a run — that is the whole
 point.  It is torn down at interpreter exit (or explicitly via
 :func:`shutdown_shared_pool`, which tests use to assert cold-start
-behaviour).
+behaviour).  A parent process killed outright (SIGKILL) runs no exit
+handler, so each worker also watches its parent and exits once it is gone.
 """
 
 from __future__ import annotations
 
 import atexit
+import gc
+import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers: int = 0
 
+#: How often a worker checks that its parent is still alive, in seconds.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent: int) -> None:  # pragma: no cover - in workers
+    """Exit the worker once it has been reparented, i.e. its parent died."""
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
 
 def _warm_worker() -> None:  # pragma: no cover - runs inside pool workers
-    """Pre-import the heavy modules a cell execution needs.
+    """Freeze the inherited heap, start the orphan watch, pre-import.
 
-    Runs once per worker process at spawn time, moving the simulator-stack
-    import cost (the dominant per-worker fixed cost for short cells) off
-    the first cell's critical path.
+    Runs once per worker process at spawn time.  A fork-started worker
+    inherits its parent's whole heap, garbage included; ``gc.freeze`` keeps
+    the worker's collector off those objects, which would otherwise cost a
+    full collection of the parent's heap (about 45 ms after one figure
+    harness's simulations) in the middle of some later cell.  The watch is
+    a daemon thread: when the parent dies without shutting the pool down,
+    its workers would otherwise sit idle for good, holding the parent's
+    stdout open.  The imports move the simulator-stack import cost (the
+    dominant per-worker fixed cost for short cells) off the first cell's
+    critical path.
     """
+    gc.freeze()
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(os.getppid(),),
+        name="repro-pool-orphan-watch",
+        daemon=True,
+    ).start()
     import repro.analysis.security  # noqa: F401
     import repro.experiment.execute  # noqa: F401
     import repro.mitigations  # noqa: F401

@@ -98,7 +98,6 @@ def _warm_access(
         if open_row is not None:
             # Conflict: the open row is precharged away first.
             table.open_row[i] = None
-            bank.stats.precharges += 1
             dram.stats.pres += 1
             ctl.stats.row_conflicts += 1
             service += timing.tRP
@@ -106,7 +105,6 @@ def _warm_access(
         ctl.stats.row_misses += 1
         table.open_row[i] = row
         table.col_accesses[i] = 0
-        bank.stats.activations += 1
         dram.stats.acts += 1
         # Observers receive the demand address as the ACT address.  Every
         # registered observer (mitigations, verifiers, controller stats)
@@ -115,10 +113,8 @@ def _warm_access(
         dram.deliver_activation(cycle, address, False)
     table.col_accesses[i] += 1
     if is_write:
-        bank.stats.writes += 1
         dram.stats.writes += 1
     else:
-        bank.stats.reads += 1
         dram.stats.reads += 1
     return service, latency
 
@@ -175,11 +171,7 @@ def _functional_preventive_refresh(ctl, address: DRAMAddress, cycle: int) -> Non
     pair completion statistics match the drained detailed sequence.
     """
     dram = ctl.dram
-    bank = dram.bank_for(address)
     ctl.stats.preventive_refreshes += 1
-    bank.stats.activations += 1
-    bank.stats.preventive_activations += 1
-    bank.stats.precharges += 1
     dram.stats.acts += 1
     dram.stats.preventive_acts += 1
     dram.stats.pres += 1
@@ -239,6 +231,9 @@ def _run_detailed(kernel: EventKernel, cores, budget: int) -> None:
     for core in cores:
         limit = min(len(core.trace), core._cursor + budget)
         core.window_limit = limit
+        # Core.next_event_cycle answers from the memo before it looks at
+        # the window limit, so every limit change clears it.
+        core._dispatch_memo = None
         if limit > core._cursor:
             progress = True
     if progress:
@@ -437,6 +432,7 @@ def run_sampled(
         _calibrated_detailed(config.detailed_window)
     for core in cores:
         core.window_limit = None
+        core._dispatch_memo = None
 
     system._steps = kernel.steps
     return system._build_result(math.ceil(kernel.now))

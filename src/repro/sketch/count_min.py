@@ -164,16 +164,6 @@ class CountMinSketch:
         self._counters = self._zeroed()
         self.total_updates = 0
 
-    # ------------------------------------------------------------------ #
-    # Introspection helpers
-    # ------------------------------------------------------------------ #
-
-    def num_saturated_counters(self) -> int:
-        """Number of counters currently at the saturation value."""
-        return sum(
-            1 for row in self._counters for value in row if value >= self.saturation_value
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"{type(self).__name__}(k={self.config.num_hashes}, "

@@ -61,7 +61,7 @@ class TestCounterTable:
         table.saturate(3)
         table.reset()
         assert table.estimate(3) == 0
-        assert table.num_saturated_counters() == 0
+        assert not any(value for row in table._sketch._counters for value in row)
 
     def test_counter_group_size(self, table):
         assert len(table.counter_group(11)) == 2

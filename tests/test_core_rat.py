@@ -75,16 +75,6 @@ class TestRAT:
         assert rat.occupancy == 0
         assert rat.lookup(1) is None
 
-    def test_occupancy_pressure(self):
-        rat = RecentAggressorTable(num_entries=2)
-        rat.stats.misses = 10
-        rat.stats.capacity_misses = 4
-        assert rat.stats.occupancy_pressure == pytest.approx(0.4)
-
-    def test_occupancy_pressure_no_misses(self):
-        rat = RecentAggressorTable(num_entries=2)
-        assert rat.stats.occupancy_pressure == 0.0
-
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             RecentAggressorTable(num_entries=0)

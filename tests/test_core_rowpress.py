@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import CoMeTConfig
 from repro.core.rowpress import (
     RowPressAwareConfig,
     effective_rowhammer_threshold,
@@ -73,18 +74,13 @@ class TestRowPressAwareConfig:
     def test_effective_threshold_used_for_comet(self):
         config = RowPressAwareConfig(nrh=1000, max_row_open_time_ns=10_000)
         assert config.effective_nrh == 100
-        comet = config.comet_config()
+        comet = CoMeTConfig(nrh=config.effective_nrh)
         assert comet.nrh == 100
         assert comet.npr == 25
 
     def test_default_open_time_is_classic_rowhammer(self):
         config = RowPressAwareConfig(nrh=1000)
         assert config.effective_nrh == 1000
-
-    def test_overrides_forwarded(self):
-        config = RowPressAwareConfig(nrh=1000, max_row_open_time_ns=1_000)
-        comet = config.comet_config(rat_entries=64)
-        assert comet.rat_entries == 64
 
     def test_describe_mentions_thresholds(self):
         text = RowPressAwareConfig(nrh=500, max_row_open_time_ns=10_000).describe()

@@ -43,7 +43,7 @@ class TestTrace:
         assert stats.num_reads == 2
         assert stats.num_writes == 1
         assert stats.unique_addresses == 2
-        assert stats.accesses_per_kilo_instruction == pytest.approx(3000 / 13)
+        assert stats.total_instructions == 13
 
     def test_repeated(self):
         trace = Trace.from_tuples([(1, 0x40)])
@@ -93,4 +93,4 @@ class TestTrace:
     def test_empty_trace_statistics(self):
         stats = Trace().statistics()
         assert stats.num_entries == 0
-        assert stats.accesses_per_kilo_instruction == 0.0
+        assert stats.total_instructions == 0

@@ -197,6 +197,63 @@ class TestInterBankConstraints:
         assert end2 >= end1 + timing.tBURST
 
 
+def _illegal_cases():
+    """``(name, setup, illegal command, cycle of it, exception)`` rows.
+
+    ``setup`` maps the timing to the legal ``(command, cycle)`` prefix; the
+    last command breaks exactly one bank-scoped rule.
+    """
+    return [
+        ("act_to_open_bank", lambda t: [(act(row=1), 0)],
+         lambda t: (act(row=2), t.tRC + 100), TimingViolation),
+        ("act_before_trc", lambda t: [(act(row=1), 0), (pre(), t.tRAS)],
+         lambda t: (act(row=2), t.tRC - 1), TimingViolation),
+        ("act_before_trp", lambda t: [(act(row=1), 0), (pre(), t.tRC + 50)],
+         lambda t: (act(row=2), t.tRC + 50 + t.tRP - 1), TimingViolation),
+        ("act_row_out_of_range", lambda t: [],
+         lambda t: (act(row=256), 0), ValueError),
+        ("pre_to_closed_bank", lambda t: [],
+         lambda t: (pre(), 100), TimingViolation),
+        ("pre_before_tras", lambda t: [(act(row=1), 0)],
+         lambda t: (pre(), t.tRAS - 1), TimingViolation),
+        ("pre_before_trtp", lambda t: [(act(row=1), 0), (rd(), t.tRAS)],
+         lambda t: (pre(), t.tRAS + t.tRTP - 1), TimingViolation),
+        ("pre_before_twr", lambda t: [(act(row=1), 0), (wr(), t.tRCD)],
+         lambda t: (pre(), t.tRCD + t.tCWL + t.tBURST + t.tWR - 1), TimingViolation),
+        ("rd_before_trcd", lambda t: [(act(row=1), 0)],
+         lambda t: (rd(), t.tRCD - 1), TimingViolation),
+        ("wr_before_trcd", lambda t: [(act(row=1), 0)],
+         lambda t: (wr(), t.tRCD - 1), TimingViolation),
+        ("rd_to_never_opened_bank", lambda t: [],
+         lambda t: (rd(), 100), TimingViolation),
+        ("wr_to_never_opened_bank", lambda t: [],
+         lambda t: (wr(), 100), TimingViolation),
+        ("rd_after_pre", lambda t: [(act(row=1), 0), (pre(), t.tRAS)],
+         lambda t: (rd(), t.tRC + 100), TimingViolation),
+        ("wr_after_pre", lambda t: [(act(row=1), 0), (pre(), t.tRAS)],
+         lambda t: (wr(), t.tRC + 100), TimingViolation),
+    ]
+
+
+class TestApplyLegality:
+    """``apply`` itself rejects every bank-state and bank-timing violation,
+    whatever cycle its caller computed."""
+
+    @pytest.mark.parametrize(
+        "setup, illegal, error",
+        [case[1:] for case in _illegal_cases()],
+        ids=[case[0] for case in _illegal_cases()],
+    )
+    def test_illegal_command_raises(self, system, tiny_dram_config, setup, illegal, error):
+        timing = tiny_dram_config.timing
+        assert tiny_dram_config.organization.rows_per_bank == 256
+        for command, cycle in setup(timing):
+            issue(system, command, cycle)
+        command, cycle = illegal(timing)
+        with pytest.raises(error):
+            system.apply(command, cycle)
+
+
 class TestRefresh:
     def test_refresh_blocks_rank(self, system, tiny_dram_config):
         timing = tiny_dram_config.timing
@@ -245,9 +302,6 @@ class TestStatistics:
         issue(system, act(row=5), 0)
         issue(system, pre(), timing.tRAS)
         issue(system, act(row=5, preventive=True), timing.tRC)
-        bank = system.ranks[(0, 0)].banks[(0, 0)]
-        assert bank.stats.activations == 2
-        assert bank.stats.preventive_activations == 1
         assert system.stats.acts == 2
         assert system.stats.preventive_acts == 1
 

@@ -159,6 +159,7 @@ class _StuckCore:
         self.core_id = core_id
         self.finished = False
         self.has_blocked_request = True
+        self._blocked_on_queue = object()
         self.retries = 0
         self.kernel_wakeup = None
 
@@ -232,6 +233,7 @@ class TestDeadlockDiagnostics:
         # event) must show up in `unfinished` and not in `blocked`.
         waiting = _StuckCore(1)
         waiting.has_blocked_request = False
+        waiting._blocked_on_queue = None
         kernel = EventKernel([_StuckCore(0), waiting], _IdleControllerDouble())
         with pytest.raises(SimulationDeadlockError) as excinfo:
             kernel.run()

@@ -61,10 +61,11 @@ class TestSyntheticGenerator:
         low = WorkloadSpec("lo", rbmpki=0.5, footprint_rows=64)
         high_trace = SyntheticWorkloadGenerator(high, small_dram_config).generate(500)
         low_trace = SyntheticWorkloadGenerator(low, small_dram_config).generate(500)
-        assert (
-            high_trace.statistics().accesses_per_kilo_instruction
-            > 5 * low_trace.statistics().accesses_per_kilo_instruction
-        )
+        def apki(trace):
+            stats = trace.statistics()
+            return 1000.0 * stats.num_entries / stats.total_instructions
+
+        assert apki(high_trace) > 5 * apki(low_trace)
 
     def test_footprint_respected(self, small_dram_config):
         spec = WorkloadSpec("t", rbmpki=10, footprint_rows=16, row_locality=0.0)
