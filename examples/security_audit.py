@@ -9,7 +9,7 @@ decoy/aliasing attacks on CoMeT's count-min counters, RowPress-style
 long-open-row streams, refresh-window-straddling waves, coordinated
 multi-channel variants), and the audit runner fans a
 mitigation x pattern x NRH grid through a :class:`repro.Session` with the
-security verifier attached in its cheap streaming mode.
+security verifier attached to every run.
 
 This example audits three mechanisms against four patterns plus the
 unprotected baseline, prints the per-mechanism verdicts and per-pattern

@@ -1,6 +1,6 @@
 """Analysis tools: security verification, tracker analysis, report formatting."""
 
-from repro.analysis.security import SecurityVerifier, SecurityViolation
+from repro.analysis.security import SecurityVerifier
 from repro.analysis.false_positive import (
     TrackerModel,
     comet_tracker,
@@ -12,7 +12,6 @@ from repro.analysis.reporting import format_table, format_report, render_series
 
 __all__ = [
     "SecurityVerifier",
-    "SecurityViolation",
     "TrackerModel",
     "comet_tracker",
     "blockhammer_tracker",

@@ -73,13 +73,6 @@ class MemoryRequest:
     def is_write(self) -> bool:
         return self.request_type is RequestType.WRITE
 
-    @property
-    def latency(self) -> Optional[int]:
-        """Arrival-to-completion latency in memory cycles, if completed."""
-        if self.completion_cycle is None:
-            return None
-        return self.completion_cycle - self.arrival_cycle
-
     def complete(self, cycle: int) -> None:
         """Mark the request complete and fire its callback."""
         self.completion_cycle = cycle

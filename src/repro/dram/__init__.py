@@ -13,8 +13,9 @@ Main entry points:
 * :class:`~repro.dram.address.AddressMapper` — physical address to DRAM
   coordinate translation.
 * :class:`~repro.dram.dram_system.DRAMSystem` — the device model itself:
-  accepts commands, enforces every timing constraint, tracks open rows and
-  per-row activation counts (used by the security verifier).
+  computes the earliest legal cycle of each command, applies commands,
+  tracks open rows and delivers every ACT, REF and row refresh to its
+  observers (the security verifier and the RowHammer mitigations).
 """
 
 from repro.dram.config import DRAMConfig, DRAMTiming, DRAMOrganization

@@ -89,49 +89,25 @@ class Bank:
     def open_row(self) -> Optional[int]:
         return self.table.open_row[self.index]
 
-    @open_row.setter
-    def open_row(self, value: Optional[int]) -> None:
-        self.table.open_row[self.index] = value
-
     @property
     def next_act(self) -> int:
         return self.table.next_act[self.index]
-
-    @next_act.setter
-    def next_act(self, value: int) -> None:
-        self.table.next_act[self.index] = value
 
     @property
     def next_pre(self) -> int:
         return self.table.next_pre[self.index]
 
-    @next_pre.setter
-    def next_pre(self, value: int) -> None:
-        self.table.next_pre[self.index] = value
-
     @property
     def next_read(self) -> int:
         return self.table.next_read[self.index]
-
-    @next_read.setter
-    def next_read(self, value: int) -> None:
-        self.table.next_read[self.index] = value
 
     @property
     def next_write(self) -> int:
         return self.table.next_write[self.index]
 
-    @next_write.setter
-    def next_write(self, value: int) -> None:
-        self.table.next_write[self.index] = value
-
     @property
     def open_row_column_accesses(self) -> int:
         return self.table.col_accesses[self.index]
-
-    @open_row_column_accesses.setter
-    def open_row_column_accesses(self, value: int) -> None:
-        self.table.col_accesses[self.index] = value
 
     # ------------------------------------------------------------------ #
     # Refresh

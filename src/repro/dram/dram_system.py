@@ -26,7 +26,10 @@ and bus cycles.
 The model also maintains the ground-truth row activation bookkeeping that the
 security verifier and the RowHammer mitigations observe: observers can be
 registered for row activations and for row refreshes (both periodic REF
-coverage and preventive ACT-based refreshes).  A command observer
+coverage and preventive ACT-based refreshes).  Every ACT reaches every
+activation observer through one call each, audit observers (the verifier)
+first, so the verifier counts an ACT before any row refresh a mitigation
+performs inside its own ACT callback.  A command observer
 (:meth:`DRAMSystem.add_command_observer`) sees every command :attr:`apply`
 applies, which is how the test suite's independent JEDEC oracle checks the
 whole stream.
@@ -48,15 +51,6 @@ ActivationObserver = Callable[[int, DRAMAddress, bool], None]
 RefreshObserver = Callable[[int, Tuple[int, int], int, int], None]
 RowRefreshObserver = Callable[[int, DRAMAddress], None]
 CommandObserver = Callable[[int, Command], None]
-
-#: Batched activation observers receive SoA columns of buffered ACT events:
-#: ``observer(cycles, addresses, flags)`` with three equal-length sequences.
-BatchActivationObserver = Callable[[List[int], List[DRAMAddress], List[bool]], None]
-
-#: Flush the batched-ACT buffer once it holds this many events even if no
-#: natural drain point (a refresh notification, a verifier result read)
-#: arrives first — bounds buffer memory and keeps batch sizes cache-friendly.
-_BATCH_FLUSH_LIMIT = 256
 
 
 @dataclass
@@ -275,18 +269,14 @@ class DRAMSystem:
         self._data_bus_free: Dict[int, int] = {ch: 0 for ch in channels}
         self._command_bus_free: Dict[int, int] = {ch: 0 for ch in channels}
         self.stats = DRAMStatistics()
+        #: Called in order on every ACT: the audit observers first, then
+        #: every other one in registration order.
         self._activation_observers: List[ActivationObserver] = []
+        #: How many leading entries of ``_activation_observers`` are audit
+        #: observers (see :meth:`add_audit_activation_observer`).
+        self._audit_observers = 0
         self._refresh_observers: List[RefreshObserver] = []
         self._row_refresh_observers: List[RowRefreshObserver] = []
-        # Batched ACT delivery: pure observers (the streaming security
-        # verifier) register here instead and receive SoA columns at drain
-        # points.  Event order is preserved — the buffers are flushed before
-        # any refresh notification is delivered, so increments and
-        # deletions interleave exactly as in per-event delivery.
-        self._batch_act_observers: List[BatchActivationObserver] = []
-        self._batch_cycles: List[int] = []
-        self._batch_addresses: List[DRAMAddress] = []
-        self._batch_flags: List[bool] = []
         #: Called with every issued command; :attr:`apply` binds this list
         #: at build time, so it is only ever appended to.
         self._command_observers: List[CommandObserver] = []
@@ -305,8 +295,25 @@ class DRAMSystem:
     # Observer registration
     # ------------------------------------------------------------------ #
     def add_activation_observer(self, observer: ActivationObserver) -> None:
-        """Observer called as ``observer(cycle, DRAMAddress, is_preventive)`` on each ACT."""
+        """Observer called as ``observer(cycle, DRAMAddress, is_preventive)`` on each ACT.
+
+        Observers run in registration order, after every audit observer.
+        """
         self._activation_observers.append(observer)
+
+    def add_audit_activation_observer(self, observer: ActivationObserver) -> None:
+        """Like :meth:`add_activation_observer`, but ``observer`` runs first.
+
+        Audit observers (the security verifier) run in their own
+        registration order ahead of every observer added with
+        :meth:`add_activation_observer`, whenever either was registered.  A
+        mitigation observer may refresh rows inside its ACT callback (PRAC's
+        alert, REGA), so an audit observer registered this way counts every
+        ACT before any row refresh the same ACT triggers.  It must not feed
+        back into the device or the controller.
+        """
+        self._activation_observers.insert(self._audit_observers, observer)
+        self._audit_observers += 1
 
     def add_refresh_observer(self, observer: RefreshObserver) -> None:
         """Observer called as ``observer(cycle, (channel, rank), start_row, count)`` on each REF."""
@@ -331,59 +338,19 @@ class DRAMSystem:
         """
         self._row_refresh_observers.append(observer)
 
-    def add_batch_activation_observer(self, observer: BatchActivationObserver) -> None:
-        """Observer called as ``observer(cycles, addresses, flags)`` at drain points.
-
-        The three arguments are equal-length lists (SoA columns) of the ACT
-        events buffered since the previous flush, in issue order.  Batched
-        delivery is for *pure* observers only — anything that feeds back into
-        the command stream (scheduling preventive refreshes, throttling)
-        must use :meth:`add_activation_observer`, which stays synchronous.
-        Drain points: refresh notifications (REF, RFM victim sweeps,
-        preventive ACTs via :meth:`notify_row_refresh`, and the sampled
-        fast-forward's functional REFs), explicit :meth:`flush_activations`
-        calls (the security verifier flushes before every result read), and
-        the ``_BATCH_FLUSH_LIMIT`` size cap.
-        """
-        self._batch_act_observers.append(observer)
-
-    def flush_activations(self) -> None:
-        """Deliver buffered ACT events to the batched observers, in order."""
-        if not self._batch_cycles:
-            return
-        cycles = self._batch_cycles
-        addresses = self._batch_addresses
-        flags = self._batch_flags
-        self._batch_cycles = []
-        self._batch_addresses = []
-        self._batch_flags = []
-        for observer in self._batch_act_observers:
-            observer(cycles, addresses, flags)
-
     def notify_row_refresh(self, cycle: int, address: DRAMAddress) -> None:
         """Report that ``address``'s row was refreshed by an in-DRAM mechanism."""
-        # Row refreshes reset disturbance state downstream; buffered ACT
-        # increments must land first to preserve per-event ordering.
-        if self._batch_cycles:
-            self.flush_activations()
         for observer in self._row_refresh_observers:
             observer(cycle, address)
 
     def deliver_activation(self, cycle: int, address: DRAMAddress, is_preventive: bool) -> None:
-        """Deliver one ACT event: buffer for batched observers, call the rest.
+        """Call every activation observer, audit observers first, on one ACT.
 
         The single delivery point shared by :attr:`apply` and the sampled
         fidelity's functional fast-forward (which reconstructs ACTs without
-        issuing commands) — any path that synthesizes activation events must
-        go through here so batched observers see the same stream as
-        per-event ones.
+        issuing commands): any path that synthesizes activation events must
+        go through here so every observer sees the same stream.
         """
-        if self._batch_act_observers:
-            self._batch_cycles.append(cycle)
-            self._batch_addresses.append(address)
-            self._batch_flags.append(is_preventive)
-            if len(self._batch_cycles) >= _BATCH_FLUSH_LIMIT:
-                self.flush_activations()
         for observer in self._activation_observers:
             observer(cycle, address, is_preventive)
 
@@ -581,7 +548,7 @@ class DRAMSystem:
                 deliver_activation(cycle, address, preventive)
                 if preventive:
                     # A preventive ACT refreshes the activated (victim) row
-                    # itself; notify_row_refresh drains the batch buffer first.
+                    # itself.
                     notify_row_refresh(cycle, address)
                 return None
 
@@ -660,11 +627,6 @@ class DRAMSystem:
                 start_row, count = rank.apply_refresh(cycle)
                 stats.refreshes += 1
                 stats.refresh_rows += count
-                # REF deletes disturbance state downstream; drain buffered
-                # ACT increments first so batch delivery preserves event
-                # order.
-                if self._batch_cycles:
-                    self.flush_activations()
                 for observer in refresh_observers:
                     observer(cycle, (channel, rank_id), start_row, count)
                 return cycle + tRFC

@@ -35,7 +35,6 @@ def run_system(
     mitigation_overrides: Optional[dict] = None,
     verify_security: bool = True,
     name: Optional[str] = None,
-    record_violations: bool = True,
     policy: Optional[ControllerPolicySpec] = None,
     sampled: Optional[SampledConfig] = None,
 ) -> SimulationResult:
@@ -54,7 +53,6 @@ def run_system(
         core=core_config or CoreConfig(),
         verify_security=verify_security,
         nrh_for_verification=nrh,
-        record_violations=record_violations,
     )
     system = System(
         list(traces),
@@ -103,9 +101,8 @@ def execute_spec(spec: ExperimentSpec) -> SimulationResult:
         name: Optional[str] = traces[0].name
     else:
         name = spec.run_name()
-    # "streaming" verifies with the cheap max-margin verifier (no violation
-    # objects) — the audit campaigns' mode.
-    verify = spec.verify_security
+    # "streaming" (the audit campaigns' value) runs the same verifier as
+    # True; it is kept because it is part of every audit cell's spec hash.
     return run_system(
         traces,
         mitigation_name=spec.mitigation.name,
@@ -113,9 +110,8 @@ def execute_spec(spec: ExperimentSpec) -> SimulationResult:
         dram_config=dram_config,
         core_config=spec.platform.core,
         mitigation_overrides=spec.mitigation.overrides_dict(),
-        verify_security=bool(verify),
+        verify_security=bool(spec.verify_security),
         name=name,
-        record_violations=verify != "streaming",
         policy=spec.platform.controller,
         sampled=spec.sampled if spec.fidelity == "sampled" else None,
     )

@@ -65,7 +65,11 @@ RECORD_VERSION = 1
 #: v7: tWTR_S/L enforced against every earlier write to the rank (per bank
 #: group), not only the last column command — some schedules, and with them
 #: cycles and IPC, changed.
-CACHE_VERSION = 7
+#: v8: the verifier counts every ACT before the row refreshes the same ACT
+#: triggers (one ACT path for ``verify_security=True`` and ``"streaming"``);
+#: a v7 ``verify_security=True`` PRAC record can read ``max_disturbance``
+#: one lower than the same run now does.
+CACHE_VERSION = 8
 
 _DEFAULT_STORE = object()
 

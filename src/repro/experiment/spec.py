@@ -412,10 +412,11 @@ class SampledConfig:
 class ExperimentSpec:
     """One fully-described simulator run: workload x mitigation x platform.
 
-    ``verify_security`` is ``True``/``False`` or the string ``"streaming"``:
-    streaming attaches the verifier in its cheap max-margin mode (verdict,
-    violation count, first-violation cycle and max disturbance, but no
-    per-violation objects) — the mode security-audit campaigns run in.
+    ``verify_security`` is ``True``/``False`` or the string ``"streaming"``.
+    ``"streaming"`` is the same run as ``True`` (one verifier, one ACT
+    path); security-audit campaigns write it, and it stays accepted because
+    it is part of their canonical JSON, so of their spec hashes and
+    result-store keys.
 
     ``fidelity`` selects the executor: ``"full"`` (default) simulates every
     entry on the event kernel and stays bit-identical to the pre-sampling
@@ -537,8 +538,8 @@ class CampaignSpec:
 
     ``audit=True`` switches the grid to a *security-audit* campaign:
     expansion goes through :func:`repro.security.audit.build_audit_grid`
-    instead of :func:`expand_grid`, so every cell runs with the streaming
-    security verifier attached, ``mitigations`` may include
+    instead of :func:`expand_grid`, so every cell runs with the security
+    verifier attached, ``mitigations`` may include
     refresh-policy mechanisms (``"rfm"``), and ``seed`` seeds the
     adversarial pattern synthesis.  Audit grids are single-core; both new
     fields serialize only when non-default, so every pre-existing

@@ -17,8 +17,8 @@ frontier and security verification into a campaign:
 * :mod:`repro.security.audit` — the campaign runner: fan a
   mitigation x pattern x NRH grid through a cached, parallel
   :class:`~repro.experiment.session.Session` with the
-  :class:`~repro.analysis.security.SecurityVerifier` attached in its cheap
-  streaming mode, and reduce the per-run verdicts into a
+  :class:`~repro.analysis.security.SecurityVerifier` attached to every
+  run, and reduce the per-run verdicts into a
   :class:`~repro.security.audit.SecurityReport` (max disturbance / NRH
   margin per mechanism, first-violation cycle, per-pattern verdicts) with
   JSON and table output.

@@ -2,9 +2,9 @@
 
 An audit fans a mitigation x pattern x NRH (x controller-policy) grid
 through a cached, parallel :class:`~repro.experiment.session.Session` with
-the
-:class:`~repro.analysis.security.SecurityVerifier` attached in its cheap
-streaming max-margin mode, then reduces the per-run verdict stream into one
+the :class:`~repro.analysis.security.SecurityVerifier` attached to every
+cell (``verify_security="streaming"``, the same run as ``True``), then
+reduces the per-run verdict stream into one
 :class:`SecurityReport`:
 
 * one :class:`AuditFinding` per grid cell — verdict, max observed

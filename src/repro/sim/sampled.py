@@ -134,10 +134,6 @@ def _functional_rank_refresh(ctl, rank_key: Tuple[int, int], cycle: int) -> None
     rank.refresh_row_pointer = (start_row + rows_per_refresh) % rows_per_bank
     dram.stats.refreshes += 1
     dram.stats.refresh_rows += rows_per_refresh
-    # Match issue(): drain buffered ACT events before delivering the REF so
-    # batched observers see increments and deletions in true order.
-    if dram._batch_cycles:
-        dram.flush_activations()
     for observer in dram._refresh_observers:
         observer(cycle, rank_key, start_row, rows_per_refresh)
 

@@ -48,10 +48,6 @@ class SystemConfig:
     #: RowHammer threshold used by the security verifier (the mitigation's own
     #: threshold is configured on the mitigation object).
     nrh_for_verification: Optional[int] = None
-    #: ``False`` runs the verifiers in their streaming max-margin mode (the
-    #: verdict, count, first-violation cycle and max disturbance are kept;
-    #: per-violation objects are not) — what security audits use.
-    record_violations: bool = True
     max_steps: int = 200_000_000
 
 
@@ -142,11 +138,7 @@ class System:
             if nrh is None and self.mitigation is not None:
                 nrh = self.mitigation.nrh
             self.verifiers = [
-                SecurityVerifier(
-                    controller.dram,
-                    nrh=nrh or 10**9,
-                    record_violations=self.config.record_violations,
-                )
+                SecurityVerifier(controller.dram, nrh=nrh or 10**9)
                 for controller in self.fabric.controllers
             ]
         self.cores: List[Core] = []

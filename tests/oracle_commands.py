@@ -34,6 +34,12 @@ Rules, all checked pairwise against every earlier command they apply to:
   window (``tABO``).  PREs are not checked: a demand PRE and the PRE that
   closes a bank for a preventive ACT look alike on the bus.
 
+:class:`DisturbanceRecount` is the second opinion on the RowHammer verdict,
+from the same command records: it recounts per-victim disturbance the way
+the paper's Section 5 invariant states it, without the DRAM model's
+activation and refresh callbacks that
+:class:`~repro.analysis.security.SecurityVerifier` counts from.
+
 :func:`checked_runs` attaches a checker to every DRAM system of every
 simulation run inside it and hashes the whole command stream, which is
 how ``tests/golden/channels1.json`` pins each golden run's schedule.
@@ -353,6 +359,63 @@ class CommandStreamChecker:
         """End-of-run checks: no rank is overdue at the last command."""
         for rank in self.ranks.values():
             self._cadence(self.last_cycle, None, rank)
+
+
+class DisturbanceRecount:
+    """Per-victim disturbance recounted from command records alone.
+
+    Call it as a command observer.  An ACT, demand or preventive, adds one
+    to the rows at distance 1 in its bank; a preventive ACT then clears its
+    own row (it refreshes the victim it opens); a REF clears
+    ``rows_per_refresh`` rows in every bank of its rank, starting at a
+    per-rank pointer that wraps at ``rows_per_bank``.  Every (ACT, victim)
+    pair that brings the victim to ``nrh`` counts as one violation, and
+    :attr:`max_disturbance` is the largest value any victim reached.
+
+    Mechanisms that refresh rows inside DRAM (PRAC, REGA, the RFM refresh
+    policy) do so without a command, so for them the recount is an upper
+    bound on what the verifier sees; for controller-side mechanisms it is
+    exact.
+    """
+
+    def __init__(self, config: DRAMConfig, nrh: int) -> None:
+        self.nrh = nrh
+        self.rows = config.organization.rows_per_bank
+        self.rows_per_refresh = config.rows_per_refresh
+        #: ``(channel, rank)`` -> first row the rank's next REF covers.
+        self.ref_row: Dict[Tuple[int, int], int] = {}
+        #: ``(channel, rank, bankgroup, bank, row)`` -> aggressor ACTs since
+        #: the row was last refreshed.
+        self.disturbance: Dict[Tuple[int, int, int, int, int], int] = {}
+        self.max_disturbance = 0
+        self.violation_count = 0
+
+    def __call__(self, cycle: int, command: Command) -> None:
+        kind = command.kind
+        bank = (command.channel, command.rank, command.bankgroup, command.bank)
+        if kind is _ACT:
+            row = command.row
+            for victim in (row - 1, row + 1):
+                if not 0 <= victim < self.rows:
+                    continue
+                key = bank + (victim,)
+                value = self.disturbance.get(key, 0) + 1
+                self.disturbance[key] = value
+                self.max_disturbance = max(self.max_disturbance, value)
+                if value >= self.nrh:
+                    self.violation_count += 1
+            if command.is_preventive:
+                self.disturbance.pop(bank + (row,), None)
+        elif kind is _REF:
+            rank = (command.channel, command.rank)
+            first = self.ref_row.get(rank, 0)
+            last = first + self.rows_per_refresh
+            self.disturbance = {
+                key: value
+                for key, value in self.disturbance.items()
+                if key[:2] != rank or not first <= key[4] < last
+            }
+            self.ref_row[rank] = last % self.rows
 
 
 def issue(dram, command: Command, cycle: int) -> Optional[int]:

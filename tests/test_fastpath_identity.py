@@ -323,7 +323,9 @@ def _recount(issued):
                 counts["row_hits"] += 1
                 if not request.is_write:
                     counts["completed_reads"] += 1
-                    counts["total_read_latency"] += request.latency
+                    counts["total_read_latency"] += (
+                        request.completion_cycle - request.arrival_cycle
+                    )
         elif command.kind is CommandKind.ACT:
             counts["row_misses"] += demand
         elif command.kind is CommandKind.PRE:

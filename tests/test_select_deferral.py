@@ -50,7 +50,6 @@ def _system(spec: ExperimentSpec, controller: ControllerConfig) -> System:
             controller=controller,
             policy=spec.platform.controller,
             nrh_for_verification=spec.mitigation.nrh,
-            record_violations=False,
         ),
     )
 
