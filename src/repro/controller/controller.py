@@ -182,14 +182,11 @@ class _BankPending:
         if not requests:
             self.min_seq = NEVER
             self.seq_ordered = True
-        elif getattr(request, "_enqueue_seq", NEVER) == self.min_seq:
+        elif request.enqueue_seq == self.min_seq:
             if self.seq_ordered:
-                self.min_seq = requests[0]._enqueue_seq
+                self.min_seq = requests[0].enqueue_seq
             else:
-                self.min_seq = min(
-                    (getattr(r, "_enqueue_seq", NEVER) for r in requests),
-                    default=NEVER,
-                )
+                self.min_seq = min(r.enqueue_seq for r in requests)
 
 
 def _merge_pending(
@@ -413,7 +410,7 @@ class MemoryController:
     ) -> None:
         seq = self._enqueue_seq
         self._enqueue_seq += 1
-        request.__dict__["_enqueue_seq"] = seq
+        request.enqueue_seq = seq
         bank_key = request.address.bank_key
         self._merged_cache.pop(bank_key, None)
         pending = index.get(bank_key)
@@ -606,10 +603,7 @@ class MemoryController:
             # kind at the same earliest cycle — the ACT/PRE constraints do not
             # depend on the row — and ties keep the earliest-queued request,
             # so only the first request per (bank, phase) can win the scan.
-            category = (
-                request.address.bank_key,
-                request.__dict__.get("_refresh_activated", False),
-            )
+            category = (request.address.bank_key, request.refresh_activated)
             if category in seen_categories:
                 continue
             seen_categories.add(category)
@@ -629,7 +623,7 @@ class MemoryController:
         """
         finished = []
         for request in self.preventive_queue:
-            if not request.__dict__.get("_refresh_activated", False):
+            if not request.refresh_activated:
                 continue
             bank = self.dram.bank_for(request.address)
             if bank.is_closed() or bank.open_row != request.address.row:
@@ -644,8 +638,7 @@ class MemoryController:
     def _next_command_for_refresh(self, request: MemoryRequest) -> Command:
         address = request.address
         bank = self.dram.bank_for(address)
-        activated = request.__dict__.get("_refresh_activated", False)
-        if not activated:
+        if not request.refresh_activated:
             if bank.is_closed():
                 return Command(
                     CommandKind.ACT,
@@ -1168,7 +1161,7 @@ class MemoryController:
                     )
                 if request is not None:
                     if request.request_type is PREVENTIVE_REFRESH:
-                        request.__dict__["_refresh_activated"] = True
+                        request.refresh_activated = True
                     else:
                         # A demand request whose row had to be opened: a miss.
                         ctl_stats.row_misses += 1
@@ -1187,7 +1180,7 @@ class MemoryController:
                 elif request.request_type is not PREVENTIVE_REFRESH:
                     # A demand PRE: an open row lost to a conflicting request.
                     ctl_stats.row_conflicts += 1
-                elif request.__dict__.get("_refresh_activated", False):
+                elif request.refresh_activated:
                     # The PRE closing a preventive refresh's victim row.
                     preventive_queue.remove(request)
                     request.complete(issue_cycle)

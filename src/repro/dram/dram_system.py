@@ -206,10 +206,19 @@ class Rank:
         until = cycle + self.timing.tRFC
         for bank in self.banks.values():
             bank.refresh_block(cycle, until)
+        return self.advance_refresh_pointer()
+
+    def advance_refresh_pointer(self) -> Tuple[int, int]:
+        """Move the refresh pointer past one REF's rows; returns the
+        ``(start_row, row_count)`` that REF covers.
+
+        The pointer wraps at ``rows_per_bank``.  :meth:`apply_refresh` and
+        the sampled fidelity's functional REFs both advance it here.
+        """
         rows_per_refresh = self.config.rows_per_refresh
         start_row = self.refresh_row_pointer
         self.refresh_row_pointer = (
-            self.refresh_row_pointer + rows_per_refresh
+            start_row + rows_per_refresh
         ) % self.config.organization.rows_per_bank
         return start_row, rows_per_refresh
 
@@ -343,6 +352,21 @@ class DRAMSystem:
         for observer in self._row_refresh_observers:
             observer(cycle, address)
 
+    def deliver_refresh(
+        self, cycle: int, rank_key: Tuple[int, int], start_row: int, count: int
+    ) -> None:
+        """Count one REF of ``count`` rows from ``start_row`` on ``rank_key``
+        and call every refresh observer on it.
+
+        Shared by :attr:`apply`'s REF branch and the sampled fidelity's
+        functional REFs, so both report the same statistics and events.
+        """
+        stats = self.stats
+        stats.refreshes += 1
+        stats.refresh_rows += count
+        for observer in self._refresh_observers:
+            observer(cycle, rank_key, start_row, count)
+
     def deliver_activation(self, cycle: int, address: DRAMAddress, is_preventive: bool) -> None:
         """Call every activation observer, audit observers first, on one ACT.
 
@@ -448,7 +472,7 @@ class DRAMSystem:
             command_bus_free=self._command_bus_free,
             data_bus_free=self._data_bus_free,
             command_observers=self._command_observers,
-            refresh_observers=self._refresh_observers,
+            deliver_refresh=self.deliver_refresh,
             deliver_activation=self.deliver_activation,
             notify_row_refresh=self.notify_row_refresh,
             open_rows=table.open_row,
@@ -625,10 +649,7 @@ class DRAMSystem:
             rank = ranks[(channel, rank_id)]
             if kind is REF:
                 start_row, count = rank.apply_refresh(cycle)
-                stats.refreshes += 1
-                stats.refresh_rows += count
-                for observer in refresh_observers:
-                    observer(cycle, (channel, rank_id), start_row, count)
+                deliver_refresh(cycle, (channel, rank_id), start_row, count)
                 return cycle + tRFC
 
             if kind is RFM:

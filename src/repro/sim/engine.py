@@ -17,7 +17,11 @@ There are two kinds of *event source*:
   Its entry is re-queued whenever its own step changes its state, one of its
   outstanding reads completes (the controller fires the core's kernel-wakeup
   hook mid-issue), or a controller queue slot frees while it has a blocked
-  request.
+  request.  Both hooks only mark cores dirty for the next pass, and both
+  are :func:`functools.partial` objects over the kernel's sets —
+  ``partial(dirty_cores.add, index)`` per core and
+  ``partial(dirty_cores.update, blocked_cores)`` per controller — so firing
+  one costs no Python frame.
 * Each **memory controller** (one per channel on a
   :class:`~repro.controller.fabric.ChannelFabric`; a bare controller is
   treated as a 1-entry fabric) is scheduled at the earliest cycle at which
@@ -94,7 +98,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import List, Optional, Sequence, Tuple
 
 from repro.controller.policies import NEVER, SchedulingPolicy
 from repro.cpu.core import Core
@@ -198,10 +203,13 @@ class EventKernel:
         #: O(blocked) instead of a scan over every core.
         self._blocked_cores: set[int] = set()
 
+        # C-level partials over the two sets, which are never rebound (see
+        # the module docstring).  The slot-free hook is O(blocked).
         for index, core in enumerate(self.cores):
-            core.kernel_wakeup = self._make_core_wakeup(index)
+            core.kernel_wakeup = partial(self._dirty_cores.add, index)
+        slot_free = partial(self._dirty_cores.update, self._blocked_cores)
         for ctl in self.controllers:
-            ctl.add_slot_free_callback(self._on_slot_free)
+            ctl.add_slot_free_callback(slot_free)
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -387,7 +395,7 @@ class EventKernel:
                 core = cores[index]
                 if core._blocked_on_queue is not None:
                     core.retry_blocked(now)
-                elif not core.finished:
+                else:
                     core.step(now)
                 if core._blocked_on_queue is not None:
                     blocked_cores.add(index)
@@ -450,21 +458,6 @@ class EventKernel:
         heapq.heappush(
             self._heap, (time, _PRIORITY_CORE, index, self._core_gen[index])
         )
-
-    # ------------------------------------------------------------------ #
-    # Hooks fired by the components
-    # ------------------------------------------------------------------ #
-    def _make_core_wakeup(self, index: int) -> Callable[[], None]:
-        def wakeup() -> None:
-            self._dirty_cores.add(index)
-
-        return wakeup
-
-    def _on_slot_free(self) -> None:
-        # O(blocked): the blocked-core index is maintained at every core
-        # step/retry, so a freed queue slot wakes exactly the cores that
-        # were waiting on one instead of scanning all of them.
-        self._dirty_cores.update(self._blocked_cores)
 
     # ------------------------------------------------------------------ #
     # Stall handling

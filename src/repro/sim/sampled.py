@@ -124,18 +124,15 @@ def _functional_rank_refresh(ctl, rank_key: Tuple[int, int], cycle: int) -> None
 
     Unlike :meth:`~repro.dram.dram_system.Rank.apply_refresh` this never
     requires the banks to be closed and blocks nothing: fast-forward time is
-    estimated anyway, so only the refresh *coverage* matters here.
+    estimated anyway, so only the refresh *coverage* matters here.  The
+    pointer, the statistics and the observers go through the same
+    :meth:`~repro.dram.dram_system.Rank.advance_refresh_pointer` and
+    :meth:`~repro.dram.dram_system.DRAMSystem.deliver_refresh` a real REF
+    does.
     """
     dram = ctl.dram
-    rank = dram.ranks[rank_key]
-    rows_per_refresh = ctl.dram_config.rows_per_refresh
-    rows_per_bank = ctl.dram_config.organization.rows_per_bank
-    start_row = rank.refresh_row_pointer
-    rank.refresh_row_pointer = (start_row + rows_per_refresh) % rows_per_bank
-    dram.stats.refreshes += 1
-    dram.stats.refresh_rows += rows_per_refresh
-    for observer in dram._refresh_observers:
-        observer(cycle, rank_key, start_row, rows_per_refresh)
+    start_row, count = dram.ranks[rank_key].advance_refresh_pointer()
+    dram.deliver_refresh(cycle, rank_key, start_row, count)
 
 
 def _catch_up_refreshes(ctl, cycle: int) -> None:
@@ -225,12 +222,7 @@ def _run_detailed(kernel: EventKernel, cores, budget: int) -> None:
     """Replay up to ``budget`` further trace entries per core, bit-exactly."""
     progress = False
     for core in cores:
-        limit = min(len(core.trace), core._cursor + budget)
-        core.window_limit = limit
-        # Core.next_event_cycle answers from the memo before it looks at
-        # the window limit, so every limit change clears it.
-        core._dispatch_memo = None
-        if limit > core._cursor:
+        if core.open_window(budget):
             progress = True
     if progress:
         kernel.run()
@@ -276,21 +268,19 @@ def _fast_forward(
         remaining: Dict[int, int] = {}
         heads: List[Tuple[float, int]] = []
         for index, core in enumerate(cores):
-            take = min(budget, len(core.trace) - core._cursor)
-            if take <= 0:
+            if core.trace_exhausted or budget <= 0:
                 continue
-            remaining[index] = take
-            heapq.heappush(heads, (max(start, core._front_cycle), index))
+            remaining[index] = budget
+            heapq.heappush(heads, (max(start, core.front_cycle), index))
         while heads:
             dispatch, index = heapq.heappop(heads)
             core = cores[index]
             cache = core.cache
             stats = core.stats
             cpi = pace[index]
-            trace = core.trace
             left = remaining[index]
             while True:
-                entry = trace[core._cursor]
+                entry = core.fast_forward_entry()
                 need = entry.bubble_count + 1
                 cycle = int(dispatch)
                 clock["now"] = cycle
@@ -327,27 +317,18 @@ def _fast_forward(
                         ctl.stats.completed_reads += 1
                         ctl.stats.per_core_read_latency[core.core_id] += latency
                         ctl.stats.per_core_reads[core.core_id] += 1
-                        if completion > core._last_completion_cycle:
-                            core._last_completion_cycle = completion
-                        if completion > stats.finish_cycle:
-                            stats.finish_cycle = completion
+                        core.record_read_completion(completion)
 
-                core._cursor += 1
-                core._dispatched_instructions += need
-                stats.retired_instructions = core._dispatched_instructions
-                if core._cursor >= len(trace):
-                    core._trace_exhausted = True
                 dispatch += need * cpi
                 left -= 1
-                if left <= 0 or core._trace_exhausted:
+                if left <= 0 or core.trace_exhausted:
                     break
                 if heads and heads[0][0] < dispatch:
                     # Another core's next entry is earlier: yield to it and
                     # come back through the heap.
                     heapq.heappush(heads, (dispatch, index))
                     break
-            core._front_cycle = dispatch
-            core._dispatch_memo = None
+            core.resume_at(dispatch)
             remaining[index] = left
             if dispatch > end:
                 end = dispatch
@@ -366,10 +347,9 @@ def _fast_forward(
             ctl.current_cycle = end_cycle
     kernel.now = float(end_cycle)
     for core in cores:
-        if core._front_cycle < end_cycle and not core._trace_exhausted:
+        if core.front_cycle < end_cycle and not core.trace_exhausted:
             # Idle cores resume no earlier than the fast-forwarded clock.
-            core._front_cycle = float(end_cycle)
-            core._dispatch_memo = None
+            core.resume_at(float(end_cycle))
 
 
 # --------------------------------------------------------------------- #
@@ -405,11 +385,11 @@ def run_sampled(
 
     def _calibrated_detailed(budget: int) -> None:
         before = kernel.now
-        marks = [core._dispatched_instructions for core in cores]
+        marks = [core.dispatched_instructions for core in cores]
         _run_detailed(kernel, cores, budget)
         elapsed = kernel.now - before
         for index, core in enumerate(cores):
-            retired = core._dispatched_instructions - marks[index]
+            retired = core.dispatched_instructions - marks[index]
             if retired > 0:
                 calibration[index][0] += elapsed
                 calibration[index][1] += retired
@@ -421,14 +401,13 @@ def run_sampled(
         }
 
     _calibrated_detailed(config.warmup)
-    while not all(core._trace_exhausted for core in cores):
+    while not all(core.trace_exhausted for core in cores):
         _fast_forward(system, kernel, ff_budget, _pace())
-        if all(core._trace_exhausted for core in cores):
+        if all(core.trace_exhausted for core in cores):
             break
         _calibrated_detailed(config.detailed_window)
     for core in cores:
         core.window_limit = None
-        core._dispatch_memo = None
 
     system._steps = kernel.steps
     return system._build_result(math.ceil(kernel.now))

@@ -43,9 +43,11 @@ def result_fingerprint(result) -> dict:
 
 def assert_matches_golden(result, run, entry: dict) -> None:
     """One run against its golden entry: every fingerprint field, and the
-    hash of a command stream that must also pass the JEDEC oracle
+    hash of a command stream that must also pass the JEDEC oracle and
+    whose disturbance recount must agree with the run's verifier
     (``run`` is the run's ``oracle_commands.CheckedRun``)."""
     run.assert_clean()
+    run.assert_recount_agrees()
     expected = {k: v for k, v in entry.items() if k not in ("command_stream", "spec")}
     assert result_fingerprint(result) == expected
     assert run.hexdigest() == entry["command_stream"]

@@ -445,24 +445,54 @@ def alert_back_off(mitigation) -> Optional[Tuple[int, int]]:
     return max(1, config.nrh // config.alert_divider), config.tabo_cycles
 
 
+#: Mechanisms that also refresh victims inside DRAM, with no command.
+IN_DRAM_REFRESH = ("prac", "rega")
+
+
+def refreshes_inside_dram(controller) -> bool:
+    """True when ``controller``'s mitigation (PRAC, REGA) or refresh policy
+    (the DDR5 RFM policy) refreshes rows that no command names; a
+    :class:`DisturbanceRecount` then only bounds the verifier from above."""
+    return getattr(controller.mitigation, "name", None) in IN_DRAM_REFRESH or (
+        getattr(controller.refresh_policy, "ISSUES_RFM", False)
+    )
+
+
 class CheckedRun:
-    """One simulation run under the oracle: a checker per DRAM system plus
-    one recorder over the whole run's command stream, in issue order."""
+    """One simulation run under the oracle: a checker and a
+    :class:`DisturbanceRecount` per DRAM system, plus one recorder over the
+    whole run's command stream, in issue order.
+
+    Each recount counts at its channel verifier's NRH (the run's mitigation
+    NRH, else never crossed, like ``System`` itself when nothing verifies).
+    """
 
     def __init__(self, system) -> None:
         self.name = system.name
         self.recorder = CommandRecorder()
         self.checkers: List[CommandStreamChecker] = []
-        for controller in system.fabric.controllers:
+        self.recounts: List[DisturbanceRecount] = []
+        self.verifiers = list(system.verifiers)
+        self.recount_exact = True
+        for index, controller in enumerate(system.fabric.controllers):
             dram = controller.dram
             checker = CommandStreamChecker(
                 dram.config,
                 channel=dram.channel,
                 alert_back_off=alert_back_off(controller.mitigation),
             )
+            if self.verifiers:
+                nrh = self.verifiers[index].nrh
+            else:
+                nrh = getattr(controller.mitigation, "nrh", None) or 10**9
+            recount = DisturbanceRecount(dram.config, nrh)
             dram.add_command_observer(checker)
+            dram.add_command_observer(recount)
             dram.add_command_observer(self.recorder)
             self.checkers.append(checker)
+            self.recounts.append(recount)
+            if refreshes_inside_dram(controller):
+                self.recount_exact = False
 
     def finish(self) -> None:
         for checker in self.checkers:
@@ -486,6 +516,36 @@ class CheckedRun:
 
     def hexdigest(self) -> str:
         return self.recorder.hexdigest()
+
+    def recounted(self) -> Tuple[int, int]:
+        """``(max disturbance, violations)`` over every channel's recount."""
+        return (
+            max(recount.max_disturbance for recount in self.recounts),
+            sum(recount.violation_count for recount in self.recounts),
+        )
+
+    def verified(self) -> Tuple[int, int]:
+        """``(max disturbance, violations)`` over every channel's verifier."""
+        return (
+            max(verifier.max_disturbance for verifier in self.verifiers),
+            sum(verifier.violation_count for verifier in self.verifiers),
+        )
+
+    def assert_recount_agrees(self) -> None:
+        """The verifier against the recount: equal when every refresh is a
+        command, bounded from above by it otherwise.  A run that verified
+        nothing has nothing to compare."""
+        if not self.verifiers:
+            return
+        verified, recounted = self.verified(), self.recounted()
+        if self.recount_exact:
+            assert recounted == verified, (
+                f"{self.name}: recount {recounted} != verifier {verified}"
+            )
+        else:
+            assert recounted[0] >= verified[0] and recounted[1] >= verified[1], (
+                f"{self.name}: recount {recounted} below verifier {verified}"
+            )
 
 
 @contextmanager

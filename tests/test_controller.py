@@ -429,12 +429,19 @@ class TestDemandPrechargeReuse:
 class TestBankPendingMinSeq:
     """``_BankPending.min_seq`` is the smallest enqueue sequence number among
     the bank's requests, through in-order appends, out-of-order inserts
-    (retried requests with an older arrival) and removals in any order."""
+    (retried requests with an older arrival, or an equal arrival and a
+    larger request id) and removals in any order; ``requests`` stays sorted
+    by ``(arrival_cycle, request_id)`` throughout."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         ops=st.lists(
-            st.tuples(st.booleans(), st.integers(0, 40), st.integers(0, 30)),
+            st.tuples(
+                st.booleans(),
+                st.integers(0, 40),
+                st.integers(0, 30),
+                st.booleans(),
+            ),
             min_size=1,
             max_size=60,
         )
@@ -442,19 +449,62 @@ class TestBankPendingMinSeq:
     def test_min_seq_is_the_smallest_pending_sequence(self, ops):
         pending = _BankPending()
         seq = 0
-        for is_add, arrival, pick in ops:
+        for is_add, arrival, pick, older_id in ops:
             if is_add or not pending.requests:
                 request = MemoryRequest(
                     request_type=RequestType.READ,
                     address=DRAMAddress(0, 0, 0, 0, arrival % 3, 0),
                     arrival_cycle=arrival,
+                    # Unique ids, some counting down: an equal arrival then
+                    # sorts before requests already queued.
+                    request_id=1000 - seq if older_id else seq,
                 )
-                request.__dict__["_enqueue_seq"] = seq
+                request.enqueue_seq = seq
                 pending.add(request, seq)
                 seq += 1
             else:
                 pending.remove(pending.requests[pick % len(pending.requests)])
             expected = min(
-                (r._enqueue_seq for r in pending.requests), default=NEVER
+                (r.enqueue_seq for r in pending.requests), default=NEVER
             )
             assert pending.min_seq == expected
+            keys = [(r.arrival_cycle, r.request_id) for r in pending.requests]
+            assert keys == sorted(keys)
+
+
+class TestMemoryRequest:
+    """A request is one slotted object: identity eq/hash, the controller's
+    two side slots with their defaults, and no ``__dict__``."""
+
+    def test_identity_eq_and_hash(self):
+        address = DRAMAddress(0, 0, 0, 0, 5, 0)
+        first = MemoryRequest(RequestType.READ, address, arrival_cycle=3)
+        twin = MemoryRequest(
+            RequestType.READ, address, arrival_cycle=3, request_id=first.request_id
+        )
+        assert first == first
+        assert first != twin
+        assert len({first, twin}) == 2
+        assert hash(first) != hash(twin)
+
+    def test_request_id_drawn_only_when_not_given(self):
+        address = DRAMAddress(0, 0, 0, 0, 5, 0)
+        first = MemoryRequest(RequestType.READ, address)
+        MemoryRequest(RequestType.READ, address, request_id=-1)
+        after = MemoryRequest(RequestType.WRITE, address)
+        assert after.request_id == first.request_id + 1
+
+    def test_controller_slots_and_no_dict(self):
+        request = MemoryRequest(RequestType.READ, DRAMAddress(0, 0, 0, 0, 5, 0))
+        assert request.enqueue_seq == NEVER
+        assert request.refresh_activated is False
+        assert not hasattr(request, "__dict__")
+        with pytest.raises(AttributeError):
+            request._enqueue_seq = 1
+
+    def test_enqueue_sets_the_sequence_number(self, tiny_dram_config):
+        controller = make_controller(tiny_dram_config)
+        requests = [read_request(controller, row) for row in (1, 2, 3)]
+        for request in requests:
+            assert controller.enqueue(request, 0)
+        assert [r.enqueue_seq for r in requests] == [0, 1, 2]

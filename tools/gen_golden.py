@@ -136,9 +136,11 @@ def generate() -> dict:
             entry = _entry(execute_spec(spec), runs[-1])
             entry["spec"] = spec.to_dict()
             golden[f"spec/{label}"] = entry
-    # A golden must never pin an illegal command stream.
+    # A golden must never pin an illegal command stream, nor a verdict the
+    # command stream's disturbance recount contradicts.
     for run in runs:
         run.assert_clean()
+        run.assert_recount_agrees()
     return golden
 
 
