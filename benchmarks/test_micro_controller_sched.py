@@ -181,7 +181,7 @@ def test_micro_ready_queue_selection(benchmark):
         cycle = controller.current_cycle + 1
         # Same state, same answer: the refactor must agree with the legacy
         # algorithm before its timing means anything.
-        new = controller.next_decision(cycle)
+        new, _ = controller.next_decision(cycle)
         old = _legacy_demand_command(controller, cycle)
         assert (new[0], new[1], new[2]) == (old[0], old[1], old[2])
 

@@ -4,10 +4,11 @@ The controller owns the read/write queues, the refresh schedule and the
 preventive-refresh queue, and drives the :class:`~repro.dram.dram_system.DRAMSystem`
 one command at a time.  It is deliberately event-driven: the event kernel
 (:mod:`repro.sim.engine`) asks it for its best command as of a cycle
-(:attr:`MemoryController.next_decision`: the command and the earliest cycle
-it can issue at) and later tells it to issue exactly that command
-(:attr:`MemoryController.issue_decision`), so no cycles are spent spinning
-over idle periods.  :meth:`MemoryController.issue_next` does both at once.
+(:attr:`MemoryController.next_decision`: the command, the earliest cycle
+it can issue at and the cycle until which that answer holds) and later tells
+it to issue exactly that command (:attr:`MemoryController.issue_decision`),
+so no cycles are spent spinning over idle periods.
+:meth:`MemoryController.issue_next` does both at once.
 
 What used to be one monolithic FR-FCFS/open-page/all-bank scheduler is now a
 :class:`~repro.controller.policies.ControllerPolicySpec` naming one policy
@@ -347,19 +348,20 @@ class MemoryController:
         #: pre-bound.  Built last: it binds the queues, indexes, caches and
         #: the attached mitigation's hook resolutions.
         self._select = self._build_select()
-        #: ``next_decision(cycle)``: the best command as of ``cycle``, as
-        #: ``(issue_cycle, command, request)``, or ``None`` when idle.  The
-        #: event kernel caches the decision and, provided no queue state
-        #: changed in between, hands it back to :attr:`issue_decision`; it
+        #: ``next_decision(cycle)``: ``(decision, valid_until)``.  The
+        #: decision is the best command as of ``cycle``, as
+        #: ``(issue_cycle, command, request)``, or ``None`` when idle.
+        #: ``valid_until`` is the first cycle after ``cycle`` at which time
+        #: alone could change the answer: the next periodic refresh deadline
+        #: or the scheduler's next priority boundary (BLISS' clearing
+        #: interval, ``scheduler.next_priority_boundary``), else ``NEVER``.
+        #: Before it, only a change of :attr:`mutations` can change the
+        #: answer, so the event kernel keeps the decision and hands it back
+        #: to :attr:`issue_decision` if it holds through its issue cycle; it
         #: also defers a select a due core event would supersede.  Measured
         #: (perfbench, traced): 1.00 selects per issued command on
         #: ``hammer_comet`` and ``campaign_audit``, 1.30 on the 4-core
-        #: mixes, where an enqueue while a decision waits forces another.  A
-        #: cached decision stays right at its issue cycle unless a periodic
-        #: refresh becomes due in between or the scheduling policy's
-        #: priorities shift (BLISS' clearing interval,
-        #: ``scheduler.priority_boundary_crossed``); the kernel checks both
-        #: before trusting it.
+        #: mixes, where an enqueue while a decision waits forces another.
         self.next_decision = self._select
         #: ``issue_decision(decision)``: issue a decision produced by
         #: :attr:`next_decision` and return its cycle.  Both are instance
@@ -504,7 +506,7 @@ class MemoryController:
         Returns the cycle at which the command was issued, or None if the
         controller has nothing to do.
         """
-        decision = self._select(cycle)
+        decision, _ = self._select(cycle)
         if decision is None:
             return None
         return self.issue_decision(decision)
@@ -720,6 +722,11 @@ class MemoryController:
         Close candidates keep the scheduler's ``close_priority``.  The
         scheduler's ``before_demand_scan`` hook (BLISS' clearing) runs once,
         after the Alert Back-Off shift, only when some bank has demand work.
+        Every return carries ``valid_until`` (see :attr:`next_decision`):
+        the refresh guard's loop takes the earliest deadline after the asked
+        cycle, and the scheduler's ``next_priority_boundary`` — pre-resolved
+        to ``None`` for the time-invariant base class — is read last, after
+        the demand scan, from the asked cycle, not the Alert Back-Off one.
         ``tests/test_fastpath_identity.py`` checks every decision against a
         brute-force ranker written from the policies' definitions, and the
         golden traces pin whole runs down to their command streams.
@@ -793,6 +800,12 @@ class MemoryController:
                 is not SchedulingPolicy.before_demand_scan
                 else None
             ),
+            next_priority_boundary=(
+                scheduler.next_priority_boundary
+                if type(scheduler).next_priority_boundary
+                is not SchedulingPolicy.next_priority_boundary
+                else None
+            ),
             demoted_cores=demoted_cores,
             base_narrow=None if hits_first else oldest_only,
             demoted_last=demoted_last,
@@ -830,45 +843,53 @@ class MemoryController:
             RD=CommandKind.RD,
             WR=CommandKind.WR,
             WRITE=RequestType.WRITE,
-        ) -> Optional[Tuple[int, Command, Optional[MemoryRequest]]]:
+        ) -> Tuple[Optional[Tuple[int, Command, Optional[MemoryRequest]]], int]:
+            # ``valid_until`` starts as the earliest refresh deadline after
+            # ``cycle``; the scheduler's next priority boundary is folded in
+            # on return.
+            valid_until = NEVER
+            decision = None
             # Stage 1: periodic refresh (outranks everything).  The guard is
             # _refresh_command's own per-rank "due or owed" test; the helper
             # runs only when some rank trips it.
             if refresh_enabled:
+                refresh_owed = False
                 for rank_key in rank_keys:
-                    if (
-                        cycle >= next_refresh_due[rank_key]
-                        or extra_rank_refreshes[rank_key]
-                    ):
-                        decision = refresh_command(cycle)
-                        if decision is not None:
-                            return decision
-                        break
+                    due = next_refresh_due[rank_key]
+                    if cycle >= due or extra_rank_refreshes[rank_key]:
+                        refresh_owed = True
+                    if cycle < due < valid_until:
+                        valid_until = due
+                if refresh_owed:
+                    decision = refresh_command(cycle)
             # Stage 2: owed bank-scoped RFMs (DDR5 active refresh policies).
-            if refresh_policy_rfm:
+            if decision is None and refresh_policy_rfm:
                 decision = self._rfm_command(cycle)
-                if decision is not None:
-                    return decision
             # Stage 3: queued preventive refreshes (priority over demand).
             # On an empty queue _preventive_command is a no-op returning
             # None (nothing to prune, nothing to scan), so the truthiness
             # guard is exact.
-            if preventive_queue:
+            if decision is None and preventive_queue:
                 decision = preventive_command(cycle)
-                if decision is not None:
-                    return decision
+            if decision is not None:
+                if next_priority_boundary is not None:
+                    boundary = next_priority_boundary(cycle)
+                    if boundary < valid_until:
+                        valid_until = boundary
+                return decision, valid_until
             # Stage 4: demand, stalled by Alert Back-Off when asserted.
+            scan_cycle = cycle
             if mitigation_blocks:
                 blocked = demand_blocked_until(cycle)
                 if blocked > cycle:
-                    cycle = blocked
+                    scan_cycle = blocked
             update_drain_mode()
             reads_active = bool(read_queue)
             writes_active = bool(write_queue) and (
                 self._draining_writes or not read_queue
             )
             if before_demand_scan is not None and (reads_active or writes_active):
-                before_demand_scan(cycle)
+                before_demand_scan(scan_cycle)
             # Per-bank list rewrite for this select: None (FR-FCFS, or BLISS
             # with nobody demoted) scans the live lists as they are.
             narrow = demoted_last if demoted_cores else base_narrow
@@ -922,7 +943,7 @@ class MemoryController:
                 act_ready, read_ready, write_ready, bank_index, channel, bankgroup = meta
 
                 bus = command_bus_free[channel]
-                issue = cycle if cycle > bus else bus
+                issue = scan_cycle if scan_cycle > bus else bus
                 row = open_rows[bank_index]
                 if narrow is not None and len(pending) > 1:
                     pending = narrow(pending, row)
@@ -1012,7 +1033,7 @@ class MemoryController:
 
             if row_policy_closes:
                 for bank_key, opened_cycle, not_before in (
-                    self.row_policy.close_candidates(self, cycle)
+                    self.row_policy.close_candidates(self, scan_cycle)
                 ):
                     bank = self.dram.bank(*bank_key)
                     if bank.is_closed():
@@ -1026,7 +1047,7 @@ class MemoryController:
                         metadata={"policy_close": True},
                     )
                     issue_cycle = self.dram.earliest_issue_cycle(
-                        command, max(cycle, not_before)
+                        command, max(scan_cycle, not_before)
                     )
                     order = (
                         issue_cycle,
@@ -1038,8 +1059,14 @@ class MemoryController:
                         best_command = command
                         best_request = None
 
+            # After the scan: BLISS' ``before_demand_scan`` may have moved
+            # its clearing deadline.
+            if next_priority_boundary is not None:
+                boundary = next_priority_boundary(cycle)
+                if boundary < valid_until:
+                    valid_until = boundary
             if best_order is None:
-                return None
+                return None, valid_until
             if best_command is None:
                 address = best_request.address
                 if best_kind is ACT:
@@ -1070,7 +1097,7 @@ class MemoryController:
                         bank=address.bank,
                         column=address.column,
                     )
-            return best_order[0], best_command, best_request
+            return (best_order[0], best_command, best_request), valid_until
 
         return select
 

@@ -228,15 +228,16 @@ class SchedulingPolicy:
     ) -> None:
         """Observe every issued command (BLISS tracks served streaks here)."""
 
-    def priority_boundary_crossed(self, start: int, end: int) -> bool:
-        """True when the policy's priorities change inside ``(start, end]``.
+    def next_priority_boundary(self, cycle: int) -> int:
+        """The first cycle after ``cycle`` at which the policy's priorities
+        change with time alone, or :data:`NEVER`.
 
-        The event kernel caches one decision per controller and replays it
-        at its issue cycle; a time-varying scheduler (BLISS' clearing
-        interval) must report its boundaries here so a decision spanning
-        one is recomputed instead of issuing with stale priorities.
+        The controller's select folds it into the ``valid_until`` it returns
+        with each decision, so a time-varying scheduler (BLISS' clearing
+        interval) has a decision spanning a boundary recomputed instead of
+        issued with stale priorities.
         """
-        return False
+        return NEVER
 
 
 class RowPolicy:
@@ -392,10 +393,11 @@ class BLISSScheduler(SchedulingPolicy):
     def before_demand_scan(self, cycle: int) -> None:
         self._maybe_clear(cycle)
 
-    def priority_boundary_crossed(self, start: int, end: int) -> bool:
-        # A clearing deadline inside the interval empties the blacklist, so
-        # a decision made at ``start`` may rank requests wrongly at ``end``.
-        return start < self._next_clear <= end
+    def next_priority_boundary(self, cycle: int) -> int:
+        # The clearing deadline empties the blacklist, so a decision made at
+        # ``cycle`` may rank requests wrongly from then on.  A deadline
+        # already passed is applied by the next demand scan, not by time.
+        return self._next_clear if self._next_clear > cycle else NEVER
 
     def close_priority(self, opened_cycle: int) -> tuple:
         return (0, opened_cycle)

@@ -6,24 +6,18 @@ provides the same abstraction:
 
 * :class:`~repro.cpu.trace.Trace` / :class:`~repro.cpu.trace.TraceEntry` —
   the trace format, with readers/writers and statistics (RBMPKI estimation).
-* :class:`~repro.cpu.cache.LastLevelCache` — a set-associative write-back LLC
-  that filters core accesses into DRAM requests (8 MiB single-core / 16 MiB
-  8-core, per Table 2).
 * :class:`~repro.cpu.core.Core` — a 4-wide, 128-entry-window trace-driven
   core whose IPC responds to memory latency, the quantity every performance
   figure in the paper is built on.
 """
 
 from repro.cpu.trace import Trace, TraceEntry, TraceStatistics
-from repro.cpu.cache import LastLevelCache, CacheConfig
 from repro.cpu.core import Core, CoreConfig
 
 __all__ = [
     "Trace",
     "TraceEntry",
     "TraceStatistics",
-    "LastLevelCache",
-    "CacheConfig",
     "Core",
     "CoreConfig",
 ]

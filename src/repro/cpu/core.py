@@ -5,9 +5,11 @@ It models the performance-relevant features of the 4-wide, 128-entry-window
 out-of-order core of Table 2 without simulating individual instructions:
 
 * non-memory instructions retire at ``width`` per CPU cycle;
-* memory reads (LLC misses) occupy the instruction window until their data
-  returns, and at most ``max_outstanding_reads`` reads may be in flight, so
-  long DRAM latencies stall the core exactly the way a full window would;
+* every trace entry is one post-LLC memory request (the workloads are
+  generated as such streams, so no cache is modelled);
+* memory reads occupy the instruction window until their data returns, and
+  at most ``max_outstanding_reads`` reads may be in flight, so long DRAM
+  latencies stall the core exactly the way a full window would;
 * writes are posted (they never stall retirement unless the controller's
   write queue is full).
 
@@ -19,7 +21,7 @@ The event kernel calls :meth:`Core.next_event_cycle` and :meth:`Core.step`
 once per trace entry, so both are flat: they read the trace's entry list
 and a dispatch end index (``min(len(trace), window_limit)``, kept current
 by the :attr:`Core.window_limit` setter) instead of going through
-``Trace`` and property chains.  Without an LLC, ``step`` builds the
+``Trace`` and property chains.  ``step`` builds the
 :class:`~repro.controller.request.MemoryRequest` and hands it straight to
 its channel controller's ``enqueue``, bound when the core is built; a read
 completes through one call, its :class:`_OutstandingRead` record.  The
@@ -38,7 +40,6 @@ from typing import Callable, Deque, List, Optional, Sequence, Union
 from repro.controller.controller import MemoryController
 from repro.controller.policies import NEVER
 from repro.controller.request import MemoryRequest, RequestType
-from repro.cpu.cache import LastLevelCache
 from repro.cpu.trace import Trace, TraceEntry
 from repro.dram.address import AddressMapper
 
@@ -102,8 +103,6 @@ class CoreStatistics:
     retired_instructions: int = 0
     memory_reads: int = 0
     memory_writes: int = 0
-    llc_hits: int = 0
-    llc_misses: int = 0
     stall_events: int = 0
     finish_cycle: float = 0.0
 
@@ -126,13 +125,11 @@ class Core:
         trace: Trace,
         controller: MemoryController,
         config: Optional[CoreConfig] = None,
-        cache: Optional[LastLevelCache] = None,
     ) -> None:
         self.core_id = core_id
         self.trace = trace
         self.controller = controller
         self.config = config or CoreConfig()
-        self.cache = cache
         self.mapper: AddressMapper = controller.mapper
         self.stats = CoreStatistics()
         self._issue_rate = self.config.issue_rate_per_mem_cycle
@@ -258,23 +255,20 @@ class Core:
             outstanding.popleft()
         dispatched = self._dispatched_instructions
         stats = self.stats
-        if self.cache is None:
-            decoded = self._decode(address)
-            if is_write:
-                request = MemoryRequest(_WRITE, decoded, address, self.core_id)
-                stats.memory_writes += 1
-            else:
-                record = _OutstandingRead(self, dispatched)
-                outstanding.append(record)
-                request = MemoryRequest(
-                    _READ, decoded, address, self.core_id, on_complete=record
-                )
-                stats.memory_reads += 1
-            if not self._enqueues[decoded.channel](request, int(cycle)):
-                self._blocked_on_queue = request
-                stats.stall_events += 1
+        decoded = self._decode(address)
+        if is_write:
+            request = MemoryRequest(_WRITE, decoded, address, self.core_id)
+            stats.memory_writes += 1
         else:
-            self._access_cache(address, is_write, cycle)
+            record = _OutstandingRead(self, dispatched)
+            outstanding.append(record)
+            request = MemoryRequest(
+                _READ, decoded, address, self.core_id, on_complete=record
+            )
+            stats.memory_reads += 1
+        if not self._enqueues[decoded.channel](request, int(cycle)):
+            self._blocked_on_queue = request
+            stats.stall_events += 1
         self._cursor = cursor + 1
         dispatched += bubble_count + 1
         self._dispatched_instructions = dispatched
@@ -321,37 +315,6 @@ class Core:
             if window_usage > self._window_size:
                 return False
         return True
-
-    def _access_cache(self, address: int, is_write: bool, cycle: float) -> None:
-        """The LLC path of :meth:`step`: a miss sends a fill (and a writeback)."""
-        result = self.cache.access(address, is_write=is_write)
-        if result.hit:
-            self.stats.llc_hits += 1
-            return
-        self.stats.llc_misses += 1
-        if result.writeback_address is not None:
-            self._send(result.writeback_address, True, cycle)
-        # The demand access becomes a fill (read) regardless of r/w; a
-        # write miss allocates the line and dirties it in the cache.
-        self._send(result.fill_address, False, cycle)
-
-    def _send(self, address: int, is_write: bool, cycle: float) -> None:
-        """Build and enqueue one request, as :meth:`step` does inline."""
-        decoded = self._decode(address)
-        stats = self.stats
-        if is_write:
-            request = MemoryRequest(_WRITE, decoded, address, self.core_id)
-            stats.memory_writes += 1
-        else:
-            record = _OutstandingRead(self, self._dispatched_instructions)
-            self._outstanding.append(record)
-            request = MemoryRequest(
-                _READ, decoded, address, self.core_id, on_complete=record
-            )
-            stats.memory_reads += 1
-        if not self._enqueues[decoded.channel](request, int(cycle)):
-            self._blocked_on_queue = request
-            stats.stall_events += 1
 
     def _retry_blocked_request(self, cycle: float) -> None:
         request = self._blocked_on_queue

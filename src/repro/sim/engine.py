@@ -25,27 +25,33 @@ There are two kinds of *event source*:
 * Each **memory controller** (one per channel on a
   :class:`~repro.controller.fabric.ChannelFabric`; a bare controller is
   treated as a 1-entry fabric) is scheduled at the earliest cycle at which
-  it can issue a command.  Entries are invalidated and recomputed after an
-  event only when that event could actually have changed the controller's
-  answer: an *untouched* channel — its mutation counter
-  (:attr:`~repro.controller.controller.MemoryController.mutations`) proves
-  its queues and device state are unchanged, no periodic refresh became
-  due and no scheduler priority boundary
-  (:meth:`~repro.controller.policies.SchedulingPolicy.priority_boundary_crossed`)
-  was crossed since it selected, and its cached decision (if any) has not
-  fallen behind the clock — keeps
-  its cached decision and live heap entry as is.  This covers both the idle
-  case (cached "nothing to do" stays nothing) and the busy case (a cached
-  decision whose issue cycle is still in the future stays the right
-  choice), so an event that provably touched one channel no longer
-  recomputes all of them, and an idle span collapses to a single jump of
-  ``now`` to the next live entry instead of per-event rescheduling.
+  it can issue a command.  Its select,
+  :attr:`~repro.controller.controller.MemoryController.next_decision`,
+  returns ``(decision, valid_until)``: ``valid_until`` is the first cycle
+  after the select at which time alone (a refresh deadline, a scheduler
+  priority boundary) could change the answer.  The kernel keeps one number
+  per controller, ``until``: ``valid_until`` for an idle controller, and
+  for a busy one ``valid_until`` if it falls by the decision's issue cycle,
+  else the cycle after it.  A channel is *untouched* while the clock is
+  before ``until`` and its mutation counter
+  (:attr:`~repro.controller.controller.MemoryController.mutations`) equals
+  the value read right after the select: it keeps its decision and live
+  heap entry as is.  This covers both the idle case (cached "nothing to
+  do" stays nothing) and the busy case (a decision whose issue cycle is
+  still ahead stays the right choice), so an event that provably touched
+  one channel no longer recomputes all of them, and an idle span collapses
+  to a single jump of ``now`` to the next live entry instead of per-event
+  rescheduling.  When a busy entry pops, the kernel issues the kept
+  decision, or selects again at issue time if ``valid_until`` fell by the
+  issue cycle; either way the next pass selects again.  An idle controller
+  gets no heap entry, so it next selects when another event wakes the
+  kernel.
 * A changed controller's selection is **deferred** while the next live
   heap entry is a core event at or before ``ceil(now)``: that event pops
   first (cores win ties, no command issues before ``ceil(now)``) and
   usually enqueues a request that would supersede the selection.  The
-  controller is left with no entry and no cached decision, so the pass
-  after the core event selects it once, at the same cycle.  Deferral is
+  controller is left with no entry and ``until = -1``, so the pass after
+  the core event selects it once, at the same cycle.  Deferral is
   exact only when the skipped select would change no state, so it needs
   no core blocked on a full queue (no skipped select may change which
   blocked cores a freed slot wakes, or when) and the controller's
@@ -64,14 +70,24 @@ counters, so re-scheduling is O(log n) and no entry is ever searched for.
 
 There is one event loop, :meth:`EventKernel.run`, with its per-event work
 inlined over locals and one controller pass, which setup and stall
-recovery enter too.  It reads each controller's ``next_decision`` and
-``issue_decision`` once per run and calls them as they are: on a
-:class:`~repro.controller.controller.MemoryController` they are the select
-and issue closures themselves, and a wrapper set on the instance before the
-run (a benchmark's tracing) is what the loop calls.  Controllers must also
-expose ``mutations``, ``scheduler``, ``next_refresh_due`` and
-``dram_config``, the inputs the loop's untouched-channel skip reads, and
-``select_deferrable``, the deferral predicate (also read once per run).
+recovery enter too.  A controller's interface to the kernel is:
+
+* ``mutations``, the counter the untouched-channel test compares;
+* ``next_decision(cycle)``, the select, returning ``(decision,
+  valid_until)``;
+* ``issue_decision(decision)``, which issues a kept decision and returns
+  its cycle, and ``issue_next(cycle)``, which selects and issues at once;
+* ``select_deferrable()``, the deferral predicate;
+* ``has_work()`` and ``pending_requests()``, read at termination and in
+  diagnostics;
+* ``current_cycle``, the latest issue, at which a blocked core retries;
+* ``add_slot_free_callback(callback)``, the slot-free hook.
+
+The loop reads ``next_decision``, ``issue_decision`` and
+``select_deferrable`` once per run and calls them as they are: on a
+:class:`~repro.controller.controller.MemoryController` the first two are
+the select and issue closures themselves, and a wrapper set on the
+instance before the run (a benchmark's tracing) is what the loop calls.
 
 Ties are broken the same way the seed loop's comparisons did: cores win over
 controllers at equal timestamps, the lowest-numbered core wins among cores,
@@ -101,7 +117,7 @@ import math
 from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
-from repro.controller.policies import NEVER, SchedulingPolicy
+from repro.controller.policies import NEVER
 from repro.cpu.core import Core
 
 #: Heap priorities: cores beat controllers at equal timestamps (the seed
@@ -184,16 +200,12 @@ class EventKernel:
         self._core_gen = [0] * len(self.cores)
         num_controllers = len(self.controllers)
         self._ctl_gen = [0] * num_controllers
-        #: Decision cached at schedule time; valid while the generation holds
-        #: (no queue mutation since) and no refresh deadline crossed.
+        #: The last select's decision, its controller's mutation counter
+        #: right after it, and the cycle until which the kernel keeps it
+        #: (``-1``: select at the next pass).
         self._ctl_decision: List[Optional[tuple]] = [None] * num_controllers
-        self._ctl_recheck = [False] * num_controllers
-        #: Inputs of the cached (non-)decision, used for the idle-channel
-        #: skip: the cycle command selection ran at and the controller's
-        #: mutation counter right after it ran.
-        self._ctl_cached_cycle = [0] * num_controllers
-        self._ctl_cached_mutations: List[Optional[int]] = [None] * num_controllers
-        self._ctl_has_entry = [False] * num_controllers
+        self._ctl_mutations = [0] * num_controllers
+        self._ctl_until = [-1] * num_controllers
         #: Cores whose state changed mid-event (read completions fire while
         #: a controller is issuing); re-scheduled once the event finishes.
         self._dirty_cores: set[int] = set()
@@ -220,23 +232,21 @@ class EventKernel:
         The run is done when every core has finished and no controller has
         work left.  Each iteration makes one pass over the controllers, then
         pops the next live entry and dispatches it.  The pass re-queues the
-        cores the last event woke; then an untouched channel keeps its
-        entry, and a changed one selects again or, under the module
-        docstring's guards, is deferred past a due core event.  Setup and
-        stall recovery enter the same pass.  On the benchmark's
-        ``hammer_comet`` deferral cuts selects from 1.32 to 1.00 per issued
-        command, with the same steps and command stream.
+        cores the last event woke; then an untouched channel (clock before
+        its ``until``, mutation counter unchanged) keeps its entry, and any
+        other selects again or, under the module docstring's guards, is
+        deferred past a due core event.  Setup and stall recovery enter the
+        same pass.  On the benchmark's ``hammer_comet`` deferral cuts
+        selects from 1.32 to 1.00 per issued command, with the same steps
+        and command stream.
 
         The per-event work — the dirty-core flush, the controller pass and
         the pop of the next live entry — runs inlined over locals, and it
         reads a core's ``_blocked_on_queue`` slot rather than the
-        ``has_blocked_request`` property.
-        Per-controller boundary inputs are pre-resolved once: the
-        refresh-due dict (mutated in place for the controller's lifetime;
-        empty with refresh off), and the scheduler's
-        ``priority_boundary_crossed`` hook, dropped entirely when it is the
-        base-class constant ``False`` (every scheduler but BLISS).  Cold
-        paths — stall recovery, termination — stay in the helpers.
+        ``has_blocked_request`` property.  Per controller the loop keeps
+        four numbers or references: the heap generation, the kept decision,
+        the mutation snapshot and ``until``.  Cold paths — stall recovery,
+        termination — stay in the helpers.
         ``self.now``/``self.steps`` are kept in sync before any component
         call because completion hooks read them mid-event.
         """
@@ -253,24 +263,11 @@ class EventKernel:
         core_gen = self._core_gen
         ctl_gen = self._ctl_gen
         ctl_decision = self._ctl_decision
-        ctl_recheck = self._ctl_recheck
-        ctl_cached_cycle = self._ctl_cached_cycle
-        ctl_cached_mutations = self._ctl_cached_mutations
-        ctl_has_entry = self._ctl_has_entry
+        ctl_mutations = self._ctl_mutations
+        ctl_until = self._ctl_until
         dirty_cores = self._dirty_cores
         blocked_cores = self._blocked_cores
         max_steps = self.max_steps
-        base_boundary = SchedulingPolicy.priority_boundary_crossed
-        boundary_hooks = [
-            ctl.scheduler.priority_boundary_crossed
-            if type(ctl.scheduler).priority_boundary_crossed is not base_boundary
-            else None
-            for ctl in controllers
-        ]
-        refresh_dues = [
-            ctl.next_refresh_due if ctl.dram_config.refresh_enabled else {}
-            for ctl in controllers
-        ]
         deferrable = [ctl.select_deferrable for ctl in controllers]
         decision_fns = [ctl.next_decision for ctl in controllers]
         issue_fns = [ctl.issue_decision for ctl in controllers]
@@ -313,59 +310,34 @@ class EventKernel:
                         pop(heap)
                 for i in ctl_indices:
                     ctl = controllers[i]
-                    decision = ctl_decision[i]
-                    if ctl_cached_mutations[i] == ctl.mutations and (
-                        decision is None or ctl_has_entry[i] and decision[0] >= cycle
-                    ):
-                        # Untouched channel: no scheduler-visible state
-                        # changed since it selected at ``start`` and the
-                        # cached decision, if any, has not fallen behind the
-                        # clock.  Unless a refresh deadline or a priority
-                        # boundary lies in (start, cycle], selecting again
-                        # would return the same decision.
-                        start = ctl_cached_cycle[i]
-                        for due in refresh_dues[i].values():
-                            if start < due <= cycle:
-                                break
-                        else:
-                            hook = boundary_hooks[i]
-                            if hook is None or not hook(start, cycle):
-                                continue
+                    if cycle < ctl_until[i] and ctl_mutations[i] == ctl.mutations:
+                        # Untouched channel: selecting again would return
+                        # the same decision (see the module docstring).
+                        continue
                     ctl_gen[i] += 1
                     if core_due and deferrable[i]():
-                        # Deferred: no entry and no cached decision, so the pass
-                        # after the core event selects this controller once.
-                        ctl_decision[i] = None
-                        ctl_cached_mutations[i] = None
-                        ctl_has_entry[i] = False
+                        # Deferred: no entry, so the pass after the core
+                        # event selects this controller once.
+                        ctl_until[i] = -1
                         continue
-                    decision = decision_fns[i](cycle)
-                    ctl_cached_cycle[i] = cycle
+                    decision, valid_until = decision_fns[i](cycle)
                     # Snapshot *after* the select: it may retire finished
                     # preventive refreshes and bump the counter.
-                    ctl_cached_mutations[i] = ctl.mutations
+                    ctl_mutations[i] = ctl.mutations
                     if decision is None:
-                        ctl_decision[i] = None
-                        ctl_has_entry[i] = False
+                        ctl_until[i] = valid_until
                         continue
                     issue_cycle = decision[0]
                     ctl_decision[i] = decision
-                    # A refresh deadline or a priority boundary inside
-                    # (cycle, issue_cycle] can change the right choice:
-                    # select again at issue time then.
-                    for due in refresh_dues[i].values():
-                        if cycle < due <= issue_cycle:
-                            crossed = True
-                            break
-                    else:
-                        hook = boundary_hooks[i]
-                        crossed = hook is not None and hook(cycle, issue_cycle)
-                    ctl_recheck[i] = crossed
+                    # Kept through its issue cycle unless it expires first;
+                    # then the popped entry selects again at issue time.
+                    ctl_until[i] = (
+                        valid_until if valid_until <= issue_cycle else issue_cycle + 1
+                    )
                     push(
                         heap,
                         (issue_cycle, _PRIORITY_CONTROLLER, i, ctl_gen[i]),
                     )
-                    ctl_has_entry[i] = True
                 if not dirty_cores:
                     break
             if steps >= max_steps:
@@ -414,12 +386,12 @@ class EventKernel:
                         ),
                     )
             else:
-                ctl = controllers[index]
-                ctl_has_entry[index] = False
-                if ctl_recheck[index]:
-                    issued = ctl.issue_next(ceil(time))
+                decision = ctl_decision[index]
+                if ctl_until[index] <= decision[0]:
+                    issued = controllers[index].issue_next(ceil(time))
                 else:
-                    issued = issue_fns[index](ctl_decision[index])
+                    issued = issue_fns[index](decision)
+                ctl_until[index] = -1
                 if issued is not None and issued > now:
                     now = issued
                     self.now = now

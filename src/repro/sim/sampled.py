@@ -275,7 +275,6 @@ def _fast_forward(
         while heads:
             dispatch, index = heapq.heappop(heads)
             core = cores[index]
-            cache = core.cache
             stats = core.stats
             cpi = pace[index]
             left = remaining[index]
@@ -285,39 +284,26 @@ def _fast_forward(
                 cycle = int(dispatch)
                 clock["now"] = cycle
 
-                accesses: List[Tuple[int, bool]] = []
-                if cache is not None:
-                    result = cache.access(entry.address, is_write=entry.is_write)
-                    if result.hit:
-                        stats.llc_hits += 1
-                    else:
-                        stats.llc_misses += 1
-                        if result.writeback_address is not None:
-                            accesses.append((result.writeback_address, True))
-                        accesses.append((result.fill_address, False))
+                is_write = entry.is_write
+                address = mapper.decode(entry.address)
+                channel = address.channel
+                ctl = controllers[channel]
+                if cycle >= refresh_due[channel]:
+                    _catch_up_refreshes(ctl, cycle)
+                    refresh_due[channel] = min(ctl.next_refresh_due.values())
+                _, latency = _warm_access(ctl, address, is_write, cycle)
+                if is_write:
+                    stats.memory_writes += 1
+                    ctl.stats.write_requests += 1
                 else:
-                    accesses.append((entry.address, entry.is_write))
-
-                for physical, is_write in accesses:
-                    address = mapper.decode(physical)
-                    channel = address.channel
-                    ctl = controllers[channel]
-                    if cycle >= refresh_due[channel]:
-                        _catch_up_refreshes(ctl, cycle)
-                        refresh_due[channel] = min(ctl.next_refresh_due.values())
-                    _, latency = _warm_access(ctl, address, is_write, cycle)
-                    if is_write:
-                        stats.memory_writes += 1
-                        ctl.stats.write_requests += 1
-                    else:
-                        stats.memory_reads += 1
-                        ctl.stats.read_requests += 1
-                        completion = dispatch + latency
-                        ctl.stats.total_read_latency += latency
-                        ctl.stats.completed_reads += 1
-                        ctl.stats.per_core_read_latency[core.core_id] += latency
-                        ctl.stats.per_core_reads[core.core_id] += 1
-                        core.record_read_completion(completion)
+                    stats.memory_reads += 1
+                    ctl.stats.read_requests += 1
+                    completion = dispatch + latency
+                    ctl.stats.total_read_latency += latency
+                    ctl.stats.completed_reads += 1
+                    ctl.stats.per_core_read_latency[core.core_id] += latency
+                    ctl.stats.per_core_reads[core.core_id] += 1
+                    core.record_read_completion(completion)
 
                 dispatch += need * cpi
                 left -= 1

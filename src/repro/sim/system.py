@@ -1,4 +1,4 @@
-"""Full-system simulation: cores + LLC + memory controller + DRAM + mitigation.
+"""Full-system simulation: cores + memory controller + DRAM + mitigation.
 
 The simulation is event-driven: cores, the memory controller and the
 mitigation register timestamped events on the min-heap kernel of
@@ -23,7 +23,6 @@ from repro.analysis.security import SecurityVerifier
 from repro.controller.controller import ControllerConfig
 from repro.controller.fabric import ChannelFabric
 from repro.controller.policies import ControllerPolicySpec
-from repro.cpu.cache import CacheConfig, LastLevelCache
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.trace import Trace
 from repro.dram.config import DRAMConfig
@@ -42,8 +41,6 @@ class SystemConfig:
     #: ``None`` selects the default (fr_fcfs, open_page, all_bank).
     policy: Optional[ControllerPolicySpec] = None
     core: CoreConfig = field(default_factory=CoreConfig)
-    use_llc: bool = False
-    llc: Optional[CacheConfig] = None
     verify_security: bool = True
     #: RowHammer threshold used by the security verifier (the mitigation's own
     #: threshold is configured on the mitigation object).
@@ -142,12 +139,6 @@ class System:
                 for controller in self.fabric.controllers
             ]
         self.cores: List[Core] = []
-        shared_cache = None
-        if self.config.use_llc:
-            cache_config = self.config.llc or (
-                CacheConfig.paper_multi_core() if len(traces) > 1 else CacheConfig.paper_single_core()
-            )
-            shared_cache = LastLevelCache(cache_config)
         for core_id, trace in enumerate(traces):
             self.cores.append(
                 Core(
@@ -155,7 +146,6 @@ class System:
                     trace=trace,
                     controller=self.fabric,
                     config=self.config.core,
-                    cache=shared_cache,
                 )
             )
         self._steps = 0

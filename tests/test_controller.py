@@ -1,5 +1,7 @@
 """Tests for the FR-FCFS memory controller."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from repro.controller.policies import NEVER, ControllerPolicySpec
 from repro.controller.request import MemoryRequest, RequestType
 from repro.dram.address import DRAMAddress
 from repro.dram.commands import Command, CommandKind
+from repro.dram.config import small_test_config
 from repro.experiment.execute import build_workload_traces
 from repro.experiment.spec import (
     ExperimentSpec,
@@ -71,7 +74,7 @@ def run_decisions(controller, start=0, limit=50_000):
     decisions = []
     cycle = start
     for _ in range(limit):
-        decision = controller.next_decision(cycle)
+        decision, _ = controller.next_decision(cycle)
         if decision is None:
             break
         decisions.append(decision)
@@ -268,6 +271,33 @@ class TestRefresh:
         assert controller.stats.early_refresh_operations == 1
 
 
+class TestValidUntil:
+    """The select's second value: the first cycle after the asked one at
+    which time alone could change its answer."""
+
+    def test_idle_select_holds_until_the_next_refresh_deadline(self):
+        controller = make_controller(
+            small_test_config(rows_per_bank=256, ranks_per_channel=2)
+        )
+        dues = sorted(controller.next_refresh_due.values())
+        assert len(dues) == 2 and dues[0] < dues[1]
+        assert controller.next_decision(0) == (None, dues[0])
+        # A deadline already reached is served, not waited for: the REF
+        # holds until the next deadline still ahead.
+        decision, valid_until = controller.next_decision(dues[0])
+        assert decision[1].kind is CommandKind.REF
+        assert valid_until == dues[1]
+
+    def test_idle_select_without_refresh_holds_forever(self, tiny_dram_config):
+        config = dataclasses.replace(tiny_dram_config, refresh_enabled=False)
+        controller = make_controller(config)
+        assert controller.next_decision(0) == (None, NEVER)
+        controller.enqueue(read_request(controller, 1), 0)
+        decision, valid_until = controller.next_decision(0)
+        assert decision[1].kind is CommandKind.ACT
+        assert valid_until == NEVER
+
+
 class TestPreventiveRefresh:
     def test_preventive_refresh_activates_and_closes_victim(self, tiny_dram_config):
         controller = make_controller(tiny_dram_config)
@@ -352,7 +382,7 @@ class TestDemandPrechargeReuse:
         # A later conflict on the same bank reuses the same instance.
         again = read_request(controller, 13)
         controller.enqueue(again, controller.current_cycle)
-        decision = controller.next_decision(controller.current_cycle)
+        decision, _ = controller.next_decision(controller.current_cycle)
         assert decision[2] is again
         assert decision[1] is demand_pres[0]
 

@@ -267,16 +267,31 @@ class TestBLISSScheduler:
         assert order == ["core1", "core0"]
 
     def test_clearing_boundary_invalidates_cached_decisions(self, tiny_dram_config):
-        """The event kernel replays cached decisions at their issue cycle;
-        a decision spanning a BLISS clearing boundary must be recomputed
-        (the blacklist it ranked on is empty by then)."""
+        """The event kernel replays cached decisions until the select's
+        ``valid_until``; a decision spanning a BLISS clearing boundary must
+        be recomputed (the blacklist it ranked on is empty by then)."""
         controller = self._bliss_controller(tiny_dram_config, interval=500)
-        assert controller.scheduler.priority_boundary_crossed(400, 600)
-        assert not controller.scheduler.priority_boundary_crossed(100, 400)
+        assert controller.scheduler.next_priority_boundary(400) == 500
+        # A deadline already reached is applied by the next demand scan,
+        # not by time: it bounds nothing.
+        assert controller.scheduler.next_priority_boundary(500) == NEVER
+        assert controller.scheduler.next_priority_boundary(600) == NEVER
         # The default scheduler's priorities are time-invariant: only a
         # refresh deadline can invalidate its cached decisions.
         default = make_controller(tiny_dram_config)
-        assert not default.scheduler.priority_boundary_crossed(400, 600)
+        assert default.scheduler.next_priority_boundary(400) == NEVER
+
+    def test_select_reads_the_boundary_after_the_demand_scan(self, tiny_dram_config):
+        """A demand scan past a stale clearing deadline advances it, and the
+        select's ``valid_until`` is the advanced deadline."""
+        config = dataclasses.replace(tiny_dram_config, refresh_enabled=False)
+        controller = self._bliss_controller(config, interval=500)
+        assert controller.next_decision(100) == (None, 500)
+        controller.enqueue(read_request(controller, 1, cycle=600), 600)
+        decision, valid_until = controller.next_decision(600)
+        assert decision is not None
+        assert controller.scheduler._next_clear == 1000
+        assert valid_until == 1000
 
     def test_clearing_interval_resets_blacklist(self, tiny_dram_config):
         controller = self._bliss_controller(tiny_dram_config, streak=1, interval=500)
@@ -334,7 +349,7 @@ class TestAdaptiveTimeout:
         bank = controller.dram.bank_for(request.address)
         assert not bank.is_closed()
         # The close candidate is future-dated to the residency timeout.
-        close_cycle = controller.next_decision(cycle)[0]
+        close_cycle = controller.next_decision(cycle)[0][0]
         assert close_cycle >= timeout
         issued = controller.issue_next(cycle)
         assert issued == close_cycle

@@ -5,14 +5,13 @@ import math
 
 from repro.controller.controller import ControllerConfig, MemoryController
 from repro.controller.policies import NEVER
-from repro.cpu.cache import CacheConfig, LastLevelCache
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.trace import Trace
 
 
-def make_core(tiny_dram_config, trace, core_config=None, controller_config=None, cache=None):
+def make_core(tiny_dram_config, trace, core_config=None, controller_config=None):
     controller = MemoryController(tiny_dram_config, config=controller_config)
-    core = Core(0, trace, controller, config=core_config, cache=cache)
+    core = Core(0, trace, controller, config=core_config)
     return core, controller
 
 
@@ -27,7 +26,7 @@ def run_system(core, controller, max_steps=100_000):
         if core.has_blocked_request:
             core.retry_blocked(now)
         core_cycle = core.next_event_cycle()
-        decision = controller.next_decision(int(math.ceil(now)))
+        decision, _ = controller.next_decision(int(math.ceil(now)))
         controller_time = float(decision[0]) if decision is not None else NEVER
         if core_cycle >= NEVER and controller_time >= NEVER:
             now += 1
@@ -134,25 +133,6 @@ class TestQueueBackpressure:
         run_system(core, controller)
         assert core.finished
         assert core.stats.memory_reads + core.stats.memory_writes == 40
-
-
-class TestCoreWithCache:
-    def test_cache_filters_repeated_accesses(self, tiny_dram_config):
-        entries = [(1, 0x1000)] * 50
-        cache = LastLevelCache(CacheConfig(size_bytes=64 * 1024, associativity=4, line_bytes=64))
-        core, controller = make_core(tiny_dram_config, Trace.from_tuples(entries), cache=cache)
-        run_system(core, controller)
-        assert core.stats.llc_hits == 49
-        assert core.stats.llc_misses == 1
-        assert controller.dram.stats.reads == 1
-
-    def test_dirty_writeback_reaches_dram(self, tiny_dram_config):
-        cache = LastLevelCache(CacheConfig(size_bytes=4096, associativity=1, line_bytes=64))
-        set_stride = cache.config.num_sets * 64
-        entries = [(1, 0x0, True)] + [(1, (i + 1) * set_stride) for i in range(2)]
-        core, controller = make_core(tiny_dram_config, Trace.from_tuples(entries), cache=cache)
-        run_system(core, controller)
-        assert controller.dram.stats.writes >= 1
 
 
 class TestWindowLimit:

@@ -423,7 +423,7 @@ def test_fused_select_matches_reference_decision_by_decision(
                     retry.append(twin)
             continue
         for _ in range(arg):
-            decision = fused.next_decision(cycle)
+            decision, _ = fused.next_decision(cycle)
             expected = ranker.decide(cycle)
             assert _view(decision) == _view(expected)
             assert _scheduler_state(fused) == _scheduler_state(reference)

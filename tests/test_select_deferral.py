@@ -138,6 +138,64 @@ def test_deferral_changes_no_command_and_no_result(point):
     assert _run(spec, controller, defer=True) == _run(spec, controller, defer=False)
 
 
+def _run_selects(spec: ExperimentSpec, controller: ControllerConfig, reselect: bool):
+    """One run of ``spec`` under the oracle with every select counted; with
+    ``reselect`` each select's ``valid_until`` is cut to the next cycle, so
+    the kernel keeps no answer past the cycle it was made at.  Returns the
+    result fingerprint, the command-stream hash and the select count."""
+    system = _system(spec, controller)
+    checked = CheckedRun(system)
+    selects = [0]
+
+    def expiring(select):
+        def wrapper(cycle):
+            selects[0] += 1
+            decision, valid_until = select(cycle)
+            if reselect and valid_until > cycle + 1:
+                valid_until = cycle + 1
+            return decision, valid_until
+
+        return wrapper
+
+    for ctl in system.fabric.controllers:
+        ctl.next_decision = expiring(ctl.next_decision)
+    result = system.run()
+    checked.finish()
+    checked.assert_clean()
+    return result_fingerprint(result), checked.hexdigest(), selects[0]
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        _point("attack", "comet", 2, "bliss", 12, 12, 8, 2),
+        _point("benign", "para", 2, "bliss", 12, 12, 8, 2),
+        _point("attack", "prac", 1, "fr_fcfs", 12, 12, 8, 2),
+        _point("attack", "blockhammer", 1, "fr_fcfs", 12, 12, 8, 2),
+    ],
+    ids=[
+        "attack-comet-2ch-bliss",
+        "benign-para-2ch-bliss",
+        "attack-prac-1ch-fr_fcfs",
+        "attack-blockhammer-1ch-fr_fcfs",
+    ],
+)
+def test_valid_until_changes_no_command(point):
+    """A decision kept until its ``valid_until`` is the decision a select at
+    every later cycle would make: the same command stream and result as a
+    kernel that selects again at every new cycle.  BlockHammer's
+    ``throttled_activations`` is the exception: it counts every throttled
+    ACT candidate a select looks at, so more selects count more."""
+    spec, controller = point
+    kept, kept_stream, kept_selects = _run_selects(spec, controller, False)
+    fresh, fresh_stream, fresh_selects = _run_selects(spec, controller, True)
+    assert fresh_selects > kept_selects
+    assert kept_stream == fresh_stream
+    for result in (kept, fresh):
+        result["mitigation_stats"].pop("throttled_activations", None)
+    assert kept == fresh
+
+
 def _count_selects(spec: ExperimentSpec):
     """Run ``spec`` with every select counted through instance wraps of
     ``next_decision`` and ``issue_next`` (the benchmark's binding).

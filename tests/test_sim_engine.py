@@ -1,12 +1,11 @@
 """Tests for the event-driven simulation kernel (:mod:`repro.sim.engine`)."""
 
 import math
-from types import SimpleNamespace
 
 import pytest
 
 from repro.controller.controller import MemoryController
-from repro.controller.policies import SchedulingPolicy
+from repro.controller.policies import NEVER
 from repro.cpu.trace import Trace
 from repro.sim.engine import (
     EventKernel,
@@ -164,8 +163,6 @@ class _StuckCore:
         self.kernel_wakeup = None
 
     def next_event_cycle(self):
-        from repro.sim.engine import NEVER
-
         return NEVER
 
     def step(self, now):  # pragma: no cover - blocked cores never step
@@ -185,10 +182,6 @@ class _IdleControllerDouble:
 
     current_cycle = 0
     mutations = 0
-    # The boundary inputs the event loop reads from every controller.
-    scheduler = SchedulingPolicy()
-    next_refresh_due: dict = {}
-    dram_config = SimpleNamespace(refresh_enabled=False)
 
     def __init__(self, pending=0):
         self._pending = pending
@@ -200,7 +193,7 @@ class _IdleControllerDouble:
         return True
 
     def next_decision(self, cycle):
-        return None
+        return None, NEVER
 
     def issue_decision(self, decision):  # pragma: no cover - nothing decided
         raise AssertionError("an idle controller never issues")
@@ -366,12 +359,16 @@ class TestKernelResults:
                 # A scheduler whose priorities may change at any cycle: the
                 # kernel can then neither skip an untouched channel nor
                 # trust a cached decision, and re-selects at issue time.
-                scheduler = system.controller.scheduler
+                # The select resolves the hook when it is built.
+                controller = system.controller
+                scheduler = controller.scheduler
                 scheduler.__class__ = type(
                     "AlwaysCrossed",
                     (type(scheduler),),
-                    {"priority_boundary_crossed": lambda self, start, end: True},
+                    {"next_priority_boundary": lambda self, cycle: cycle + 1},
                 )
+                controller._select = controller._build_select()
+                controller.next_decision = controller._select
             kernel = EventKernel(system.cores, system.controller)
             return system._build_result(math.ceil(kernel.run()))
 

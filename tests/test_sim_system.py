@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cpu.trace import Trace
 from repro.experiment.execute import run_system
 from repro.experiment.registry import mitigation_entry
 from repro.experiment.session import Session
@@ -154,8 +153,3 @@ class TestSystemConfigValidation:
         with pytest.raises(ValueError):
             System([], config=SystemConfig(dram=dram_config))
 
-    def test_llc_mode_runs(self, dram_config):
-        trace = Trace.from_tuples([(10, 0x1000 * i) for i in range(200)], name="llc")
-        config = SystemConfig(dram=dram_config, use_llc=True, verify_security=False)
-        result = System([trace], config=config).run()
-        assert result.ipc > 0
