@@ -5,9 +5,12 @@ Before the policy refactor, every command selection re-bucketed the
 requests by arrival — O(queue + banks·k·log k) per selection, and
 selection runs about once per issued command.  The
 policy-driven controller instead maintains an incremental per-bank index
-(:class:`repro.controller.controller._BankPending`, updated on enqueue and
-retire) and the FR-FCFS policy stops scanning a bank the moment its answer
-is determined, so a selection on a deep queue touches only bank heads.
+(one :class:`repro.controller.controller._BankQueues` record per bank,
+holding its read and write :class:`~repro.controller.controller._BankPending`
+lists, updated on enqueue and retire; the select walks the records of the
+banks with pending demand) and the FR-FCFS policy stops scanning a bank the
+moment its answer is determined, so a selection on a deep queue touches
+only bank heads.
 
 This harness pits the shipped select (``MemoryController.next_decision``,
 the one select every run executes) against a faithful inline replica of

@@ -35,13 +35,17 @@ Section 7.2.2 of the paper), and the mitigation hooks (activation observers,
 BlockHammer-style ACT throttling, mitigation-injected traffic).
 
 Command selection is incremental: pending requests are indexed per bank in
-arrival order as they enqueue (:class:`_BankPending`), so each selection
-visits only banks that have work and stops scanning a bank as soon as the
-scheduling policy's answer is determined, instead of re-bucketing and
-re-sorting the full queues on every call.  The default policy triple is
-bit-identical to the pre-policy controller — decision ties are broken by an
-explicit scan key that reproduces the old queue-scan order exactly — and is
-pinned by the golden traces under ``tests/golden/``.
+arrival order as they enqueue (:class:`_BankPending`), under one record per
+bank (:class:`_BankQueues`) that also holds what the select reads about the
+bank (its timing-table slot, channel, bank group and rank ready lists).
+Banks with pending demand sit in one dict, so each selection walks only the
+records of banks that have work, with no per-bank lookup, and stops
+scanning a bank as soon as the scheduling policy's answer is determined,
+instead of re-bucketing and re-sorting the full queues on every call.  The
+default policy triple is bit-identical to the pre-policy controller —
+decision ties are broken by an explicit scan key that reproduces the old
+queue-scan order exactly — and is pinned by the golden traces under
+``tests/golden/``.
 
 There is one issue path.  Selection and issue are two closures built once
 per controller with their invariant inputs pre-bound
@@ -50,8 +54,8 @@ per controller with their invariant inputs pre-bound
 :attr:`~MemoryController.next_decision` and
 :attr:`~MemoryController.issue_decision`, which the event kernel calls as
 they are.  The select computes every command's earliest legal cycle from the
-device's own timing state (the bank timing table, the ranks' per-bank-group
-ready lists and the bus cycles), so the issue hands each decision to
+device's own timing state (the bank timing table, the ranks' ready lists
+and the bus cycles), so the issue hands each decision to
 :attr:`~repro.dram.dram_system.DRAMSystem.apply` — the device model's only
 update routine — without a second timing check, then does the controller's
 bookkeeping.  What checks the timing instead is independent of this
@@ -78,7 +82,7 @@ from repro.controller.request import MemoryRequest, RequestType
 from repro.dram.address import AddressMapper, DRAMAddress
 from repro.dram.commands import Command, CommandKind
 from repro.dram.config import DRAMConfig
-from repro.dram.dram_system import DRAMSystem
+from repro.dram.dram_system import DRAMSystem, Rank
 
 _WRITE = RequestType.WRITE
 
@@ -208,8 +212,42 @@ def _merge_pending(
     return merged
 
 
-#: Shared empty index for inactive queue classes (skips per-call dict churn).
-_NO_PENDING: Dict[Tuple[int, int, int, int], _BankPending] = {}
+class _BankQueues:
+    """One bank's demand work and everything the select reads about it.
+
+    ``reads``/``writes`` are the bank's pending read and write
+    :class:`_BankPending` (``None`` while that queue holds nothing for the
+    bank) and ``merged`` their cached read+write merge, dropped whenever
+    either changes (ACT/PRE issues touch no queue, so a multi-command
+    service pays for at most one merge).  The rest never changes: the
+    bank's timing-table slot, its channel and bank group, and its rank's
+    three ready lists (:class:`~repro.dram.dram_system.Rank`).  One record
+    per bank, created at the bank's first enqueue and kept for the
+    controller's lifetime.
+    """
+
+    __slots__ = (
+        "reads",
+        "writes",
+        "merged",
+        "index",
+        "channel",
+        "bankgroup",
+        "act_ready",
+        "read_ready",
+        "write_ready",
+    )
+
+    def __init__(self, rank: Rank, channel: int, bankgroup: int, bank: int) -> None:
+        self.reads: Optional[_BankPending] = None
+        self.writes: Optional[_BankPending] = None
+        self.merged: Optional[List[MemoryRequest]] = None
+        self.index: int = rank.banks[(bankgroup, bank)].index
+        self.channel = channel
+        self.bankgroup = bankgroup
+        self.act_ready: List[int] = rank.act_ready
+        self.read_ready: List[int] = rank.read_ready
+        self.write_ready: List[int] = rank.write_ready
 
 
 class MemoryController:
@@ -293,11 +331,6 @@ class MemoryController:
             type(mitigation).act_allowed_cycle
             is not RowHammerMitigation.act_allowed_cycle
         )
-        #: Per-bank-key (the rank's act/read/write ready lists,
-        #: timing-table index, channel, bankgroup) cache for the demand
-        #: scan: everything about a bank key that never changes, resolved
-        #: once instead of per scan.
-        self._bank_meta: Dict[Tuple[int, int, int, int], tuple] = {}
         #: One demand PRE per bank key for the select to hand out
         #: again: a frozen ``Command`` with empty metadata is the same
         #: value every time that bank is closed for a conflict.  Bounded by
@@ -308,14 +341,13 @@ class MemoryController:
         self.write_queue: List[MemoryRequest] = []
         self.preventive_queue: List[MemoryRequest] = []
         #: Incremental per-bank index over the demand queues: requests are
-        #: filed under their bank at enqueue time and removed at completion,
-        #: so command selection never re-buckets the full queues.
-        self._bank_reads: Dict[Tuple[int, int, int, int], _BankPending] = {}
-        self._bank_writes: Dict[Tuple[int, int, int, int], _BankPending] = {}
-        #: Per-bank read+write merge, reused across selections while the
-        #: bank's queues are untouched (ACT/PRE issues touch no queue, so a
-        #: multi-command service pays for at most one merge per bank).
-        self._merged_cache: Dict[Tuple[int, int, int, int], List[MemoryRequest]] = {}
+        #: filed under their bank's record at enqueue time and removed at
+        #: completion, so command selection never re-buckets the full
+        #: queues.  ``_bank_queues`` holds every bank seen;
+        #: ``_active_banks`` the ones with pending demand, the only ones the
+        #: demand scan visits.
+        self._bank_queues: Dict[Tuple[int, int, int, int], _BankQueues] = {}
+        self._active_banks: Dict[Tuple[int, int, int, int], _BankQueues] = {}
         self._enqueue_seq = 0
 
         org = dram_config.organization
@@ -384,7 +416,7 @@ class MemoryController:
                 return False
             self.mutations += 1
             self.read_queue.append(request)
-            self._index_request(self._bank_reads, request)
+            self._index_request(request, False)
             if request.is_mitigation_traffic:
                 self.stats.mitigation_requests += 1
             else:
@@ -394,7 +426,7 @@ class MemoryController:
                 return False
             self.mutations += 1
             self.write_queue.append(request)
-            self._index_request(self._bank_writes, request)
+            self._index_request(request, True)
             if request.is_mitigation_traffic:
                 self.stats.mitigation_requests += 1
             else:
@@ -405,33 +437,47 @@ class MemoryController:
             self.stats.preventive_refreshes += 1
         return True
 
-    def _index_request(
-        self,
-        index: Dict[Tuple[int, int, int, int], _BankPending],
-        request: MemoryRequest,
-    ) -> None:
+    def _index_request(self, request: MemoryRequest, is_write: bool) -> None:
         seq = self._enqueue_seq
         self._enqueue_seq += 1
         request.enqueue_seq = seq
         bank_key = request.address.bank_key
-        self._merged_cache.pop(bank_key, None)
-        pending = index.get(bank_key)
-        if pending is None:
-            pending = index[bank_key] = _BankPending()
+        record = self._active_banks.get(bank_key)
+        if record is None:
+            record = self._bank_queues.get(bank_key)
+            if record is None:
+                channel, rank, bankgroup, bank = bank_key
+                record = self._bank_queues[bank_key] = _BankQueues(
+                    self.dram.ranks[(channel, rank)], channel, bankgroup, bank
+                )
+            self._active_banks[bank_key] = record
+        record.merged = None
+        if is_write:
+            pending = record.writes
+            if pending is None:
+                pending = record.writes = _BankPending()
+        else:
+            pending = record.reads
+            if pending is None:
+                pending = record.reads = _BankPending()
         pending.add(request, seq)
 
     def _unindex_request(self, request: MemoryRequest) -> None:
-        index = (
-            self._bank_writes
-            if request.request_type is _WRITE
-            else self._bank_reads
-        )
         bank_key = request.address.bank_key
-        self._merged_cache.pop(bank_key, None)
-        pending = index[bank_key]
-        pending.remove(request)
-        if not pending.requests:
-            del index[bank_key]
+        record = self._active_banks[bank_key]
+        record.merged = None
+        if request.request_type is _WRITE:
+            pending = record.writes
+            pending.remove(request)
+            if not pending.requests:
+                record.writes = None
+        else:
+            pending = record.reads
+            pending.remove(request)
+            if not pending.requests:
+                record.reads = None
+        if record.reads is None and record.writes is None:
+            del self._active_banks[bank_key]
 
     def schedule_preventive_refresh(self, address: DRAMAddress, cycle: int) -> None:
         """Queue a preventive refresh (ACT+PRE) of ``address``'s row."""
@@ -471,7 +517,7 @@ class MemoryController:
 
     def has_pending_for_bank(self, bank_key: Tuple[int, int, int, int]) -> bool:
         """True when any demand request targets ``bank_key`` (row policies)."""
-        return bank_key in self._bank_reads or bank_key in self._bank_writes
+        return bank_key in self._active_banks
 
     # ------------------------------------------------------------------ #
     # Observers wiring mitigation <-> DRAM
@@ -680,24 +726,34 @@ class MemoryController:
         :meth:`_preventive_command` the moment the guard trips.
 
         The demand stage is one scan for every scheduler, against the
-        struct-of-arrays timing table.  Each bank with pending work yields
-        one candidate — ACT for a closed bank, else the scheduler's row hit
-        (column command) or conflict (PRE) — and candidates compete on
-        ``(issue, arrival, scan_key)``, where ``scan_key`` orders banks by
-        their earliest-enqueued pending request, reads before writes.  The
-        scan reads the shared :class:`~repro.dram.bank.BankTimingTable`
-        arrays and each rank's per-bank-group ready lists
-        (:class:`~repro.dram.dram_system.Rank`, where the rank rules are
-        pushed at issue time) directly, and builds a
+        struct-of-arrays timing table.  It walks the :class:`_BankQueues`
+        records of the banks with pending demand (``self._active_banks``),
+        taking a record's reads and writes only while that queue class is
+        active, so no bank costs a dict lookup.  Each bank with pending
+        work yields one candidate — ACT for a closed bank, else the
+        scheduler's row hit (column command) or conflict (PRE) — and
+        candidates compete on ``(issue, arrival, scan_key)``, where
+        ``scan_key`` orders banks by their earliest-enqueued pending
+        request, reads before writes.  A bank whose ``issue`` is later than
+        the best so far loses there, before any tuple is built; the rest of
+        its order is built only on a tie or a win, and the full
+        ``best_order`` only once, after the scan, for the row policy's close
+        candidates.  The walk's order cannot change the winner: every
+        ``scan_key`` carries a distinct enqueue sequence number, so no two
+        candidates' orders are equal.  The scan reads the shared
+        :class:`~repro.dram.bank.BankTimingTable` arrays and each rank's
+        ready lists (:class:`~repro.dram.dram_system.Rank`, where the rank
+        rules are pushed at issue time: the bank group's slot and the
+        any-group slot ``[-1]``) directly, and builds a
         :class:`~repro.dram.commands.Command` for the winner only, instead
         of materializing one per candidate through ``Bank``/``Rank`` method
         chains.  A demand PRE winner is not rebuilt: the frozen PRE for
         its bank comes from ``self._pre_commands``, created on the bank's
         first conflict and handed out again on every later one, so the
         table holds at most one command per bank.  ACT and RD/WR winners
-        are built fresh; memoizing them by row or column would grow with
-        the footprint.  The scheduler enters through two facts resolved
-        here:
+        are built fresh, with positional arguments; memoizing them by row
+        or column would grow with the footprint.  The scheduler enters
+        through two facts resolved here:
 
         * :attr:`~repro.controller.policies.SchedulingPolicy.HITS_FIRST` —
           FR-FCFS' early-exit hit/conflict scan under the column cap.  A
@@ -832,11 +888,7 @@ class MemoryController:
             act_allowed_cycle=(
                 mitigation.act_allowed_cycle if self._act_throttled else None
             ),
-            merged_cache=self._merged_cache,
-            bank_meta=self._bank_meta,
-            ranks=dram.ranks,
-            all_bank_reads=self._bank_reads,
-            all_bank_writes=self._bank_writes,
+            active_banks=self._active_banks,
             pre_commands=self._pre_commands,
             ACT=CommandKind.ACT,
             PRE=CommandKind.PRE,
@@ -894,53 +946,31 @@ class MemoryController:
             # with nobody demoted) scans the live lists as they are.
             narrow = demoted_last if demoted_cores else base_narrow
 
-            best_order: Optional[tuple] = None
+            # The best demand candidate so far: its issue cycle, then the
+            # rest of its order (``tail``), built only on a tie or a win.
+            best_issue = NEVER
+            best_tail: Optional[tuple] = None
             best_kind: Optional[CommandKind] = None
-            best_command: Optional[Command] = None
             best_request: Optional[MemoryRequest] = None
 
-            bank_reads = all_bank_reads if reads_active else _NO_PENDING
-            bank_writes = all_bank_writes if writes_active else _NO_PENDING
-            if not bank_writes:
-                # Common case (reads only): scan the read index in place —
-                # no combined key list to allocate.
-                bank_keys = bank_reads
-            elif not bank_reads:
-                bank_keys = bank_writes
-            else:
-                bank_keys = list(bank_reads)
-                bank_keys.extend(
-                    key for key in bank_writes if key not in bank_reads
-                )
-
-            for bank_key in bank_keys:
-                reads = bank_reads.get(bank_key)
-                writes = bank_writes.get(bank_key)
+            for record in active_banks.values():
+                reads = record.reads if reads_active else None
+                writes = record.writes if writes_active else None
                 if writes is None:
+                    if reads is None:
+                        continue
                     pending = reads.requests
-                    scan_key = (0, reads.min_seq)
                 elif reads is None:
                     pending = writes.requests
-                    scan_key = (1, writes.min_seq)
                 else:
-                    pending = merged_cache.get(bank_key)
+                    pending = record.merged
                     if pending is None:
-                        pending = _merge_pending(reads.requests, writes.requests)
-                        merged_cache[bank_key] = pending
-                    scan_key = (0, reads.min_seq)
-
-                meta = bank_meta.get(bank_key)
-                if meta is None:
-                    rank = ranks[(bank_key[0], bank_key[1])]
-                    meta = bank_meta[bank_key] = (
-                        rank.act_ready,
-                        rank.read_ready,
-                        rank.write_ready,
-                        rank.banks[(bank_key[2], bank_key[3])].index,
-                        bank_key[0],
-                        bank_key[2],
-                    )
-                act_ready, read_ready, write_ready, bank_index, channel, bankgroup = meta
+                        pending = record.merged = _merge_pending(
+                            reads.requests, writes.requests
+                        )
+                bank_index = record.index
+                channel = record.channel
+                bankgroup = record.bankgroup
 
                 bus = command_bus_free[channel]
                 issue = scan_cycle if scan_cycle > bus else bus
@@ -952,8 +982,11 @@ class MemoryController:
                     request = pending[0]
                     if next_act[bank_index] > issue:
                         issue = next_act[bank_index]
-                    if act_ready[bankgroup] > issue:
-                        issue = act_ready[bankgroup]
+                    ready = record.act_ready
+                    if ready[bankgroup] > issue:
+                        issue = ready[bankgroup]
+                    if ready[-1] > issue:
+                        issue = ready[-1]
                     if act_allowed_cycle is not None:
                         allowed = act_allowed_cycle(request.address, issue)
                         if allowed > issue:
@@ -993,16 +1026,18 @@ class MemoryController:
                         is_write = request.request_type is WRITE
                         if is_write:
                             bank_ready = next_write[bank_index]
-                            rank_ready = write_ready[bankgroup]
+                            ready = record.write_ready
                             data_latency = tCWL
                         else:
                             bank_ready = next_read[bank_index]
-                            rank_ready = read_ready[bankgroup]
+                            ready = record.read_ready
                             data_latency = tCL
                         if bank_ready > issue:
                             issue = bank_ready
-                        if rank_ready > issue:
-                            issue = rank_ready
+                        if ready[bankgroup] > issue:
+                            issue = ready[bankgroup]
+                        if ready[-1] > issue:
+                            issue = ready[-1]
                         bus_free = data_bus_free[channel]
                         if issue + data_latency < bus_free:
                             issue = bus_free - data_latency
@@ -1017,21 +1052,27 @@ class MemoryController:
                             issue = next_pre[bank_index]
                         kind = PRE
 
+                if issue > best_issue:
+                    continue
+                scan_key = (1, writes.min_seq) if reads is None else (0, reads.min_seq)
                 if demoted_cores is None:
-                    order = (issue, request.arrival_cycle, scan_key)
+                    tail = (request.arrival_cycle, scan_key)
                 else:
-                    order = (
-                        issue,
+                    tail = (
                         request.core_id in demoted_cores,
                         request.arrival_cycle,
                         scan_key,
                     )
-                if best_order is None or order < best_order:
-                    best_order = order
-                    best_kind = kind
-                    best_request = request
+                if issue == best_issue and best_tail is not None and tail >= best_tail:
+                    continue
+                best_issue = issue
+                best_tail = tail
+                best_kind = kind
+                best_request = request
 
+            best_command: Optional[Command] = None
             if row_policy_closes:
+                best_order = None if best_tail is None else (best_issue, *best_tail)
                 for bank_key, opened_cycle, not_before in (
                     self.row_policy.close_candidates(self, scan_cycle)
                 ):
@@ -1058,6 +1099,8 @@ class MemoryController:
                         best_order = order
                         best_command = command
                         best_request = None
+                if best_command is not None:
+                    best_issue = best_order[0]
 
             # After the scan: BLISS' ``before_demand_scan`` may have moved
             # its clearing deadline.
@@ -1065,39 +1108,40 @@ class MemoryController:
                 boundary = next_priority_boundary(cycle)
                 if boundary < valid_until:
                     valid_until = boundary
-            if best_order is None:
-                return None, valid_until
             if best_command is None:
+                if best_request is None:
+                    return None, valid_until
                 address = best_request.address
                 if best_kind is ACT:
                     best_command = Command(
                         ACT,
-                        channel=address.channel,
-                        rank=address.rank,
-                        bankgroup=address.bankgroup,
-                        bank=address.bank,
-                        row=address.row,
+                        address.channel,
+                        address.rank,
+                        address.bankgroup,
+                        address.bank,
+                        address.row,
                     )
                 elif best_kind is PRE:
                     best_command = pre_commands.get(address.bank_key)
                     if best_command is None:
                         best_command = pre_commands[address.bank_key] = Command(
                             PRE,
-                            channel=address.channel,
-                            rank=address.rank,
-                            bankgroup=address.bankgroup,
-                            bank=address.bank,
+                            address.channel,
+                            address.rank,
+                            address.bankgroup,
+                            address.bank,
                         )
                 else:
                     best_command = Command(
                         best_kind,
-                        channel=address.channel,
-                        rank=address.rank,
-                        bankgroup=address.bankgroup,
-                        bank=address.bank,
-                        column=address.column,
+                        address.channel,
+                        address.rank,
+                        address.bankgroup,
+                        address.bank,
+                        None,
+                        address.column,
                     )
-            return (best_order[0], best_command, best_request), valid_until
+            return (best_issue, best_command, best_request), valid_until
 
         return select
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Sequence, Union
+from typing import Callable, Deque, List, Optional, Union
 
 from repro.controller.controller import MemoryController
 from repro.controller.policies import NEVER
@@ -217,10 +217,10 @@ class Core:
         bubble_count = self._entries[cursor][0]
         outstanding = self._outstanding
         # Fast path: the reads in flight already leave room for the entry
-        # (the check of _constraints_ok).  Filtering completed reads only
-        # drops reads, and the survivors' ``dispatched_instructions`` are no
-        # smaller than the head's (they were dispatched in program order),
-        # so the filtered reads would pass too.
+        # (the first check of _dispatch_cycle_for_next_entry).  Dropping
+        # completed reads only drops reads, and the survivors'
+        # ``dispatched_instructions`` are no smaller than the head's (they
+        # were dispatched in program order), so the rest would pass too.
         count = len(outstanding)
         if count < self._max_outstanding and (
             not count
@@ -280,41 +280,43 @@ class Core:
     # ------------------------------------------------------------------ #
     def _dispatch_cycle_for_next_entry(self) -> Union[int, float]:
         """The blocked case of :meth:`next_event_cycle`: wait for reads to
-        complete until the window and the read limit leave room."""
+        complete until the window and the read limit leave room.
+
+        Each round walks the outstanding reads in place, counting the reads
+        still in flight at ``candidate`` and taking the first of them (the
+        window's oldest), then moves ``candidate`` to that read's
+        completion.  ``candidate`` only grows, so a read done at one round
+        is done at every later one.
+        """
         bubble_count = self._entries[self._cursor].bubble_count
-        new_instructions = bubble_count + 1
         candidate = self._front_cycle + bubble_count / self._issue_rate
-        outstanding = list(self._outstanding)
+        # The window has room while the oldest read in flight was dispatched
+        # at or after this instruction count.
+        window_floor = (
+            self._dispatched_instructions + bubble_count + 1 - self._window_size
+        )
+        max_outstanding = self._max_outstanding
+        outstanding = self._outstanding
         while True:
-            outstanding = [
-                read
-                for read in outstanding
-                if read.completion_cycle is None or read.completion_cycle > candidate
-            ]
-            if self._constraints_ok(outstanding, new_instructions):
+            count = 0
+            oldest = None
+            for read in outstanding:
+                completion = read.completion_cycle
+                if completion is None or completion > candidate:
+                    if oldest is None:
+                        oldest = read
+                    count += 1
+            if count < max_outstanding and (
+                oldest is None or oldest.dispatched_instructions >= window_floor
+            ):
                 return candidate
-            oldest = outstanding[0]
-            if oldest.completion_cycle is None:
+            completion = oldest.completion_cycle
+            if completion is None:
                 # Blocked on a read whose completion time the controller has
                 # not determined yet; the completion callback will wake us.
                 return NEVER
-            candidate = max(candidate, oldest.completion_cycle)
-            outstanding.pop(0)
-
-    def _constraints_ok(
-        self, outstanding: Sequence[_OutstandingRead], new_instructions: int
-    ) -> bool:
-        if len(outstanding) >= self._max_outstanding:
-            return False
-        if outstanding:
-            window_usage = (
-                self._dispatched_instructions
-                + new_instructions
-                - outstanding[0].dispatched_instructions
-            )
-            if window_usage > self._window_size:
-                return False
-        return True
+            # In flight at ``candidate``, so later than it.
+            candidate = completion
 
     def _retry_blocked_request(self, cycle: float) -> None:
         request = self._blocked_on_queue

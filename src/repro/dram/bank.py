@@ -7,11 +7,11 @@ tRFC/tRFM block that a REF or RFM pushes into ``next_act``.
 :attr:`repro.dram.dram_system.DRAMSystem.apply` checks and writes them for
 every ACT, PRE, RD and WR, and pushes the rank-scoped constraints (tRRD,
 tFAW, tCCD, tRTW, tWTR) into :class:`repro.dram.dram_system.Rank`'s
-per-bank-group ready lists at the same time; the buses are
-:class:`repro.dram.dram_system.DRAMSystem`'s.  Nothing here answers "when
-may this command issue?": readers take ``max`` over the table slot, the
-rank's ready list and the bus (``DRAMSystem.earliest_issue_cycle`` and the
-controller's select).
+ready lists (a slot per bank group and one for all of them) at the same
+time; the buses are :class:`repro.dram.dram_system.DRAMSystem`'s.  Nothing
+here answers "when may this command issue?": readers take ``max`` over the
+table slot, the rank's two ready slots and the bus
+(``DRAMSystem.earliest_issue_cycle`` and the controller's select).
 
 The timing state itself lives in a :class:`BankTimingTable`, one
 struct-of-arrays earliest-cycle table shared by every bank of a

@@ -89,6 +89,21 @@ class DRAMTiming:
     tREFW_ms: float = 64.0  # refresh window in milliseconds
     tBURST: int = 4     # burst length 8 / double data rate
 
+    def __post_init__(self) -> None:
+        # JEDEC's ordering of the bank-group rules; the device model's rank
+        # ready lists keep one same-group and one any-group floor per rule
+        # and are exact only under it (see repro.dram.dram_system.Rank).
+        for long, short in (
+            ("tRRD_L", "tRRD_S"),
+            ("tCCD_L", "tCCD_S"),
+            ("tWTR_L", "tWTR_S"),
+        ):
+            long_value, short_value = getattr(self, long), getattr(self, short)
+            if long_value < short_value:
+                raise ValueError(
+                    f"{long} ({long_value}) must be >= {short} ({short_value})"
+                )
+
     @property
     def tREFW(self) -> int:
         """Refresh window in DRAM clock cycles."""

@@ -18,10 +18,10 @@ turnaround, tRFC) and exposes two operations to the memory controller:
 
 There is one timing model.  Bank-scoped rules live in the banks' shared
 :class:`~repro.dram.bank.BankTimingTable`; rank-scoped rules are pushed at
-issue time, by :attr:`DRAMSystem.apply`, into the per-bank-group ready
-lists of :class:`Rank`; each channel's command and data bus is one
-"free from" cycle.  The controller's select reads the same table, lists
-and bus cycles.
+issue time, by :attr:`DRAMSystem.apply`, into the ready lists of
+:class:`Rank` (a slot per bank group plus one for all of them); each
+channel's command and data bus is one "free from" cycle.  The controller's
+select reads the same table, lists and bus cycles.
 
 The model also maintains the ground-truth row activation bookkeeping that the
 security verifier and the RowHammer mitigations observe: observers can be
@@ -100,17 +100,27 @@ class Rank:
     slots).
 
     The rank rules are pushed at issue time, not re-derived per query:
-    :attr:`DRAMSystem.apply` raises three per-bank-group lists of earliest
-    cycles on every ACT and column command, so each rule is one lookup for
-    every reader (:meth:`earliest_act`, :meth:`earliest_column` and the
-    memory controller's select):
+    :attr:`DRAMSystem.apply` raises three lists of earliest cycles on every
+    ACT and column command.  Each list has ``bankgroups_per_rank + 1``
+    slots: ``[bg]`` is the floor a command raised on its own bank group
+    (the ``_L`` rule) and ``[-1]`` the floor it raised on every bank group
+    (the ``_S`` rule), so a command writes two slots instead of one per
+    bank group.  A reader takes ``max(ready[bg], ready[-1])``
+    (:meth:`earliest_act`, :meth:`earliest_column` and the memory
+    controller's select):
 
-    * ``act_ready[bg]`` — tRRD_L/tRRD_S after every ACT (same/other bank
-      group) and, once four ACTs are recorded, the fourth-last ACT + tFAW;
-    * ``read_ready[bg]`` — tCCD_L/tCCD_S after every column command, and
+    * ``act_ready`` — tRRD_L/tRRD_S after every ACT and, once four ACTs
+      are recorded, the fourth-last ACT + tFAW in both slots;
+    * ``read_ready`` — tCCD_L/tCCD_S after every column command, and
       tWTR_L/tWTR_S after the end of every write burst;
-    * ``write_ready[bg]`` — tCCD_L/tCCD_S after every column command, and
-      tRTW after every read.
+    * ``write_ready`` — tCCD_L/tCCD_S after every column command, and
+      tRTW after every read (in both slots).
+
+    The two slots give each bank group exactly its per-group floor because
+    a command's same-group floor is never below its other-group floor:
+    :class:`~repro.dram.config.DRAMTiming` requires ``tRRD_L >= tRRD_S``,
+    ``tCCD_L >= tCCD_S`` and ``tWTR_L >= tWTR_S``, so the ``_S`` value a
+    command also leaves in ``[-1]`` never raises its own group's maximum.
 
     The lists never touch REF or RFM, which read the banks' ``next_act``
     only.  tRFC needs no rank state: a REF raises every bank's
@@ -141,12 +151,13 @@ class Rank:
                 key = (bankgroup, bank)
                 self.banks[key] = Bank((channel, rank, bankgroup, bank), table, index)
                 index += 1
-        # Earliest cycles per bank group, raised by every ACT and column
-        # command.  Mutated in place only: DRAMSystem.apply and the
-        # controller's select bind these lists.
-        self.act_ready: List[int] = [0] * org.bankgroups_per_rank
-        self.read_ready: List[int] = [0] * org.bankgroups_per_rank
-        self.write_ready: List[int] = [0] * org.bankgroups_per_rank
+        # Earliest cycles per bank group, plus the any-group slot [-1],
+        # raised by every ACT and column command.  Mutated in place only:
+        # DRAMSystem.apply and the controller's select bind these lists.
+        slots = org.bankgroups_per_rank + 1
+        self.act_ready: List[int] = [0] * slots
+        self.read_ready: List[int] = [0] * slots
+        self.write_ready: List[int] = [0] * slots
         #: The last four ACTs, for tFAW.
         self.recent_act_cycles: Deque[int] = deque(maxlen=4)
         self.refresh_row_pointer = 0
@@ -156,7 +167,8 @@ class Rank:
     # ------------------------------------------------------------------ #
     def earliest_act(self, cycle: int, bankgroup: int, bank: int) -> int:
         i = self.banks[(bankgroup, bank)].index
-        return max(cycle, self.table.next_act[i], self.act_ready[bankgroup])
+        ready = self.act_ready
+        return max(cycle, self.table.next_act[i], ready[bankgroup], ready[-1])
 
     def earliest_pre(self, cycle: int, bankgroup: int, bank: int) -> int:
         return max(cycle, self.table.next_pre[self.banks[(bankgroup, bank)].index])
@@ -166,8 +178,10 @@ class Rank:
     ) -> int:
         i = self.banks[(bankgroup, bank)].index
         if is_write:
-            return max(cycle, self.table.next_write[i], self.write_ready[bankgroup])
-        return max(cycle, self.table.next_read[i], self.read_ready[bankgroup])
+            ready, bank_ready = self.write_ready, self.table.next_write[i]
+        else:
+            ready, bank_ready = self.read_ready, self.table.next_read[i]
+        return max(cycle, bank_ready, ready[bankgroup], ready[-1])
 
     def earliest_refresh(self, cycle: int) -> int:
         """A REF may issue once every bank is precharged and tRP has elapsed."""
@@ -449,7 +463,7 @@ class DRAMSystem:
         table = self.timing_table
         timing = self.config.timing
         # (channel, rank, bankgroup, bank) -> the bank's table slot and its
-        # rank's per-bank-group ready lists and tFAW window.
+        # rank's ready lists and tFAW window.
         slots = {
             (rank.channel, rank.rank, bankgroup, bank): (
                 view.index,
@@ -545,8 +559,10 @@ class DRAMSystem:
                 ready = cycle + tRC
                 if ready > next_act[i]:
                     next_act[i] = ready
-                # tRRD_L/tRRD_S after every ACT and, once four are recorded,
-                # the fourth-last ACT + tFAW; a ready entry is never lowered.
+                # tRRD_L into the bank group's slot and tRRD_S into the
+                # any-group slot after every ACT and, once four are recorded,
+                # the fourth-last ACT + tFAW into both; a slot is never
+                # lowered.
                 recent.append(cycle)
                 same = cycle + tRRD_L
                 other = cycle + tRRD_S
@@ -556,10 +572,10 @@ class DRAMSystem:
                         same = faw
                     if faw > other:
                         other = faw
-                for group, value in enumerate(act_ready):
-                    floor = same if group == bankgroup else other
-                    if floor > value:
-                        act_ready[group] = floor
+                if same > act_ready[bankgroup]:
+                    act_ready[bankgroup] = same
+                if other > act_ready[-1]:
+                    act_ready[-1] = other
                 stats.acts += 1
                 if preventive:
                     stats.preventive_acts += 1
@@ -600,7 +616,9 @@ class DRAMSystem:
                 i, _, read_ready, write_ready, _ = slots[(channel, rank_id, bankgroup, bank)]
                 row = open_rows[i]
                 # tCCD_L/tCCD_S after every column command, plus tWTR_L/tWTR_S
-                # after a write burst's end and tRTW after a read.
+                # after a write burst's end and tRTW after a read: each _L
+                # floor into the bank group's slot, each _S floor into the
+                # any-group slot.
                 same = cycle + tCCD_L
                 other = cycle + tCCD_S
                 if kind is WR:
@@ -635,14 +653,14 @@ class DRAMSystem:
                     turn_same = same
                 if turn_other < other:
                     turn_other = other
-                for group, value in enumerate(pushed):
-                    floor = same if group == bankgroup else other
-                    if floor > value:
-                        pushed[group] = floor
-                for group, value in enumerate(turned):
-                    floor = turn_same if group == bankgroup else turn_other
-                    if floor > value:
-                        turned[group] = floor
+                if same > pushed[bankgroup]:
+                    pushed[bankgroup] = same
+                if other > pushed[-1]:
+                    pushed[-1] = other
+                if turn_same > turned[bankgroup]:
+                    turned[bankgroup] = turn_same
+                if turn_other > turned[-1]:
+                    turned[-1] = turn_other
                 data_bus_free[channel] = data_end
                 return data_end
 

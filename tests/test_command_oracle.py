@@ -18,6 +18,7 @@ Three parts:
 
 import copy
 import itertools
+import os
 from dataclasses import replace
 
 import pytest
@@ -416,7 +417,12 @@ def _legal_commands(dram):
     return commands
 
 
-@settings(max_examples=100, deadline=None)
+#: Examples for the fuzzed exactness test: 100 in tier-1; CI also runs it
+#: deeper by setting ``ORACLE_FUZZ_EXAMPLES``.
+FUZZ_EXAMPLES = int(os.environ.get("ORACLE_FUZZ_EXAMPLES", "100"))
+
+
+@settings(max_examples=FUZZ_EXAMPLES, deadline=None)
 @given(timing=stretched_timings(), data=st.data())
 def test_fuzzed_timings_earliest_cycles_are_exact(timing, data):
     # Random legal streams, each command issued at earliest_issue_cycle:

@@ -456,6 +456,100 @@ class TestDemandPrechargeReuse:
             assert sum(c.stats.policy_precharges for c in controllers) > 0
 
 
+def reverse_active_banks(controller):
+    """Rebuild the demand scan's bank dict in reversed order, in place (the
+    select binds the dict itself)."""
+    active = controller._active_banks
+    items = list(active.items())
+    active.clear()
+    active.update(reversed(items))
+
+
+class TestBankQueues:
+    """One record per bank: it enters ``_active_banks`` at the bank's first
+    enqueue and leaves when both of its queues drain, and the scan's winner
+    does not depend on the order the records are visited in."""
+
+    def test_record_lifecycle(self, tiny_dram_config):
+        controller = make_controller(
+            tiny_dram_config,
+            config=ControllerConfig(write_drain_high=1, write_drain_low=0),
+        )
+        read = read_request(controller, 5)
+        key = read.address.bank_key
+        assert not controller.has_pending_for_bank(key)
+        controller.enqueue(read, 0)
+        record = controller._active_banks[key]
+        assert controller._bank_queues[key] is record
+        assert controller.has_pending_for_bank(key)
+        assert record.reads.requests == [read] and record.writes is None
+
+        write = write_request(controller, 5, column=8)
+        controller.enqueue(write, 0)
+        assert record.writes.requests == [write]
+        # Draining writes: the select merges the bank's reads and writes.
+        controller.next_decision(0)
+        assert record.merged == [read, write]
+        later = read_request(controller, 5, column=16)
+        controller.enqueue(later, 0)
+        assert record.merged is None  # dropped on enqueue
+        controller.next_decision(0)
+        assert record.merged == [read, write, later]
+
+        retired = []
+        while not retired:
+            decision, _ = controller.next_decision(controller.current_cycle)
+            controller.issue_decision(decision)
+            if decision[1].kind in (CommandKind.RD, CommandKind.WR):
+                retired.append(decision[2])
+        assert record.merged is None  # dropped on retire
+        assert controller.has_pending_for_bank(key)
+
+        run_until_idle(controller, controller.current_cycle)
+        assert key not in controller._active_banks
+        assert not controller.has_pending_for_bank(key)
+        assert record.reads is None and record.writes is None
+        assert controller._bank_queues[key] is record
+
+        controller.enqueue(write_request(controller, 9), controller.current_cycle)
+        assert controller._active_banks[key] is record  # reused
+        assert controller.has_pending_for_bank(key)
+        assert record.reads is None and len(record.writes.requests) == 1
+
+    @pytest.mark.parametrize("scheduler", ["fr_fcfs", "fcfs", "bliss"])
+    def test_winner_does_not_depend_on_bank_order(self, tiny_dram_config, scheduler):
+        controller = make_controller(
+            tiny_dram_config,
+            config=ControllerConfig(write_drain_high=4, write_drain_low=1),
+            policy=ControllerPolicySpec(scheduler=scheduler),
+        )
+        demoted = controller.scheduler.demoted_cores
+        for i in range(16):
+            bank, row, core = i % 4, 1 + (i * 7) % 3, i % 3
+            if i % 5 == 4:
+                request = write_request(controller, row, bank_index=bank, column=8 * i)
+            else:
+                request = read_request(
+                    controller, row, bank_index=bank, column=8 * i, core_id=core
+                )
+            assert controller.enqueue(request, 0)
+        multi_bank = 0
+        cycle = 0
+        while True:
+            if demoted is not None:
+                demoted.add(1)
+            decision, _ = controller.next_decision(cycle)
+            if decision is None:
+                break
+            multi_bank += len(controller._active_banks) > 1
+            reverse_active_banks(controller)
+            again, _ = controller.next_decision(cycle)
+            assert again == decision
+            cycle = controller.issue_decision(again)
+        assert controller.pending_requests() == 0
+        assert multi_bank >= 20
+
+
 class TestBankPendingMinSeq:
     """``_BankPending.min_seq`` is the smallest enqueue sequence number among
     the bank's requests, through in-order appends, out-of-order inserts

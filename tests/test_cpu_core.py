@@ -2,11 +2,15 @@
 
 import math
 
+import pytest
 
 from repro.controller.controller import ControllerConfig, MemoryController
 from repro.controller.policies import NEVER
 from repro.cpu.core import Core, CoreConfig
 from repro.cpu.trace import Trace
+from repro.dram.address import AddressMapper
+from repro.dram.config import DRAMConfig
+from repro.sim.system import System, SystemConfig
 
 
 def make_core(tiny_dram_config, trace, core_config=None, controller_config=None):
@@ -202,3 +206,42 @@ def test_class_level_enqueue_wrap_sees_every_request(tiny_dram_config, monkeypat
     assert core.finished
     assert core.stats.stall_events > 0  # retries go through the wrap too
     assert len(set(map(id, accepted))) == len(accepted) == 30
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a read leaves the window when its RD issues, not when its data "
+    "returns: _OutstandingRead runs at issue with the future data-end cycle "
+    "and pops itself at once, so next_event_cycle's fast path dispatches "
+    "while that read's data is still in flight",
+)
+def test_one_outstanding_read_waits_for_the_previous_data(monkeypatch):
+    """``max_outstanding_reads=1``: each read is enqueued no earlier than the
+    previous read's data returns (CoreConfig: reads occupy the window until
+    their data returns).  Today the second of three bubble-0 reads to banks
+    0, 1 and 2 is enqueued at cycle 16, while the first read's data returns
+    at 36."""
+    config = DRAMConfig()
+    mapper = AddressMapper(config)
+    entries = [(0, mapper.address_for_row(5, bank_index=bank)) for bank in range(3)]
+    accepted = []
+    original = MemoryController.enqueue
+
+    def recorded(self, request, cycle):
+        result = original(self, request, cycle)
+        if result:
+            accepted.append(request)
+        return result
+
+    monkeypatch.setattr(MemoryController, "enqueue", recorded)
+    system = System(
+        [Trace.from_tuples(entries)],
+        config=SystemConfig(dram=config, core=CoreConfig(max_outstanding_reads=1)),
+    )
+    system.run()
+    assert len(accepted) == 3
+    for previous, request in zip(accepted, accepted[1:]):
+        assert request.arrival_cycle >= previous.completion_cycle, (
+            f"{request.address} enqueued at {request.arrival_cycle}, before "
+            f"the previous read's data returned at {previous.completion_cycle}"
+        )

@@ -45,6 +45,19 @@ class TestTiming:
         assert timing.tRC >= timing.tRAS + timing.tRP
         assert timing.tRRD_L >= timing.tRRD_S
         assert timing.tCCD_L >= timing.tCCD_S
+        assert timing.tWTR_L >= timing.tWTR_S
+
+    @pytest.mark.parametrize("long, short", [
+        ("tRRD_L", "tRRD_S"), ("tCCD_L", "tCCD_S"), ("tWTR_L", "tWTR_S"),
+    ])
+    def test_same_bank_group_rule_below_other_group_rule_rejected(self, long, short):
+        base = DRAMTiming()
+        with pytest.raises(ValueError, match=f"{long} .* must be >= {short}"):
+            DRAMTiming(**{long: getattr(base, short) - 1})
+        # Equal is JEDEC-legal and accepted.
+        assert getattr(DRAMTiming(**{long: getattr(base, short)}), long) == getattr(
+            base, short
+        )
 
 
 class TestDRAMConfig:

@@ -8,6 +8,7 @@ import pytest
 from oracle_commands import issue
 from repro.dram.bank import TimingViolation
 from repro.dram.commands import Command, CommandKind
+from repro.dram.config import DRAMConfig
 from repro.dram.dram_system import DRAMSystem
 
 
@@ -195,6 +196,72 @@ class TestInterBankConstraints:
         second_cycle = system.earliest_issue_cycle(second_rd, first_rd_cycle)
         end2 = issue(system, second_rd, second_cycle)
         assert end2 >= end1 + timing.tBURST
+
+
+def _stretched_system(**timing):
+    config = DRAMConfig()
+    timing = dataclasses.replace(config.timing, **timing)
+    return DRAMSystem(dataclasses.replace(config, timing=timing))
+
+
+class TestRankFloors:
+    """A rank keeps one floor per bank group (the ``_L`` rules) and one for
+    every bank group (the ``_S`` rules) per ready list; a reader takes the
+    larger.  Exact limits, on the default organization (4 bank groups)."""
+
+    def test_act_after_one_act(self):
+        system = DRAMSystem(DRAMConfig())
+        timing = system.config.timing
+        issue(system, act(row=1, bankgroup=0, bank=0), 10)
+        rank = system.rank(0, 0)
+        assert rank.earliest_act(0, 0, 1) == 10 + timing.tRRD_L
+        for bankgroup in (1, 2, 3):
+            assert rank.earliest_act(0, bankgroup, 0) == 10 + timing.tRRD_S
+        assert system.earliest_issue_cycle(act(row=1, bankgroup=1), 0) == 10 + timing.tRRD_S
+
+    def test_act_with_tfaw_binding(self):
+        # ACTs at 0, 4, 8, 12 to bank groups 0-3: the fifth waits for
+        # 0 + tFAW = 17 on other bank groups, and for 12 + tRRD_L = 18 on
+        # bank group 3, where the same-group rule is later than tFAW.
+        system = _stretched_system(tFAW=17)
+        timing = system.config.timing
+        for bankgroup in range(4):
+            issue(system, act(row=1, bankgroup=bankgroup), 4 * bankgroup)
+        rank = system.rank(0, 0)
+        assert 12 + timing.tRRD_S < 17 < 12 + timing.tRRD_L
+        assert rank.earliest_act(0, 3, 1) == 12 + timing.tRRD_L
+        for bankgroup in (0, 1, 2):
+            assert rank.earliest_act(0, bankgroup, 1) == 17
+
+    def test_read_after_write(self):
+        system = DRAMSystem(DRAMConfig())
+        timing = system.config.timing
+        issue(system, act(row=1, bankgroup=0, bank=0), 0)
+        issue(system, act(row=1, bankgroup=1, bank=0), 10)
+        issue(system, act(row=1, bankgroup=0, bank=1), 20)
+        data_end = issue(system, wr(bankgroup=0, bank=0), 50)
+        rank = system.rank(0, 0)
+        assert rank.earliest_column(0, 0, 1, False) == data_end + timing.tWTR_L
+        assert rank.earliest_column(0, 1, 0, False) == data_end + timing.tWTR_S
+        # Write to write: tCCD_L/tCCD_S (the bank's own tRCD is long past).
+        assert rank.earliest_column(0, 0, 1, True) == 50 + timing.tCCD_L
+        assert rank.earliest_column(0, 1, 0, True) == 50 + timing.tCCD_S
+
+    def test_write_after_read(self):
+        # tCCD_L stretched past tRTW: the same group waits tCCD_L, every
+        # other group tRTW.
+        system = _stretched_system(tCCD_L=11)
+        timing = system.config.timing
+        issue(system, act(row=1, bankgroup=0, bank=0), 0)
+        issue(system, act(row=1, bankgroup=1, bank=0), 10)
+        issue(system, act(row=1, bankgroup=0, bank=1), 20)
+        issue(system, rd(bankgroup=0, bank=0), 50)
+        rank = system.rank(0, 0)
+        assert timing.tCCD_S < timing.tRTW < timing.tCCD_L
+        assert rank.earliest_column(0, 0, 1, True) == 50 + timing.tCCD_L
+        assert rank.earliest_column(0, 1, 0, True) == 50 + timing.tRTW
+        assert rank.earliest_column(0, 0, 1, False) == 50 + timing.tCCD_L
+        assert rank.earliest_column(0, 1, 0, False) == 50 + timing.tCCD_S
 
 
 def _illegal_cases():
