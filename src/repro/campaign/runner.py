@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 from repro.campaign.backends import MemoryQueue, SqliteQueue
 from repro.campaign.queue import DEFAULT_LEASE, WorkItem, WorkQueue
 from repro.campaign.store import ResultStore
+from repro.experiment.codec import SpecCodecError
 from repro.experiment.spec import CampaignSpec, ExperimentSpec
 from repro.sim.pool import shared_pool
 from repro.sim.system import SimulationResult
@@ -134,6 +135,9 @@ class CampaignRunner:
         self.worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
         self.poll_interval = poll_interval
         self.campaign_id = campaign.campaign_id()
+        #: The expanded grid, ``(spec, priority)`` per cell: expansion (an
+        #: audit grid synthesizes its patterns) runs once per runner.
+        self.cells = campaign.cells()
 
     def _make_queue(
         self,
@@ -164,7 +168,7 @@ class CampaignRunner:
         """
         items = []
         complete = 0
-        for spec, priority in self.campaign.cells():
+        for spec, priority in self.cells:
             spec_hash = spec.content_hash()
             if self.store.get_record(spec_hash) is not None:
                 complete += 1
@@ -189,7 +193,7 @@ class CampaignRunner:
             "campaign_id": self.campaign_id,
             "campaign": self.campaign.to_dict(),
             "backend": self.queue.name,
-            "total": self.campaign.total_cells(),
+            "total": len(self.cells),
         }
 
     # ------------------------------------------------------------------ #
@@ -284,13 +288,11 @@ class CampaignRunner:
     # ------------------------------------------------------------------ #
     def status(self, executed: int = 0) -> CampaignStatus:
         counts = self.queue.counts()
-        completed = sum(
-            1 for spec, _ in self.campaign.cells() if self.store.contains(spec)
-        )
+        completed = sum(1 for spec, _ in self.cells if self.store.contains(spec))
         return CampaignStatus(
             campaign_id=self.campaign_id,
             name=self.campaign.name,
-            total=self.campaign.total_cells(),
+            total=len(self.cells),
             completed=completed,
             pending=counts.pending,
             claimed=counts.claimed,
@@ -305,14 +307,21 @@ def status_from_state(
 
     Rebuilds the :class:`CampaignSpec` from a ``campaigns/<id>.json``
     checkpoint and counts completed cells against the record files — no
-    queue needed, so this works on a store whose runner is long gone.
+    queue needed, so this works on a store whose runner is long gone.  A
+    checkpoint without a decodable ``campaign`` object raises
+    :class:`~repro.experiment.codec.SpecCodecError`.
     """
+    if "campaign" not in state:
+        raise SpecCodecError(
+            "campaign checkpoint is missing the required key 'campaign'"
+        )
     campaign = CampaignSpec.from_dict(state["campaign"])
-    completed = sum(1 for spec, _ in campaign.cells() if store.contains(spec))
+    cells = campaign.cells()
+    completed = sum(1 for spec, _ in cells if store.contains(spec))
     return CampaignStatus(
         campaign_id=state.get("campaign_id", campaign.campaign_id()),
         name=campaign.name,
-        total=campaign.total_cells(),
+        total=len(cells),
         completed=completed,
         pending=0,
         claimed=0,

@@ -27,7 +27,12 @@ Endpoints (all ``GET``, all ``application/json``):
 ``/campaigns``
     Checkpointed campaign ids.
 ``/campaigns/<id>``
-    One campaign's checkpoint plus live completed/total progress.
+    One campaign's checkpoint plus live completed/total progress.  A
+    checkpoint that does not decode to a campaign is a 422.
+
+A grid query or a progress count costs one read and one digest per record
+file: the store verifies and decodes a file only when its bytes differ
+from the bytes it verified last (see :class:`ResultStore`).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.campaign.runner import status_from_state
 from repro.campaign.store import ResultStore
+from repro.experiment.registry import UnknownWorkloadError
 
 _HASH_CHARS = set("0123456789abcdef")
 
@@ -157,7 +163,14 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         if state is None:
             self._error(404, f"no campaign {campaign_id}")
             return
-        status = status_from_state(store, state)
+        try:
+            status = status_from_state(store, state)
+        except (ValueError, UnknownWorkloadError) as exc:
+            # A checkpoint that does not decode to a campaign this build
+            # can expand: a SpecCodecError, a rejected field value or an
+            # unknown workload or mitigation name.
+            self._error(422, f"malformed campaign checkpoint: {exc}")
+            return
         self._send(
             200,
             {

@@ -22,7 +22,11 @@ Guarantees:
 * **Integrity on read** — the payload checksum and the spec hash are
   verified against the record content; unparseable or tampered files are
   moved to ``quarantine/`` (never raised through to the caller) and the
-  cell simply re-simulates.
+  cell simply re-simulates.  :meth:`ResultStore.get_record` is the only
+  verifier, and a store instance runs it once per distinct content of a
+  file: it remembers the verdict under a 128-bit ``blake2b`` digest of the
+  raw bytes it verified, so a grid query or a status count re-reads and
+  re-digests each file but decodes only bytes it has not seen.
 * **Incremental invalidation** — records carry the
   :data:`~repro.experiment.session.CACHE_VERSION` they were computed under; a
   version bump turns older records into misses *in place* (no flag day:
@@ -39,7 +43,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.fsutil import atomic_write_text
 from repro.experiment.session import CACHE_VERSION, RunRecord
@@ -67,8 +71,24 @@ def _checksum(record_dict: Dict[str, Any]) -> str:
     return hashlib.sha256(_canonical(record_dict).encode("utf-8")).hexdigest()
 
 
+def _digest(data: bytes) -> bytes:
+    """The key of a verdict: 128 bits of ``blake2b`` over a file's bytes."""
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
 class ResultStore:
-    """Versioned :class:`RunRecord` JSONs indexed by canonical spec hash."""
+    """Versioned :class:`RunRecord` JSONs indexed by canonical spec hash.
+
+    Each instance keeps an in-memory index from spec hash to the digest of
+    the file bytes it last verified and the verdict those bytes earned: the
+    record's :meth:`summarize` row when fresh, ``None`` when stale.
+    :meth:`query` and :meth:`contains` read and digest a file and call
+    :meth:`get_record` only when the bytes differ from the verified ones, so
+    any change to a file (a rewrite of the same size and timestamps
+    included) is verified before its verdict is used.  The index is not
+    locked: ``repro serve`` answers on one thread, and a store shared
+    between threads can at worst verify the same bytes twice.
+    """
 
     def __init__(
         self,
@@ -83,6 +103,8 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
+        #: spec hash -> (digest of the verified bytes, row or ``None``).
+        self._verdicts: Dict[str, Tuple[bytes, Optional[Dict[str, Any]]]] = {}
 
     # ------------------------------------------------------------------ #
     # Paths
@@ -110,10 +132,13 @@ class ResultStore:
             "checksum": _checksum(record_dict),
             "record": record_dict,
         }
-        return atomic_write_text(
-            self.record_path(spec_hash),
-            json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        path = atomic_write_text(self.record_path(spec_hash), text)
+        self._verdicts[spec_hash] = (
+            _digest(text.encode("utf-8")),
+            self.summarize(record),
         )
+        return path
 
     def put_result(
         self,
@@ -149,17 +174,22 @@ class ResultStore:
         Misses: no file, or a stale ``cache_version`` (left in place — the
         recompute overwrites it).  Corrupt files (truncated JSON, checksum
         or spec-hash mismatch, undecodable record) are quarantined and
-        reported as misses.
+        reported as misses.  This is the store's only verifier; it records
+        the verdict of the bytes it read in the instance's index.
         """
         spec_hash = self._hash_of(spec_or_hash)
         path = self.record_path(spec_hash)
+        # Every exit below leaves either no verdict or the verdict that the
+        # bytes read here earned.
+        verdicts = self._verdicts
+        verdicts.pop(spec_hash, None)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             self.misses += 1
             return None
         try:
-            payload = json.loads(text)
+            payload = json.loads(data.decode("utf-8"))
             if not isinstance(payload, dict):
                 raise ValueError("record payload is not an object")
         except ValueError:
@@ -169,6 +199,7 @@ class ResultStore:
         if payload.get("cache_version") != self.cache_version:
             # Stale, not corrupt: superseded by a CACHE_VERSION bump
             # (or written by a newer build).  Recomputing overwrites it.
+            verdicts[spec_hash] = (_digest(data), None)
             self.misses += 1
             return None
         record_dict = payload.get("record")
@@ -190,6 +221,7 @@ class ResultStore:
             self._quarantine(path)
             self.misses += 1
             return None
+        verdicts[spec_hash] = (_digest(data), self.summarize(record))
         self.hits += 1
         return record
 
@@ -201,9 +233,37 @@ class ResultStore:
     def contains(self, spec_or_hash: Union[str, ExperimentSpec]) -> bool:
         """Whether a *fresh, intact* record exists (without hit/miss stats)."""
         hits, misses = self.hits, self.misses
-        found = self.get_record(spec_or_hash) is not None
+        found = self._row(self._hash_of(spec_or_hash)) is not None
         self.hits, self.misses = hits, misses
         return found
+
+    def _row(self, spec_hash: str) -> Optional[Dict[str, Any]]:
+        """The summary row of a fresh record, ``None`` for a miss.
+
+        Counts a hit or a miss as :meth:`get_record` does.  The file is read
+        and digested every time; only bytes that differ from the ones this
+        instance verified last go through :meth:`get_record`.
+        """
+        # record_path's file, without building a Path (a third of a warm
+        # lookup).
+        path = os.path.join(self.records_dir, spec_hash[:2], f"{spec_hash}.json")
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            self._verdicts.pop(spec_hash, None)
+            self.misses += 1
+            return None
+        verdict = self._verdicts.get(spec_hash)
+        if verdict is None or verdict[0] != _digest(data):
+            record = self.get_record(spec_hash)
+            return None if record is None else self.summarize(record)
+        row = verdict[1]
+        if row is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return row
 
     def _quarantine(self, path: Path) -> None:
         """Move an unreadable record aside (never raise on a bad file)."""
@@ -219,20 +279,22 @@ class ResultStore:
     # Queries (the read-only serve/CLI layer)
     # ------------------------------------------------------------------ #
     def iter_spec_hashes(self) -> Iterator[str]:
+        """The stem of every ``*.json`` entry of every shard directory, in
+        sorted shard order and then sorted name order."""
         if not self.records_dir.is_dir():
             return
-        for shard in sorted(self.records_dir.iterdir()):
-            if not shard.is_dir():
-                continue
-            for path in sorted(shard.glob("*.json")):
-                yield path.stem
-
-    def iter_records(self) -> Iterator[RunRecord]:
-        """Every intact, fresh record in the store (corrupt ones quarantined)."""
-        for spec_hash in list(self.iter_spec_hashes()):
-            record = self.get_record(spec_hash)
-            if record is not None:
-                yield record
+        with os.scandir(self.records_dir) as entries:
+            shards = sorted(
+                (entry.name, entry.path) for entry in entries if entry.is_dir()
+            )
+        for _, shard in shards:
+            with os.scandir(shard) as entries:
+                names = sorted(
+                    entry.name for entry in entries if entry.name.endswith(".json")
+                )
+            for name in names:
+                # ``Path.stem`` keeps a bare ``.json`` whole.
+                yield name[:-5] if name != ".json" else name
 
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_spec_hashes())
@@ -240,9 +302,13 @@ class ResultStore:
     @staticmethod
     def summarize(record: RunRecord) -> Dict[str, Any]:
         """The flat row the query API answers grid queries with."""
-        spec, result = record.spec, record.result
+        spec, result, provenance = record.spec, record.result, record.provenance
         return {
-            "spec_hash": record.provenance.get("spec_hash", spec.content_hash()),
+            "spec_hash": (
+                provenance["spec_hash"]
+                if "spec_hash" in provenance
+                else spec.content_hash()
+            ),
             "workload": spec.workload.name,
             "mitigation": spec.mitigation.name,
             "nrh": spec.mitigation.nrh,
@@ -252,7 +318,7 @@ class ResultStore:
             "ipc": result.ipc,
             "preventive_refreshes": result.preventive_refreshes,
             "secure": result.security_ok,
-            "campaign": record.provenance.get("campaign"),
+            "campaign": provenance.get("campaign"),
         }
 
     def query(
@@ -264,12 +330,18 @@ class ResultStore:
         campaign: Optional[str] = None,
         limit: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
-        """Grid query over record summaries, no simulation involved."""
+        """Grid query over record summaries, no simulation involved.
+
+        Counts one hit per fresh record and one miss per stale or corrupt
+        one it looks at, and returns copies of the rows it keeps.
+        """
         rows = []
-        for record in self.iter_records():
+        for spec_hash in self.iter_spec_hashes():
+            row = self._row(spec_hash)
+            if row is None:
+                continue
             if limit is not None and len(rows) >= limit:
                 break
-            row = self.summarize(record)
             if workload is not None and row["workload"] != workload:
                 continue
             if mitigation is not None and row["mitigation"] != mitigation:
@@ -280,7 +352,7 @@ class ResultStore:
                 continue
             if campaign is not None and row["campaign"] != campaign:
                 continue
-            rows.append(row)
+            rows.append(dict(row))
         return rows
 
     # ------------------------------------------------------------------ #
@@ -306,9 +378,10 @@ class ResultStore:
             text = (self.campaigns_dir / f"{campaign_id}.json").read_text(
                 encoding="utf-8"
             )
-            return json.loads(text)
+            state = json.loads(text)
         except (OSError, ValueError):
             return None
+        return state if isinstance(state, dict) else None
 
     def list_campaigns(self) -> List[str]:
         if not self.campaigns_dir.is_dir():

@@ -685,6 +685,11 @@ class CampaignSpec:
                 f"spec_version {version} is newer than this build supports "
                 f"({SPEC_VERSION}); upgrade repro"
             )
+        for key in ("name", "workloads", "mitigations", "nrhs"):
+            if key not in data:
+                raise SpecCodecError(
+                    f"campaign spec is missing the required key {key!r}"
+                )
         return cls(
             name=data["name"],
             workloads=tuple(data["workloads"]),

@@ -1,12 +1,16 @@
 """Tests for the read-only HTTP JSON API over a result store."""
 
+import http.client
 import json
 import socket
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import quote, urlparse
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import CampaignRunner, ResultStore, make_server
 from repro.experiment.spec import CampaignSpec
@@ -30,6 +34,42 @@ def store(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def base_url(store):
+    server = make_server(store, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    yield f"http://{host}:{port}"
+    server.shutdown()
+    server.server_close()
+
+
+#: Malformed checkpoints, by campaign id: each must answer 4xx, not 500.
+MALFORMED = {
+    "a0a0a0": ("[1, 2]", 404, "no campaign"),
+    "b1b1b1": ('{"x": 1}', 422, "'campaign'"),
+    "c2c2c2": ('{"campaign": {"name": 3}}', 422, "'workloads'"),
+    "d3d3d3": (
+        json.dumps(
+            {
+                "campaign": CampaignSpec(
+                    name="x", workloads=("429.mcf",), mitigations=("para",), nrhs=(250,)
+                ).to_dict()
+                | {"workloads": ["no_such_workload"]}
+            }
+        ),
+        422,
+        "unknown workload",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def malformed_url(tmp_path_factory):
+    """A server over a store holding only the ``MALFORMED`` checkpoints."""
+    store = ResultStore(tmp_path_factory.mktemp("malformed") / "store")
+    store.campaigns_dir.mkdir(parents=True)
+    for campaign_id, (text, _, _) in MALFORMED.items():
+        (store.campaigns_dir / f"{campaign_id}.json").write_text(text)
     server = make_server(store, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -131,6 +171,77 @@ class TestErrors:
 
     def test_empty_secure_and_zero_limit_accepted(self, base_url):
         assert get_json(f"{base_url}/query?secure=&limit=0")["count"] == 0
+
+    @pytest.mark.parametrize("prefix", [False, True])
+    @pytest.mark.parametrize("campaign_id", sorted(MALFORMED))
+    def test_malformed_checkpoint_is_a_client_error(
+        self, malformed_url, campaign_id, prefix
+    ):
+        # By full id and by unique prefix.
+        _, status, message = MALFORMED[campaign_id]
+        path = campaign_id[:1] if prefix else campaign_id
+        body = get_json(f"{malformed_url}/campaigns/{path}", expect_status=status)
+        assert message in body["error"]
+
+
+#: Pieces of request paths: endpoint names, ids and hashes (the stored
+#: ones among them), escapes, traversal and non-ASCII digits (which ``int``
+#: accepts).
+_SEGMENTS = st.one_of(
+    st.sampled_from(["health", "records", "query", "campaigns", "nope", "", "."]),
+    st.sampled_from(
+        [spec.content_hash() for spec, _ in CAMPAIGN.cells()]
+        + [CAMPAIGN.campaign_id(), CAMPAIGN.campaign_id()[:12]]
+    ),
+    st.text("0123456789abcdef", max_size=300),
+    st.sampled_from(["..", "%2e%2e", "%2F", "%00", "%ZZ", "%", "%e4%b8%80"]),
+    st.text("0123456789０１２３٠١٢٣-+_. ", max_size=8),
+)
+_QUERY_VALUES = st.one_of(
+    st.integers(-(10**30), 10**30).map(str),
+    st.text("0123456789０１２３٠١٢٣abcdef-+_.% ", max_size=12),
+    st.sampled_from(["true", "no", "maybe", "para", "none", "-1", "%", "%ZZ", ""]),
+)
+_QUERY = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["nrh", "limit", "secure", "workload", "mitigation", "campaign"]
+        ),
+        _QUERY_VALUES,
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def request_paths(draw):
+    segments = draw(st.lists(_SEGMENTS, min_size=1, max_size=3))
+    path = "/" + "/".join(quote(segment, safe="%.") for segment in segments)
+    query = draw(_QUERY)
+    if query:
+        path += "?" + "&".join(
+            f"{key}={quote(value, safe='%')}" for key, value in query
+        )
+    return path
+
+
+class TestFuzzedRequests:
+    # Few examples: tier-1 runs close to CI's timeout on slow hosts.
+    @settings(max_examples=50, deadline=None)
+    @given(path=request_paths())
+    def test_every_answer_is_a_json_object_with_a_client_status(
+        self, base_url, path
+    ):
+        url = urlparse(base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+        try:
+            conn.request("GET", path)
+            response = conn.getresponse()
+            status, payload = response.status, response.read()
+        finally:
+            conn.close()
+        assert status in (200, 400, 404, 422), (path, status, payload)
+        assert isinstance(json.loads(payload), dict), path
 
 
 class TestStalledClient:

@@ -2,10 +2,12 @@
 
 Covers the store's four guarantees: atomic publication, integrity checking
 with quarantine on read, cache-version invalidation in place, and
-byte-deterministic record files.
+byte-deterministic record files; and the per-instance verdict index that
+lets a query skip bytes it has already verified.
 """
 
 import json
+import os
 
 import pytest
 
@@ -72,9 +74,13 @@ class TestRoundTrip:
         stats — survives the JSON record, not just the headline IPC."""
         spec = _round_trip_specs()[case]
         expected = execute_spec(spec)
-        ResultStore(tmp_path / "store").put_result(spec, expected)
+        writer = ResultStore(tmp_path / "store")
+        writer.put_result(spec, expected)
         got = ResultStore(tmp_path / "store").get_result(spec)
         assert got.__dict__ == expected.__dict__
+        # The row put_record seeds its index with is the row a reader
+        # decodes from the file.
+        assert writer.query() == ResultStore(tmp_path / "store").query()
         if case == "attack_unprotected":
             assert expected.security_violations > 0
 
@@ -99,7 +105,6 @@ class TestRoundTrip:
         store.put_result(spec, result)
         assert len(store) == 1
         assert list(store.iter_spec_hashes()) == [spec.content_hash()]
-        assert [r.spec for r in store.iter_records()] == [spec]
 
 
 def _round_trip_specs():
@@ -252,6 +257,132 @@ class TestQueries:
         assert len(store.query(limit=0)) == 0
 
 
+def _other_spec(nrh):
+    return ExperimentSpec(
+        workload=WorkloadSpec(name="429.mcf", num_requests=200),
+        mitigation=MitigationSpec(name="none", nrh=nrh),
+        verify_security=False,
+    )
+
+
+def _flip_checksum_digit(path):
+    """Change one digit of the stored checksum in place: same size, same
+    ``st_mtime_ns``, different bytes."""
+    stat = path.stat()
+    data = bytearray(path.read_bytes())
+    start = data.index(b'"checksum": "') + len(b'"checksum": "')
+    at = next(i for i in range(start, start + 64) if chr(data[i]).isdigit())
+    data[at] = ord(str((int(chr(data[at])) + 1) % 10))
+    with open(path, "r+b") as handle:
+        handle.write(data)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert path.stat().st_mtime_ns == stat.st_mtime_ns
+
+
+class TestVerdictIndex:
+    """A store verifies each distinct content of a file once, and never
+    answers for bytes it has not verified."""
+
+    def test_each_content_is_verified_once(self, tmp_path, spec, result, monkeypatch):
+        ResultStore(tmp_path / "store").put_result(spec, result)
+        store = ResultStore(tmp_path / "store")
+        verified = []
+        get_record = ResultStore.get_record
+
+        def counted(self, spec_or_hash):
+            verified.append(spec_or_hash)
+            return get_record(self, spec_or_hash)
+
+        monkeypatch.setattr(ResultStore, "get_record", counted)
+        assert len(store.query()) == 1
+        assert store.contains(spec)
+        assert len(store.query()) == 1
+        assert verified == [spec.content_hash()]
+        # put_record seeds the index with the bytes it published.
+        store.put_result(spec, result, provenance={"campaign": "again"})
+        assert store.query()[0]["campaign"] == "again"
+        assert len(verified) == 1
+
+    @pytest.mark.parametrize("reader", ["query", "contains"])
+    def test_in_place_rewrite_with_the_same_size_and_mtime_is_quarantined(
+        self, store, spec, result, reader
+    ):
+        path = store.put_result(spec, result)
+        assert len(store.query()) == 1
+        _flip_checksum_digit(path)
+        if reader == "query":
+            assert store.query() == []
+        else:
+            assert not store.contains(spec)
+        assert not path.exists()
+        assert (store.quarantine_dir / path.name).exists()
+        assert store.quarantined == 1
+
+    def test_a_record_republished_by_another_instance_is_reread(
+        self, tmp_path, spec, result
+    ):
+        first = ResultStore(tmp_path / "store")
+        first.put_result(spec, result, provenance={"campaign": "a"})
+        assert [row["campaign"] for row in first.query()] == ["a"]
+        ResultStore(tmp_path / "store").put_result(
+            spec, result, provenance={"campaign": "b"}
+        )
+        assert [row["campaign"] for row in first.query()] == ["b"]
+        assert first.hits == 2 and first.misses == 0
+
+    def test_a_stale_record_stays_a_miss(self, tmp_path, spec, result):
+        old = ResultStore(tmp_path / "store", cache_version=CACHE_VERSION - 1)
+        path = old.put_result(spec, result)
+        store = ResultStore(tmp_path / "store")
+        for _ in range(2):
+            assert store.query() == []
+            assert not store.contains(spec)
+        assert store.misses == 2 and store.hits == 0
+        assert path.exists() and store.quarantined == 0
+
+    def test_query_counters_match_a_full_verification_per_record(
+        self, tmp_path, spec, result
+    ):
+        """One hit per fresh record and one miss per stale or corrupt one,
+        on every query, whether the verdict is cached or not."""
+        root = tmp_path / "store"
+        store = ResultStore(root)
+        store.put_result(spec, result)
+        store.put_result(_other_spec(2), result)
+        ResultStore(root, cache_version=CACHE_VERSION - 1).put_result(
+            _other_spec(3), result
+        )
+        stale = _other_spec(3).content_hash()
+        corrupt = store.put_result(_other_spec(4), result)
+        corrupt.write_text("not json")
+        assert len(store.query()) == 2
+        assert (store.hits, store.misses, store.quarantined) == (2, 2, 1)
+        assert len(store.query()) == 2
+        assert (store.hits, store.misses, store.quarantined) == (4, 3, 1)
+        # A limited query stops at the first fresh record past its limit,
+        # having counted it and any stale record before it.
+        fresh = {spec.content_hash(), _other_spec(2).content_hash()}
+        order = list(store.iter_spec_hashes())
+        second_fresh = [i for i, h in enumerate(order) if h in fresh][1]
+        assert len(store.query(limit=1)) == 1
+        counts = (6, 3 + int(stale in order[:second_fresh]))
+        assert (store.hits, store.misses) == counts
+        assert store.contains(spec) and not store.contains(_other_spec(3))
+        assert (store.hits, store.misses) == counts
+
+    def test_mutating_a_returned_row_changes_no_later_query(
+        self, store, spec, result
+    ):
+        store.put_result(spec, result)
+        first = store.query()
+        expected = [dict(row) for row in first]
+        first[0]["ipc"] = -1.0
+        first[0]["campaign"] = "mutated"
+        assert store.query() == expected
+        assert store.query(campaign="mutated") == []
+
+
 class TestCampaignCheckpoints:
     def test_save_load_list(self, store):
         assert store.list_campaigns() == []
@@ -269,6 +400,12 @@ class TestCampaignCheckpoints:
         store.save_campaign("deadbeef", {"total": 5})
         assert path.stat().st_ino != inode
         assert store.load_campaign("deadbeef") == {"total": 5}
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", "not json"])
+    def test_a_checkpoint_that_is_not_an_object_loads_as_none(self, store, text):
+        store.campaigns_dir.mkdir(parents=True)
+        (store.campaigns_dir / "bad.json").write_text(text)
+        assert store.load_campaign("bad") is None
 
 
 class TestDefaults:
